@@ -12,25 +12,17 @@ from .geometry import (
     DimensionMismatchError,
     EmptyReferenceError,
     GeometryError,
-    NeighborList,
     NeighborTables,
     PointCloud,
     dist_block,
-    knn,
     neighbor_tables,
-    pairwise_distance,
 )
 from .estimators import (
     EstimatorConfig,
     EstimatorError,
-    LidEstimate,
     METHODS,
     MLE_NORMALIZATIONS,
     ZeroDistanceError,
-    estimate_at,
-    estimate_mada,
-    estimate_mle,
-    estimate_tle,
 )
 from .datasets import (
     DATASET_NAMES,
@@ -49,23 +41,14 @@ from .bagging import (
     BaggingConfig,
     BaggingError,
     DIVERGENCE_POLICIES,
-    EstimateMatrix,
     LocalityCapacityError,
-    aggregate,
-    bagged_estimate_all,
     draw_bags,
 )
 from .smoothing import (
-    SMOOTHING_MODES,
     SmoothingCapacityError,
     SmoothingConfig,
     SmoothingError,
     VARIANTS,
-    bagged_post_smooth,
-    bagged_pre_post_smooth,
-    bagged_pre_smooth,
-    baseline_estimates,
-    baseline_smooth,
     smooth,
     variant_estimates,
 )

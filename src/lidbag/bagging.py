@@ -1,24 +1,27 @@
-"""The subbagging engine: draw B index sets without replacement and average.
+"""Bag drawing, the anchored aggregator, and the per-bag building blocks.
 
-Bags are sampled once per configuration and reused across every query.
-For a query inside bag i the per-bag estimate uses the bag minus the query
-as reference (m - 1 points); for a query outside, the full bag (m points).
-The aggregate is the per-query arithmetic mean over bags, computed with an
-anchored summation that (a) is exact when all per-bag values coincide — so
-sampling at rate r = 1 reproduces the baseline estimator bit-for-bit — and
-(b) consumes bags in ordinal order, making results independent of worker
-scheduling.
+Bags are index sets of size m = ceil(n * r) drawn without replacement, and
+bag i is a pure function of (seed, i).  For a query inside bag i the
+per-bag estimate uses the bag minus the query as reference (m - 1 points);
+for a query outside, the full bag (m points): :func:`bag_tables` builds
+both kinds of neighborhood from one distance block and
+:func:`estimates_from_tables` turns them into clamped estimates.  The
+bagged aggregate is the per-query mean over bags, kept by
+:class:`AnchoredMean`, which (a) is exact when all per-bag values coincide
+— so sampling at rate r = 1 reproduces the baseline estimator bit-for-bit —
+and (b) consumes bags in ordinal order, making results independent of
+worker scheduling.  The pipelines that combine these live in
+:mod:`lidbag.smoothing`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import NeighborTables, PointCloud, dist_block, neighbor_tables
+from .geometry import NeighborTables, neighbor_tables
 from .estimators import EstimatorConfig, batch_values, clamp_values
 
 DIVERGENCE_POLICIES = ("clamp", "skip")
@@ -29,13 +32,13 @@ class BaggingError(ValueError):
 
 
 class LocalityCapacityError(BaggingError):
-    """k too large for the bag size; raise r or lower k."""
+    """k too large for the reference size; raise r or lower k."""
 
-    def __init__(self, k: int, m: int):
-        super().__init__(
-            f"k={k} needs at least k+1 = {k + 1} in-bag points but bags hold "
-            f"m={m}; raise the sampling rate r or lower k"
-        )
+    def __init__(self, k: int, m: int, message: str | None = None):
+        super().__init__(message or (
+            f"k={k} needs at least k+1={k + 1} in-bag points but"
+            f" m=ceil(n*r)={m}; raise r or lower k"
+        ))
         self.k = k
         self.m = m
 
@@ -80,20 +83,6 @@ def draw_bags(n: int, config: BaggingConfig, count: int | None = None) -> np.nda
     return out
 
 
-@dataclass
-class EstimateMatrix:
-    """Per-query x per-bag estimates plus their bagged aggregate."""
-
-    per_bag: np.ndarray  # (n, B) clamped values
-    divergent: np.ndarray  # (n, B) flags
-    aggregate: np.ndarray  # (n,)
-    aggregate_divergent: np.ndarray  # (n,)
-
-    @property
-    def n_bags(self) -> int:
-        return self.per_bag.shape[1]
-
-
 class AnchoredMean:
     """Sequential mean accumulator, exact on constant inputs.
 
@@ -135,33 +124,6 @@ class AnchoredMean:
         with np.errstate(invalid="ignore", divide="ignore"):
             mean_ok = self._anchor + self._sum_ok / self._cnt_ok
         return np.where(usable, mean_ok, mean_all), ~usable
-
-
-def aggregate(per_bag_row, flags=None, policy: str = "clamp"):
-    """Bagged mean of one query's per-bag estimates under a divergence policy.
-
-    Returns (value, divergent_flag).
-    """
-    row = np.asarray(per_bag_row, dtype=np.float64).reshape(-1)
-    if row.shape[0] == 0:
-        raise BaggingError("empty per-bag row")
-    if flags is None:
-        flags = np.zeros(row.shape[0], dtype=bool)
-    flags = np.asarray(flags, dtype=bool).reshape(-1)
-    acc = AnchoredMean(1)
-    for v, f in zip(row, flags):
-        acc.add(np.asarray([v]), np.asarray([f]))
-    values, out_flags = acc.result(policy)
-    return float(values[0]), bool(out_flags[0])
-
-
-def aggregate_matrix(per_bag: np.ndarray, flags: np.ndarray, policy: str = "clamp"):
-    """Column-ordered bagged mean of an (n, B) estimate matrix."""
-    n, B = per_bag.shape
-    acc = AnchoredMean(n)
-    for i in range(B):
-        acc.add(per_bag[:, i], flags[:, i])
-    return acc.result(policy)
 
 
 def estimates_from_tables(
@@ -217,50 +179,3 @@ def bag_tables(
     est = neighbor_tables(dfull_cols, bag, query_ids, depth_excl)
     incl = neighbor_tables(dfull_cols, bag, None, min(depth_incl, m))
     return NeighborTables(incl.incl_idx, incl.incl_dist, est.excl_idx, est.excl_dist)
-
-
-def bagged_estimate_all(
-    cloud: PointCloud,
-    est: EstimatorConfig,
-    bag_cfg: BaggingConfig,
-    *,
-    policy: str = "clamp",
-    threads: int = 1,
-) -> EstimateMatrix:
-    """Per-(query, bag) estimates and their aggregate, per the bagged scheme.
-
-    Queries are all n cloud points.  Bags are drawn once; within bag i a
-    member query is estimated against the bag minus itself, a non-member
-    against the full bag.  Work is mapped over bags; results are merged in
-    bag-ordinal order, so the output is identical for any worker count.
-    """
-    points = cloud.points
-    n = cloud.n
-    m = bag_cfg.bag_size(n)
-    if est.k > m - 1:
-        raise LocalityCapacityError(est.k, m)
-    bags = draw_bags(n, bag_cfg)
-    dfull = dist_block(points, points)
-    qids = np.arange(n, dtype=np.int64)
-
-    def one_bag(i: int):
-        tables = bag_tables(dfull[:, bags[i]], bags[i], qids, est.k)
-        return estimates_from_tables(est, tables, points)
-
-    per_bag = np.empty((n, bag_cfg.bags))
-    flags = np.empty((n, bag_cfg.bags), dtype=bool)
-    results = _ordered_map(one_bag, range(bag_cfg.bags), threads)
-    for i, (v, f) in enumerate(results):
-        per_bag[:, i] = v
-        flags[:, i] = f
-    agg, agg_flags = aggregate_matrix(per_bag, flags, policy)
-    return EstimateMatrix(per_bag, flags, agg, agg_flags)
-
-
-def _ordered_map(fn, items, threads: int):
-    """Map preserving input order, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -27,13 +27,7 @@ from .datasets import (
 from .estimators import METHODS, MLE_NORMALIZATIONS, EstimatorConfig, EstimatorError
 from .bagging import DIVERGENCE_POLICIES, BaggingConfig, BaggingError
 from .geometry import GeometryError
-from .smoothing import (
-    VARIANTS,
-    SmoothingConfig,
-    SmoothingError,
-    VARIANT_MODES,
-    variant_estimates,
-)
+from .smoothing import VARIANTS, SmoothingConfig, SmoothingError, variant_estimates
 from .evaluation import EvaluationError, decompose
 from .theory import TheoryError, run_conditional_covariance, run_overlap, run_variance
 from .sweep import (
@@ -121,9 +115,7 @@ def _cmd_estimate(args) -> int:
     bag_cfg = None
     if args.variant.startswith("bagged"):
         bag_cfg = BaggingConfig(bags=args.bags, rate=args.r, seed=args.seed)
-    s_cfg = None
-    if args.k_s is not None:
-        s_cfg = SmoothingConfig(k_s=args.k_s, mode=VARIANT_MODES[args.variant])
+    s_cfg = None if args.k_s is None else SmoothingConfig(k_s=args.k_s)
     values, flags = variant_estimates(
         cloud, args.variant, est, bag_cfg, s_cfg,
         policy=args.policy, threads=args.threads,

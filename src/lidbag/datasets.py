@@ -513,20 +513,31 @@ def _fmt(v: float) -> str:
 
 
 def load_csv(path, gt_lid=None) -> PointCloud:
+    """Read a file written by :func:`save_csv`; malformed input raises DatasetError."""
     with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline()
-        if first.startswith("# gt_lid:"):
-            gt_lid = [float(v) for v in first.split(":", 1)[1].split(",")]
-            header = fh.readline()
-        else:
-            header = first
-        cols = header.strip().split(",")
-        if cols[-1] != "label" or not cols[0].startswith("x"):
-            raise DatasetError("expected header x0..x{dim-1},label")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            first = fh.readline()
+            if first.startswith("# gt_lid:"):
+                gt_lid = [float(v) for v in first.split(":", 1)[1].split(",")]
+                header = fh.readline()
+            else:
+                header = first
+            cols = header.strip().split(",")
+            if cols[-1] != "label" or not cols[0].startswith("x"):
+                raise DatasetError(f"{path}: expected header x0..x{{dim-1}},label")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except DatasetError:
+            raise
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise DatasetError(f"{path}: malformed CSV: {exc}") from exc
+    if data.shape[1] != len(cols):
+        raise DatasetError(f"{path}: rows have {data.shape[1]} columns, header has {len(cols)}")
     if gt_lid is None:
-        raise DatasetError("CSV carries no gt_lid comment; pass gt_lid explicitly")
-    return PointCloud(data[:, :-1], data[:, -1].astype(np.int64), np.asarray(gt_lid))
+        raise DatasetError(f"{path}: CSV carries no gt_lid comment; pass gt_lid explicitly")
+    labels = data[:, -1]
+    if not np.all(labels == np.rint(labels)):
+        raise DatasetError(f"{path}: manifold labels must be integers")
+    return PointCloud(data[:, :-1], labels.astype(np.int64), np.asarray(gt_lid))
 
 
 def save_binary(cloud: PointCloud, path) -> None:
@@ -540,13 +551,23 @@ def save_binary(cloud: PointCloud, path) -> None:
 
 
 def load_binary(path) -> PointCloud:
+    """Read a file written by :func:`save_binary`; a short file raises DatasetError."""
+
+    def read(fh, size: int, what: str) -> bytes:
+        chunk = fh.read(size)
+        if len(chunk) != size:
+            raise DatasetError(
+                f"{path}: truncated binary file ({what}: {len(chunk)} of {size} bytes)"
+            )
+        return chunk
+
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise DatasetError("not a point-cloud binary file")
-        version, n, dim, L = struct.unpack("<IQII", fh.read(20))
+            raise DatasetError(f"{path}: not a point-cloud binary file")
+        version, n, dim, L = struct.unpack("<IQII", read(fh, 20, "header"))
         if version != _BIN_VERSION:
-            raise DatasetError(f"unsupported binary version {version}")
-        gt = np.frombuffer(fh.read(8 * L), dtype="<f8")
-        labels = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int64)
-        points = np.frombuffer(fh.read(8 * n * dim), dtype="<f8").reshape(n, dim)
+            raise DatasetError(f"{path}: unsupported binary version {version}")
+        gt = np.frombuffer(read(fh, 8 * L, "gt_lid"), dtype="<f8")
+        labels = np.frombuffer(read(fh, 4 * n, "labels"), dtype="<i4").astype(np.int64)
+        points = np.frombuffer(read(fh, 8 * n * dim, "points"), dtype="<f8").reshape(n, dim)
     return PointCloud(points, labels, gt)

@@ -1,4 +1,4 @@
-"""Baseline per-query LID estimators (MLE, MADA, TLE) behind one interface.
+"""The LID estimators (MLE, MADA, TLE) as batched kernels behind one dispatch.
 
 All three estimators consume sorted neighbor distances produced by
 :mod:`lidbag.geometry` and depend only on distance ratios, so they are
@@ -6,10 +6,10 @@ scale invariant.  Divergent configurations (degenerate distance profiles
 whose formulas blow up) are always flagged and, by default, clamped to a
 finite cap so that downstream aggregation stays rectangular and auditable.
 
-Vectorized kernels (`mle_values`, `mada_values`, `tle_values`) operate on
-row-per-query distance matrices; the public per-query operations are thin
-wrappers over one-row batches, so there is a single source of numerical
-truth.
+The kernels (`mle_values`, `mada_values`, `tle_values`) operate on
+row-per-query distance matrices, and :func:`batch_values` dispatches to
+them by method name; a single query is a one-row batch, so there is one
+source of numerical truth.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import NeighborList, PointCloud, knn
 
 METHODS = ("mle", "mada", "tle")
 MLE_NORMALIZATIONS = ("k_minus_1", "k")
@@ -70,16 +68,6 @@ class EstimatorConfig:
         if self.clamp_max is not None:
             return float(self.clamp_max)
         return CLAMP_DIM_FACTOR * float(dim)
-
-
-@dataclass(frozen=True)
-class LidEstimate:
-    """One estimator output: value, divergence flag, and provenance."""
-
-    value: float
-    query: object
-    k_used: int
-    divergent: bool = False
 
 
 def _check_distances(dists: np.ndarray) -> None:
@@ -250,50 +238,6 @@ def tle_values(dists: np.ndarray, neighbor_points: np.ndarray, query_points: np.
     return values, divergent
 
 
-def _finalize(values, divergent, query, k_used: int, clamp_max: float | None):
-    if clamp_max is not None:
-        values, divergent = clamp_values(values, divergent, clamp_max)
-    return LidEstimate(
-        value=float(values[0]),
-        query=query,
-        k_used=int(k_used),
-        divergent=bool(divergent[0]),
-    )
-
-
-def estimate_mle(
-    neighbors: NeighborList,
-    *,
-    normalization: str = "k_minus_1",
-    clamp_max: float | None = None,
-) -> LidEstimate:
-    """MLE estimate from one neighbor list."""
-    values, divergent = mle_values(neighbors.distances, normalization)
-    return _finalize(values, divergent, neighbors.query, neighbors.k, clamp_max)
-
-
-def estimate_mada(neighbors: NeighborList, *, clamp_max: float | None = None) -> LidEstimate:
-    """MADA estimate from one neighbor list."""
-    values, divergent = mada_values(neighbors.distances)
-    return _finalize(values, divergent, neighbors.query, neighbors.k, clamp_max)
-
-
-def estimate_tle(
-    neighbors: NeighborList,
-    neighbor_points,
-    query_point,
-    *,
-    clamp_max: float | None = None,
-) -> LidEstimate:
-    """TLE estimate from one neighbor list plus raw coordinates."""
-    values, divergent = tle_values(
-        neighbors.distances,
-        np.asarray(neighbor_points, dtype=np.float64)[None, :, :],
-        np.asarray(query_point, dtype=np.float64)[None, :],
-    )
-    return _finalize(values, divergent, neighbors.query, neighbors.k, clamp_max)
-
-
 def batch_values(
     method: str,
     dists: np.ndarray,
@@ -312,38 +256,3 @@ def batch_values(
             raise EstimatorError("TLE needs neighbor and query coordinates")
         return tle_values(dists, neighbor_points, query_points)
     raise EstimatorError(f"unknown method {method!r}; pick from {METHODS}")
-
-
-def estimate_at(cloud, reference, query, config: EstimatorConfig) -> LidEstimate:
-    """k-NN search then the configured estimator, as one pure function.
-
-    Parameters
-    ----------
-    cloud : PointCloud or (n, dim) array holding the underlying points.
-    reference : sequence of original indices forming the reference subset,
-        or None for the full cloud.
-    query : original index (member or not of the reference) or coordinates.
-    config : EstimatorConfig; ``clamp_max=None`` resolves to 10 x dim here.
-    """
-    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    n, dim = points.shape
-    if reference is None:
-        ref_ids = np.arange(n, dtype=np.int64)
-    else:
-        ref_ids = np.asarray(reference, dtype=np.int64).reshape(-1)
-    if isinstance(query, (int, np.integer)):
-        qid = int(query)
-        qpoint = points[qid]
-        # member queries go through by id so geometry excludes the self entry
-        q: object = qid if np.any(ref_ids == qid) else qpoint
-    else:
-        qpoint = np.asarray(query, dtype=np.float64).reshape(-1)
-        q = qpoint
-
-    nl = knn(points[ref_ids], q, config.k, reference_ids=ref_ids)
-    clamp = config.resolve_clamp(dim)
-    if config.method == "mle":
-        return estimate_mle(nl, normalization=config.mle_normalization, clamp_max=clamp)
-    if config.method == "mada":
-        return estimate_mada(nl, clamp_max=clamp)
-    return estimate_tle(nl, points[nl.indices], qpoint, clamp_max=clamp)

@@ -1,19 +1,18 @@
-"""Point storage, Euclidean distances, and exact k-NN with deterministic ties.
+"""Point storage, Euclidean distances, and exact batched k-NN tables.
 
 Every estimator and smoothing pipeline in this package goes through the
-routines here, so there is exactly one distance convention in play:
-Euclidean distances computed by :func:`dist_block`, with neighbor ties
-broken by ascending original point index.  That rule makes every result
-independent of reference-set permutation, worker count, and platform.
+two routines here, so there is exactly one distance convention in play:
+Euclidean distances computed by :func:`dist_block`, and neighbor tables
+built from them by :func:`neighbor_tables` with ties broken by ascending
+original point index.  That rule makes every result independent of
+reference-set permutation, worker count, and platform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 
@@ -55,7 +54,7 @@ class PointCloud:
 
     Parameters
     ----------
-    points : (n, dim) float array
+    points : (n, dim) float array of finite coordinates
     manifold_label : (n,) int array, labels in 1..L
     gt_lid : (L,) positive float array; ``gt_lid[label - 1]`` is the
         ground-truth local intrinsic dimensionality of that manifold.
@@ -74,6 +73,9 @@ class PointCloud:
             raise GeometryError(f"need n >= 2 points, got {n}")
         if pts.shape[1] < 1:
             raise GeometryError("need dim >= 1")
+        if not np.all(np.isfinite(pts)):
+            bad = int(np.count_nonzero(~np.all(np.isfinite(pts), axis=1)))
+            raise GeometryError(f"point coordinates must be finite; {bad} points are not")
         if labels.shape[0] != n:
             raise GeometryError("one manifold label per point required")
         L = gt.shape[0]
@@ -116,55 +118,12 @@ class PointCloud:
         return cls(pts, labels, np.asarray([float(gt_lid)]))
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """k nearest neighbors of one query: original indices plus distances.
-
-    ``query`` is whatever identified the query (an original index when the
-    query is a member of the reference set, else its coordinate vector).
-    ``has_duplicate`` marks zero distances to non-self points; such
-    neighbors are retained, and downstream estimators decide their fate.
-    """
-
-    query: object
-    indices: np.ndarray
-    distances: np.ndarray
-    has_duplicate: bool = False
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1)
-        d = np.asarray(self.distances, dtype=np.float64).reshape(-1)
-        if idx.shape[0] != d.shape[0]:
-            raise GeometryError("indices and distances must have equal length")
-        if d.shape[0] and np.any(np.diff(d) < 0):
-            raise GeometryError("neighbor distances must be nondecreasing")
-        if len(np.unique(idx)) != idx.shape[0]:
-            raise GeometryError("neighbor indices must be distinct")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "distances", d)
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[0]
-
-
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two points (same convention as dist_block)."""
-    av = np.asarray(a, dtype=np.float64).reshape(-1)
-    bv = np.asarray(b, dtype=np.float64).reshape(-1)
-    if av.shape[0] != bv.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}"
-        )
-    return float(dist_block(av[None, :], bv[None, :])[0, 0])
-
-
 def dist_block(a, b) -> np.ndarray:
     """Exact Euclidean distance matrix between row sets ``a`` and ``b``.
 
-    This is the single distance kernel of the package; neighbor caches,
-    single queries, and the accelerated path all reduce to it, which is
-    what makes their outputs bit-identical.
+    This is the single distance kernel of the package.  Each entry is
+    computed from its two rows alone, so a column gather of a larger block
+    is bit-identical to recomputing the block for those columns.
     """
     a = _as_points(a, "a")
     b = _as_points(b, "b")
@@ -269,105 +228,3 @@ def neighbor_tables(
         excl_dist = incl_dist
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
-
-
-def _resolve_reference(reference):
-    if isinstance(reference, PointCloud):
-        return reference.points
-    return _as_points(reference, "reference")
-
-
-def knn(
-    reference,
-    query,
-    k: int,
-    *,
-    reference_ids: Sequence[int] | np.ndarray | None = None,
-    backend: str = "bruteforce",
-) -> NeighborList:
-    """k nearest reference points of a query, self excluded when a member.
-
-    Parameters
-    ----------
-    reference : PointCloud or (m, dim) array of reference points.
-    query : either an original id (query is then a member of the reference,
-        coordinates resolved from it) or a coordinate vector.
-    k : neighborhood size; at most m - 1 for member queries, m otherwise.
-    reference_ids : original ids of reference rows (defaults to 0..m-1).
-    backend : "bruteforce" (exhaustive reference path) or "kdtree" (an
-        index-accelerated path; returns bit-identical output).
-    """
-    pts = _resolve_reference(reference)
-    m = pts.shape[0]
-    if m == 0:
-        raise EmptyReferenceError("empty reference set")
-    if reference_ids is None:
-        ids = np.arange(m, dtype=np.int64)
-    else:
-        ids = np.asarray(reference_ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != m:
-            raise GeometryError("reference_ids must match reference rows")
-
-    if isinstance(query, (int, np.integer)):
-        qid = int(query)
-        where = np.nonzero(ids == qid)[0]
-        if where.shape[0] == 0:
-            raise GeometryError(
-                f"query id {qid} is not a member of the reference set; "
-                "pass coordinates for non-member queries"
-            )
-        qpoint = pts[where[0]]
-        member = True
-        label: object = qid
-    else:
-        qpoint = np.asarray(query, dtype=np.float64).reshape(-1)
-        qid = -1
-        member = False
-        label = qpoint
-
-    available = m - 1 if member else m
-    if k < 1 or k > available:
-        raise CapacityError(k, available)
-
-    if backend == "bruteforce":
-        drow = dist_block(qpoint[None, :], pts)
-        cand_ids, cand_d = ids, drow[0]
-    elif backend == "kdtree":
-        cand_ids, cand_d = _kdtree_candidates(pts, ids, qpoint, k + (1 if member else 0))
-    else:
-        raise GeometryError(f"unknown backend {backend!r}")
-
-    order = np.lexsort((cand_ids, cand_d))
-    sid = cand_ids[order]
-    sd = cand_d[order]
-    if member:
-        keep = sid != qid
-        sid = sid[keep]
-        sd = sd[keep]
-    sid = sid[:k]
-    sd = sd[:k]
-    dup = bool(np.any(sd == 0.0))
-    return NeighborList(query=label, indices=sid, distances=sd, has_duplicate=dup)
-
-
-def _kdtree_candidates(pts, ids, qpoint, kq):
-    """Candidate set for the accelerated path.
-
-    The tree pre-selects kq nearest under its own arithmetic; a ball query
-    at that radius (inflated to absorb any ulp disagreement between the
-    tree's distances and :func:`dist_block`) then provably captures every
-    point the exhaustive path could select, and the final exact re-ranking
-    makes the two paths bit-identical.
-    """
-    m = pts.shape[0]
-    tree = cKDTree(pts)
-    kq = min(kq, m)
-    d, _ = tree.query(qpoint, k=kq)
-    dmax = float(np.max(np.atleast_1d(d)))
-    radius = dmax * (1.0 + 1e-9) + 1e-300
-    cand = tree.query_ball_point(qpoint, radius)
-    cand = np.asarray(sorted(cand), dtype=np.int64)
-    if cand.shape[0] < kq:  # numeric safety net: fall back to exhaustive
-        cand = np.arange(m, dtype=np.int64)
-    exact = dist_block(qpoint[None, :], pts[cand])[0]
-    return ids[cand], exact

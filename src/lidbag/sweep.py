@@ -1,23 +1,23 @@
 """Experiment sweeps over (dataset, estimator, variant, k, r, B) grids.
 
-The runner shares every piece of work that the grid structure allows while
-keeping results bit-reproducible:
+For each dataset the runner turns the grid into a plan: every feasible
+cell becomes one :class:`~lidbag.smoothing.PlanCell` and every infeasible
+one a skip with its reason.  :func:`~lidbag.smoothing.run_plan` executes
+the whole plan at once, so the work cells share is done once: one distance
+block and deep neighbor table per dataset, one bag ensemble per (dataset,
+r) shared by all estimators, k values and variants, and the B axis as
+checkpoints of that growing ensemble.  Each result becomes a row through
+the MSE decomposition.
 
-* one distance matrix and one deep neighbor table per dataset serve all
-  baseline cells and all post-smoothing neighborhoods (sorted neighbor
-  prefixes nest, so any smaller k is a column slice);
-* bags are drawn once per (dataset, r) — shared across estimators, k
-  values, and variants — and per-bag neighbor tables against the gathered
-  distance columns are reused by every cell of that r;
-* the B axis is emitted at checkpoints of one growing ensemble, so a B
-  grid costs max(B) bags, not sum(B).
+Rows are sorted canonically before writing, making the primary CSV
+byte-identical across thread counts.  Wall times are attributable
+kernel/smoothing/aggregation time per cell (shared distance and table
+construction is amortized and excluded); because times are inherently
+nondeterministic they go to a separate timing CSV by default so the
+primary file stays byte-stable.
 
-Rows are accumulated in bag-ordinal order and sorted canonically before
-writing, making the primary CSV byte-identical across thread counts.  Wall
-times are attributable kernel/smoothing/aggregation time per cell (shared
-distance and table construction is amortized and excluded); because times
-are inherently nondeterministic they go to a separate timing CSV by
-default so the primary file stays byte-stable.
+The runtime benchmark times the library's own baseline and bagged
+pipelines against each other.
 """
 
 from __future__ import annotations
@@ -28,19 +28,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import dist_block, neighbor_tables
 from .datasets import DATASET_NAMES, GeneratorSpec, dataset_ordinal, generate
 from .estimators import METHODS, MLE_NORMALIZATIONS, EstimatorConfig
-from .bagging import (
-    AnchoredMean,
-    BaggingConfig,
-    DIVERGENCE_POLICIES,
-    _ordered_map,
-    bag_tables,
-    draw_bags,
-    estimates_from_tables,
+# bag_tables stays bound here: perfbench/selfcheck.py checks that tracing
+# restores lidbag.sweep.bag_tables.
+from .bagging import BaggingConfig, DIVERGENCE_POLICIES, bag_tables  # noqa: F401
+from .smoothing import (
+    _BAGGED,
+    _UNBAGGED,
+    VARIANTS,
+    PlanCell,
+    cell_error,
+    run_plan,
+    variant_estimates,
 )
-from .smoothing import VARIANTS, gather_mean
 from .evaluation import decompose, log_ratio
 
 SCHEMA_VERSION = 1
@@ -52,10 +53,6 @@ SWEEP_COLUMNS = (
 )
 TIMING_COLUMNS = ("dataset", "estimator", "variant", "k", "r", "B", "seed", "wall_time_ms")
 SKIP_COLUMNS = ("dataset", "estimator", "variant", "k", "r", "B", "reason")
-
-_BAGGED = ("bagged", "bagged_post", "bagged_pre", "bagged_pre_post")
-_UNBAGGED = ("baseline", "smoothed")
-_PRE_VARIANTS = ("bagged_pre", "bagged_pre_post")
 
 
 class SweepError(ValueError):
@@ -247,18 +244,6 @@ def _derive_seed(master: int, *key: int) -> int:
     )
 
 
-class _CellAccumulator:
-    """Raw and pre-smoothed running aggregates for one (estimator, k) cell."""
-
-    __slots__ = ("raw", "pre", "kernel_ms", "pre_ms")
-
-    def __init__(self, n: int, want_pre: bool):
-        self.raw = AnchoredMean(n)
-        self.pre = AnchoredMean(n) if want_pre else None
-        self.kernel_ms = 0.0
-        self.pre_ms = 0.0
-
-
 def run_sweep(grid: SweepGrid, *, threads: int = 1, progress=None) -> SweepResult:
     """Evaluate every grid cell; infeasible cells become skips, not errors.
 
@@ -278,182 +263,52 @@ def run_sweep(grid: SweepGrid, *, threads: int = 1, progress=None) -> SweepResul
     return result
 
 
-def _bagged_feasibility(k: int, ks: int, m: int, n: int) -> dict[str, str | None]:
-    """Reason each bagged variant cannot run at (k, r), or None if it can."""
-    if k > m - 1:
-        reason = (f"k={k} needs at least k+1={k + 1} in-bag points but"
-                  f" m=ceil(n*r)={m}; raise r or lower k")
-        return {v: reason for v in _BAGGED}
-    out: dict[str, str | None] = {v: None for v in _BAGGED}
-    if ks > n:
-        full = f"k_s={ks} exceeds the n={n} full-cloud reference points"
-        out["bagged_post"] = out["bagged_pre_post"] = full
-    if ks > m:
-        inbag = f"k_s={ks} exceeds the m={m} in-bag reference points"
-        out["bagged_pre"] = inbag
-        out["bagged_pre_post"] = inbag
-    return out
-
-
 def _sweep_dataset(grid: SweepGrid, name: str, result: SweepResult, threads, progress):
     if progress:
         progress(f"dataset {name}: generating n={grid.n}")
     ds_ord = dataset_ordinal(name)
     cloud = generate(GeneratorSpec(name, n=grid.n, seed=_derive_seed(grid.master_seed, ds_ord, 0)))
-    points = cloud.points
     n = cloud.n
-    seed = grid.master_seed
+    cells = []
 
-    est_cfgs = {
-        (e, k): EstimatorConfig(method=e, k=k, mle_normalization=grid.mle_normalization)
-        for e in grid.estimators
-        for k in grid.k_values
-    }
+    def plan(variant, est, k, bags=None):
+        r, B, m = (1.0, 1, n) if bags is None else (bags.rate, bags.bags, bags.bag_size(n))
+        ks = grid.smoothing_k(k)
+        error = cell_error(variant, k, ks, n, m)
+        if error is not None:
+            result.skips.append(SweepSkip(name, est, variant, k, r, B, str(error)))
+            return
+        cfg = EstimatorConfig(method=est, k=k, mle_normalization=grid.mle_normalization)
+        cells.append(PlanCell(variant, cfg, ks, bags))
 
-    def emit(est, variant, k, r, B, values, flags, ms):
+    # Baseline-family cells are keyed (r=1, B=1), independent of the r/B grids.
+    for est in grid.estimators:
+        for k in grid.k_values:
+            for variant in _UNBAGGED:
+                if variant in grid.variants:
+                    plan(variant, est, k)
+    for ri, r in enumerate(grid.r_values):
+        seed = _derive_seed(grid.master_seed, ds_ord, 1, ri)
+        for B in grid.b_values:
+            for est in grid.estimators:
+                for k in grid.k_values:
+                    for variant in _BAGGED:
+                        if variant in grid.variants:
+                            plan(variant, est, k, BaggingConfig(B, r, seed))
+
+    def emit(cell, values, flags, ms):
         dec = decompose(values, cloud)
+        r, B = (1.0, 1) if cell.bags is None else (cell.bags.rate, cell.bags.bags)
         result.rows.append(SweepRow(
-            name, est, variant, k, r, B, seed,
+            name, cell.est.method, cell.variant, cell.est.k, r, B, grid.master_seed,
             dec.total_mse, dec.total_var, dec.total_bias_sq,
             int(np.count_nonzero(flags)), ms,
         ))
 
-    # One deep table serves all baseline cells and every full-cloud
-    # (post-)smoothing neighborhood; infeasible depths are excluded so the
-    # table covers exactly the cells that can run.
-    est_ks = [k for k in grid.k_values if k <= n - 1]
-    incl_ks = [grid.smoothing_k(k) for k in est_ks if grid.smoothing_k(k) <= n]
-    full_tables = None
-    dfull = None
-    if est_ks:
-        dfull = dist_block(points, points)
-        ids = np.arange(n, dtype=np.int64)
-        full_tables = bag_tables(
-            dfull, ids, ids, max(est_ks), max(incl_ks) if incl_ks else None
-        )
-
-    # Baseline-family cells: keyed (r=1, B=1), independent of the r/B grids.
-    for est in grid.estimators:
-        for k in grid.k_values:
-            ks = grid.smoothing_k(k)
-            for variant in _UNBAGGED:
-                if variant not in grid.variants:
-                    continue
-                bad = None
-                if k > n - 1:
-                    bad = f"k={k} exceeds the n-1={n - 1} neighbors available"
-                elif variant == "smoothed" and ks > n:
-                    bad = f"k_s={ks} exceeds the n={n} reference points"
-                if bad:
-                    result.skips.append(SweepSkip(name, est, variant, k, 1.0, 1, bad))
-                    continue
-                t0 = time.perf_counter()
-                values, flags = estimates_from_tables(est_cfgs[est, k], full_tables, points, k=k)
-                if variant == "smoothed":
-                    values, flags = gather_mean(values, full_tables.incl_idx[:, :ks], flags)
-                ms = (time.perf_counter() - t0) * 1e3
-                emit(est, variant, k, 1.0, 1, values, flags, ms)
-
-    asked_bagged = [v for v in _BAGGED if v in grid.variants]
-    if not asked_bagged:
-        return
-
-    for ri, r in enumerate(grid.r_values):
-        bag_cfg = BaggingConfig(max(grid.b_values), r, _derive_seed(grid.master_seed, ds_ord, 1, ri))
-        m = bag_cfg.bag_size(n)
-
-        # Which variants run at each k, and what each cell needs.
-        runnable: dict[int, list[str]] = {}
-        for k in grid.k_values:
-            feas = _bagged_feasibility(k, grid.smoothing_k(k), m, n)
-            alive = []
-            for variant in asked_bagged:
-                if feas[variant] is None:
-                    alive.append(variant)
-                    continue
-                for est in grid.estimators:
-                    for B in grid.b_values:
-                        result.skips.append(
-                            SweepSkip(name, est, variant, k, r, B, feas[variant])
-                        )
-            if alive:
-                runnable[k] = alive
-        if not runnable:
-            continue
-        if progress:
-            progress(f"dataset {name}: r={r:.4g} (m={m}), {max(grid.b_values)} bags")
-
-        depth_excl = max(runnable)
-        pre_ks = [
-            grid.smoothing_k(k)
-            for k, alive in runnable.items()
-            if any(v in _PRE_VARIANTS for v in alive)
-        ]
-        depth_incl = max(pre_ks) if pre_ks else None
-        bags = draw_bags(n, bag_cfg)
-        qids = np.arange(n, dtype=np.int64)
-        cells = {
-            (est, k): _CellAccumulator(n, any(v in _PRE_VARIANTS for v in alive))
-            for est in grid.estimators
-            for k, alive in runnable.items()
-        }
-
-        def one_bag(i: int):
-            bag = bags[i]
-            tables = bag_tables(dfull[:, bag], bag, qids, depth_excl, depth_incl)
-            payload = {}
-            for (est, k), cell in cells.items():
-                t0 = time.perf_counter()
-                v, f = estimates_from_tables(est_cfgs[est, k], tables, points, k=k)
-                t1 = time.perf_counter()
-                if cell.pre is not None:
-                    ks = grid.smoothing_k(k)
-                    sv, sf = gather_mean(v, tables.incl_idx[:, :ks], f)
-                    t2 = time.perf_counter()
-                else:
-                    sv = sf = None
-                    t2 = t1
-                payload[est, k] = (v, f, sv, sf, (t1 - t0) * 1e3, (t2 - t1) * 1e3)
-            return payload
-
-        done = 0
-        for B in grid.b_values:
-            for payload in _ordered_map(one_bag, range(done, B), threads):
-                for key, (v, f, sv, sf, t_kernel, t_pre) in payload.items():
-                    cell = cells[key]
-                    cell.raw.add(v, f)
-                    cell.kernel_ms += t_kernel
-                    if cell.pre is not None:
-                        cell.pre.add(sv, sf)
-                        cell.pre_ms += t_pre
-            done = B
-            for (est, k), cell in cells.items():
-                alive = runnable[k]
-                ks = grid.smoothing_k(k)
-                if "bagged" in alive or "bagged_post" in alive:
-                    t0 = time.perf_counter()
-                    values, flags = cell.raw.result(grid.policy)
-                    t_agg = (time.perf_counter() - t0) * 1e3
-                    if "bagged" in alive:
-                        emit(est, "bagged", k, r, B, values, flags, cell.kernel_ms + t_agg)
-                    if "bagged_post" in alive:
-                        t0 = time.perf_counter()
-                        pv, pf = gather_mean(values, full_tables.incl_idx[:, :ks], flags)
-                        t_post = (time.perf_counter() - t0) * 1e3
-                        emit(est, "bagged_post", k, r, B, pv, pf,
-                             cell.kernel_ms + t_agg + t_post)
-                if cell.pre is not None:
-                    t0 = time.perf_counter()
-                    values, flags = cell.pre.result(grid.policy)
-                    t_agg = (time.perf_counter() - t0) * 1e3
-                    base_ms = cell.kernel_ms + cell.pre_ms + t_agg
-                    if "bagged_pre" in alive:
-                        emit(est, "bagged_pre", k, r, B, values, flags, base_ms)
-                    if "bagged_pre_post" in alive:
-                        t0 = time.perf_counter()
-                        pv, pf = gather_mean(values, full_tables.incl_idx[:, :ks], flags)
-                        t_post = (time.perf_counter() - t0) * 1e3
-                        emit(est, "bagged_pre_post", k, r, B, pv, pf, base_ms + t_post)
+    run_plan(
+        cloud, cells, emit, policy=grid.policy, threads=threads,
+        progress=None if progress is None else (lambda msg: progress(f"dataset {name}: {msg}")),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +372,7 @@ def emit_heatmap_data(
 
 
 # ---------------------------------------------------------------------------
-# Runtime benchmark (naive-search path)
+# Runtime benchmark
 
 
 @dataclass(frozen=True)
@@ -549,12 +404,13 @@ def benchmark_runtime(
     seed: int = 0,
     repeats: int = 3,
 ) -> list[BenchmarkPoint]:
-    """Time the naive baseline path against the naive bagged path.
+    """Time ``variant_estimates`` for the baseline against the bagged variant.
 
-    Both paths recompute their distance blocks from scratch (n^2 for the
-    baseline, B blocks of n*m for the bags) — no caching, matching the
-    cost model in which bagging wins when r*B < 1.  Each measurement
-    discards one warmup run and keeps the median of ``repeats``.
+    Nothing is cached between calls: the baseline builds its n^2 distance
+    block, and the bagged variant builds B blocks of n*m when r*B < 1 and
+    one shared n^2 block otherwise, the cost model in which bagging wins
+    when r*B < 1.  Each measurement discards one warmup run and keeps the
+    median of ``repeats``.
     """
     out = []
     for n in n_values:
@@ -562,28 +418,11 @@ def benchmark_runtime(
         cloud = generate(GeneratorSpec(dataset, n=n, seed=seed))
         cfg = EstimatorConfig(method=estimator, k=k)
         bag_cfg = BaggingConfig(B, r, seed)
-        m = bag_cfg.bag_size(n)
-        if k > m - 1:
-            raise SweepError(f"benchmark cell infeasible: k={k}, m={m}")
-        points = cloud.points
-        ids = np.arange(n, dtype=np.int64)
-        bags = draw_bags(n, bag_cfg)
-
-        def base_path():
-            tables = neighbor_tables(dist_block(points, points), ids, ids, k)
-            return estimates_from_tables(cfg, tables, points)
-
-        def bag_path():
-            acc = AnchoredMean(n)
-            for i in range(B):
-                bag = bags[i]
-                d = dist_block(points, points[bag])
-                tables = neighbor_tables(d, bag, ids, k)
-                acc.add(*estimates_from_tables(cfg, tables, points))
-            return acc.result("clamp")
-
-        t_base = _timed(base_path, repeats)
-        t_bag = _timed(bag_path, repeats)
+        error = cell_error("bagged", k, k, n, bag_cfg.bag_size(n))
+        if error is not None:
+            raise SweepError(f"benchmark cell infeasible: {error}")
+        t_base = _timed(lambda: variant_estimates(cloud, "baseline", cfg), repeats)
+        t_bag = _timed(lambda: variant_estimates(cloud, "bagged", cfg, bag_cfg), repeats)
         rb = r * B
         out.append(BenchmarkPoint(
             n, float(r), B, k, estimator, t_base, t_bag, rb,

@@ -1,4 +1,4 @@
-"""Bag drawing, anchored aggregation, and the bagged estimation pipeline."""
+"""Bag drawing, anchored aggregation, per-bag tables, and the bagged variant."""
 
 import numpy as np
 import pytest
@@ -10,19 +10,26 @@ from lidbag.bagging import (
     AnchoredMean,
     BaggingConfig,
     BaggingError,
-    EstimateMatrix,
     LocalityCapacityError,
-    aggregate,
-    aggregate_matrix,
     bag_tables,
-    bagged_estimate_all,
     draw_bags,
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
 from lidbag.estimators import EstimatorConfig
 from lidbag.geometry import PointCloud, dist_block, neighbor_tables
-from lidbag.smoothing import baseline_estimates
+from lidbag.smoothing import variant_estimates
+
+
+def aggregate(per_bag_row, flags=None, policy="clamp"):
+    """One query's bagged mean, fed to :class:`AnchoredMean` one bag at a time."""
+    row = np.asarray(per_bag_row, dtype=np.float64)
+    flags = np.zeros(row.shape[0], dtype=bool) if flags is None else np.asarray(flags)
+    acc = AnchoredMean(1)
+    for v, f in zip(row, flags):
+        acc.add(np.array([v]), np.array([f]))
+    values, out_flags = acc.result(policy)
+    return float(values[0]), bool(out_flags[0])
 
 
 class TestBaggingConfig:
@@ -170,8 +177,11 @@ class TestAggregate:
     def test_matrix_agrees_with_rowwise(self, rng):
         per_bag = rng.normal(size=(6, 7))
         flags = rng.random((6, 7)) < 0.3
+        acc = AnchoredMean(6)
+        for i in range(7):
+            acc.add(per_bag[:, i], flags[:, i])
         for policy in DIVERGENCE_POLICIES:
-            mv, mf = aggregate_matrix(per_bag, flags, policy)
+            mv, mf = acc.result(policy)
             for q in range(6):
                 rv, rf = aggregate(per_bag[q], flags[q], policy)
                 assert mv[q] == pytest.approx(rv, rel=1e-12)
@@ -228,42 +238,46 @@ class TestEstimatesFromTables:
 
 
 class TestBaggedEstimateAll:
+    """The ``bagged`` variant: per-bag estimates averaged over the ensemble."""
+
     cloud = generate(GeneratorSpec("M5b_Helix2d", n=200, seed=0))
 
     def test_output_shape_and_flags(self):
         est = EstimatorConfig(method="mle", k=6)
-        out = bagged_estimate_all(self.cloud, est, BaggingConfig(bags=5, rate=0.3, seed=1))
-        assert isinstance(out, EstimateMatrix)
-        assert out.per_bag.shape == (200, 5)
-        assert out.n_bags == 5
-        assert np.all(np.isfinite(out.aggregate))
+        values, flags = variant_estimates(self.cloud, "bagged", est,
+                                          BaggingConfig(bags=5, rate=0.3, seed=1))
+        assert values.shape == flags.shape == (200,)
+        assert flags.dtype == bool
+        assert np.all(np.isfinite(values))
 
     def test_full_rate_single_bag_equals_baseline_bitwise(self):
         est = EstimatorConfig(method="mada", k=7)
-        base, _ = baseline_estimates(self.cloud, est)
-        out = bagged_estimate_all(self.cloud, est, BaggingConfig(bags=1, rate=1.0, seed=5))
-        assert out.aggregate.tobytes() == base.tobytes()
+        base, _ = variant_estimates(self.cloud, "baseline", est)
+        out, _ = variant_estimates(self.cloud, "bagged", est,
+                                   BaggingConfig(bags=1, rate=1.0, seed=5))
+        assert out.tobytes() == base.tobytes()
 
     def test_full_rate_many_bags_equals_baseline_bitwise(self):
         # Every full-rate bag repeats the same estimate; the anchored mean
         # must return it exactly, independent of B.
         est = EstimatorConfig(method="mle", k=6)
-        base, _ = baseline_estimates(self.cloud, est)
-        out = bagged_estimate_all(self.cloud, est, BaggingConfig(bags=8, rate=1.0, seed=5))
-        assert out.aggregate.tobytes() == base.tobytes()
+        base, _ = variant_estimates(self.cloud, "baseline", est)
+        out, _ = variant_estimates(self.cloud, "bagged", est,
+                                   BaggingConfig(bags=8, rate=1.0, seed=5))
+        assert out.tobytes() == base.tobytes()
 
     def test_thread_count_does_not_change_bytes(self):
         est = EstimatorConfig(method="mle", k=5)
         cfg = BaggingConfig(bags=6, rate=0.4, seed=2)
-        a = bagged_estimate_all(self.cloud, est, cfg, threads=1)
-        b = bagged_estimate_all(self.cloud, est, cfg, threads=4)
-        assert a.per_bag.tobytes() == b.per_bag.tobytes()
-        assert a.aggregate.tobytes() == b.aggregate.tobytes()
+        a = variant_estimates(self.cloud, "bagged", est, cfg, threads=1)
+        b = variant_estimates(self.cloud, "bagged", est, cfg, threads=4)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_k_over_bag_capacity_raises_actionable_error(self):
         est = EstimatorConfig(method="mle", k=10)
         with pytest.raises(LocalityCapacityError) as exc:
-            bagged_estimate_all(self.cloud, est, BaggingConfig(bags=2, rate=0.05, seed=0))
+            variant_estimates(self.cloud, "bagged", est, BaggingConfig(bags=2, rate=0.05, seed=0))
         msg = str(exc.value)
         assert "r" in msg and "k" in msg  # names the knobs that fix it
 
@@ -272,19 +286,29 @@ class TestBaggedEstimateAll:
         # must fill every row.
         est = EstimatorConfig(method="mle", k=3)
         cfg = BaggingConfig(bags=2, rate=0.1, seed=3)
-        out = bagged_estimate_all(self.cloud, est, cfg)
-        bags = draw_bags(self.cloud.n, cfg)
+        bag = draw_bags(self.cloud.n, cfg)[0]
+        points = self.cloud.points
+        qids = np.arange(self.cloud.n, dtype=np.int64)
+        tables = bag_tables(dist_block(points, points[bag]), bag, qids, 3)
+        values, _ = estimates_from_tables(est, tables, points)
         member = np.zeros(self.cloud.n, dtype=bool)
-        member[bags[0]] = True
-        assert np.all(np.isfinite(out.per_bag[member, 0]))
-        assert np.all(np.isfinite(out.per_bag[~member, 0]))
+        member[bag] = True
+        assert np.all(np.isfinite(values[member]))
+        assert np.all(np.isfinite(values[~member]))
+        assert not np.any(tables.excl_idx[member] == qids[member, None])
+        np.testing.assert_array_equal(tables.excl_idx[~member], tables.incl_idx[~member])
 
     def test_policy_changes_only_flagged_rows(self, rng):
-        pts = np.vstack([rng.normal(size=(60, 2)), [[5.0, 5.0]], [[5.0, 5.0 + 1e-9]]])
+        # A square lattice gives equidistant neighborhoods, so divergent bags.
+        xs, ys = np.meshgrid(np.arange(6.0), np.arange(6.0))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()])
+        pts = np.vstack([rng.normal(size=(60, 2)) + 20.0, lattice])
         cloud = PointCloud.single_manifold(pts, 2.0)
         est = EstimatorConfig(method="mle", k=4, clamp_max=50.0)
         cfg = BaggingConfig(bags=6, rate=0.5, seed=11)
-        a = bagged_estimate_all(cloud, est, cfg, policy="clamp")
-        b = bagged_estimate_all(cloud, est, cfg, policy="skip")
-        clean = ~a.divergent.any(axis=1)
-        np.testing.assert_array_equal(a.aggregate[clean], b.aggregate[clean])
+        a, a_flags = variant_estimates(cloud, "bagged", est, cfg, policy="clamp")
+        b, _ = variant_estimates(cloud, "bagged", est, cfg, policy="skip")
+        clean = ~a_flags  # the clamp policy flags every row with a flagged bag
+        assert a_flags.any() and clean.any()
+        np.testing.assert_array_equal(a[clean], b[clean])
+        assert not np.array_equal(a[~clean], b[~clean])

@@ -195,6 +195,26 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.manifold_label, cloud.manifold_label)
         np.testing.assert_array_equal(back.gt_lid, cloud.gt_lid)
 
+    def test_malformed_csv_raises_dataset_error_naming_the_file(self, tmp_path):
+        cloud = generate(GeneratorSpec("M7_Roll", n=20, seed=0))
+        p = tmp_path / "cloud.csv"
+        save_csv(cloud, p)
+        lines = p.read_text().splitlines()
+        for bad_row in (lines[2][:-4], lines[2] + ",0.5", lines[2][:-1] + "1.5"):
+            p.write_text("\n".join(lines[:2] + [bad_row] + lines[3:]) + "\n")
+            with pytest.raises(DatasetError, match="cloud.csv"):
+                load_csv(p)
+
+    def test_short_binary_file_raises_dataset_error(self, tmp_path):
+        cloud = generate(GeneratorSpec("M12_Norm", n=64, seed=8))
+        p = tmp_path / "cloud.lidc"
+        save_binary(cloud, p)
+        blob = p.read_bytes()
+        for cut in (10, 30, len(blob) - 8):
+            p.write_bytes(blob[:cut])
+            with pytest.raises(DatasetError, match="truncated"):
+                load_binary(p)
+
     def test_csv_and_binary_agree(self, tmp_path):
         cloud = generate(GeneratorSpec("M6_Nonlinear", n=32, seed=2))
         pc, pb = tmp_path / "a.csv", tmp_path / "a.npz"

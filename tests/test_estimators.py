@@ -13,19 +13,16 @@ from lidbag.estimators import (
     MLE_NORMALIZATIONS,
     EstimatorConfig,
     EstimatorError,
-    LidEstimate,
     ZeroDistanceError,
     batch_values,
     clamp_values,
-    estimate_at,
-    estimate_mada,
-    estimate_mle,
-    estimate_tle,
     mada_values,
     mle_values,
     tle_values,
 )
-from lidbag.geometry import NeighborList, PointCloud, knn
+from lidbag.bagging import estimates_from_tables
+from lidbag.geometry import PointCloud, dist_block, neighbor_tables
+from lidbag.smoothing import variant_estimates
 
 
 def ball_cloud(n, d, seed, *, embed=0):
@@ -37,6 +34,21 @@ def ball_cloud(n, d, seed, *, embed=0):
     if embed:
         x = np.hstack([x, np.zeros((n, embed))])
     return x
+
+
+def neighborhoods(pts, k, rows=None):
+    """Self-excluded neighbor ids and sorted distances of ``rows`` in ``pts``."""
+    ids = np.arange(len(pts), dtype=np.int64)
+    rows = ids if rows is None else np.asarray(rows, dtype=np.int64)
+    tabs = neighbor_tables(dist_block(pts[rows], pts), ids, rows, k)
+    return tabs.excl_idx, tabs.excl_dist
+
+
+def tle_at(pts, q, k):
+    """TLE estimate of point ``q`` from its k nearest other points."""
+    idx, dist = neighborhoods(pts, k, [q])
+    values, _ = tle_values(dist, pts[idx], pts[[q]])
+    return values[0]
 
 
 class TestMleValues:
@@ -130,9 +142,7 @@ class TestTleValues:
     def test_one_dimensional_line_near_one(self):
         # Collinear neighborhoods: the tight-locality kernel should report ~1.
         pts = np.linspace(0.0, 1.0, 80)[:, None]
-        nl = knn(pts, 40, 10)
-        est = estimate_tle(nl, pts[nl.indices], pts[40])
-        assert 0.6 < est.value < 1.6
+        assert 0.6 < tle_at(pts, 40, 10) < 1.6
 
     def test_symmetric_equidistant_divergent(self):
         # Query at the origin, neighbors forming a perfectly symmetric cross:
@@ -146,29 +156,16 @@ class TestTleValues:
     def test_lower_spread_than_mle_on_cube(self):
         r = np.random.default_rng(5)
         pts = r.uniform(size=(800, 20))
-        dists_rows = []
-        nb_rows = []
-        for q in range(120):
-            nl = knn(pts, q, 20)
-            dists_rows.append(nl.distances)
-            nb_rows.append(pts[nl.indices])
-        D = np.array(dists_rows)
-        NB = np.array(nb_rows)
+        idx, D = neighborhoods(pts, 20, range(120))
         mle, _ = mle_values(D)
-        tle, tdiv = tle_values(D, NB, pts[:120])
+        tle, tdiv = tle_values(D, pts[idx], pts[:120])
         assert not tdiv.any()
         assert np.var(tle) < np.var(mle)
 
     def test_scale_invariance(self):
         r = np.random.default_rng(11)
         pts = r.normal(size=(60, 3))
-        nl = knn(pts, 5, 8)
-        base = estimate_tle(nl, pts[nl.indices], pts[5])
-        c = 37.0
-        spts = c * pts
-        snl = knn(spts, 5, 8)
-        scaled = estimate_tle(snl, spts[snl.indices], spts[5])
-        assert scaled.value == pytest.approx(base.value, rel=1e-9)
+        assert tle_at(37.0 * pts, 5, 8) == pytest.approx(tle_at(pts, 5, 8), rel=1e-9)
 
     def test_shape_validation(self):
         with pytest.raises(EstimatorError):
@@ -191,13 +188,15 @@ class TestClamping:
         assert EstimatorConfig(method="mle", k=4, clamp_max=3.0).resolve_clamp(6) == 3.0
 
     def test_divergent_neighborhood_clamps_at_estimate_level(self):
-        nl = NeighborList(query=0, indices=np.array([1, 2]),
-                          distances=np.array([1.0, 1.0]), has_duplicate=False)
-        est = estimate_mle(nl, clamp_max=20.0)
-        assert isinstance(est, LidEstimate)
-        assert est.divergent
-        assert est.value == 20.0
-        assert est.k_used == 2
+        # The middle point's two neighbors are equidistant: MLE diverges.
+        pts = np.array([[-1.0], [0.0], [1.0], [5.0]])
+        ids = np.arange(4, dtype=np.int64)
+        tabs = neighbor_tables(dist_block(pts, pts), ids, ids, 2)
+        cfg = EstimatorConfig(method="mle", k=2, clamp_max=20.0)
+        values, divergent = estimates_from_tables(cfg, tabs, pts)
+        assert divergent[1]
+        assert values[1] == 20.0
+        assert not divergent[3] and values[3] < 20.0
 
 
 class TestConfigValidation:
@@ -238,26 +237,34 @@ class TestBatchDispatch:
 
 
 class TestEstimateAt:
+    """Single queries through the batch path."""
+
+    line = np.array([[0.0], [1.0], [3.0], [6.0], [10.0]])
+
     def test_member_query_by_id_excludes_self(self):
-        pts = np.array([[0.0], [1.0], [3.0], [6.0], [10.0]])
-        cfg = EstimatorConfig(method="mle", k=2)
-        est = estimate_at(pts, None, 1, cfg)
+        _, dist = neighborhoods(self.line, 2, [1])
+        values, _ = mle_values(dist)
         # neighbors of point 1 are 0 (d=1) and 2 (d=2)
-        assert est.value == 1.0 / math.log(2.0)
+        assert values[0] == 1.0 / math.log(2.0)
 
     def test_member_id_outside_reference_uses_coordinates(self):
-        pts = np.array([[0.0], [1.0], [3.0], [6.0], [10.0]])
+        # Point 1 queried against the subset {0, 2, 3, 4} it is not in: by id
+        # it keeps every candidate, exactly as a coordinate query does.
+        sub = np.array([0, 2, 3, 4])
+        by_id = neighbor_tables(dist_block(self.line, self.line[sub]), sub,
+                                np.arange(5), 2)
+        by_coords = neighbor_tables(dist_block(self.line[1], self.line[sub]), sub, None, 2)
+        assert by_id.excl_dist[1].tobytes() == by_coords.excl_dist[0].tobytes()
         cfg = EstimatorConfig(method="mle", k=2)
-        by_subset = estimate_at(pts, [0, 2, 3, 4], 1, cfg)
-        by_coords = estimate_at(pts, [0, 2, 3, 4], np.array([1.0]), cfg)
-        assert by_subset.value == by_coords.value
+        values, _ = estimates_from_tables(cfg, by_id, self.line)
+        assert values[1] == mle_values(by_coords.excl_dist)[0][0]
 
     def test_point_cloud_input_and_tle_path(self):
         cloud = PointCloud.single_manifold(ball_cloud(120, 2, 3), 2.0)
         cfg = EstimatorConfig(method="tle", k=10)
-        est = estimate_at(cloud, None, 7, cfg)
-        assert est.k_used == 10
-        assert 0.5 < est.value <= cfg.resolve_clamp(cloud.dim)
+        values, _ = variant_estimates(cloud, "baseline", cfg)
+        assert values.shape == (120,)
+        assert 0.5 < values[7] <= cfg.resolve_clamp(cloud.dim)
 
 
 class TestConvergence:
@@ -268,29 +275,26 @@ class TestConvergence:
         for seed in range(10):
             r = np.random.default_rng(seed)
             pts = r.uniform(size=(400, 1))
-            D = np.array([knn(pts, q, 10).distances for q in range(150)])
+            _, D = neighborhoods(pts, 10, range(150))
             values, _ = mle_values(D)
             means.append(values.mean())
         assert np.mean(means) == pytest.approx(1.0, abs=0.15)
 
     def test_mle_on_disk_near_two(self):
         pts = ball_cloud(2000, 2, 7)
-        D = np.array([knn(pts, q, 20).distances for q in range(300)])
+        _, D = neighborhoods(pts, 20, range(300))
         values, _ = mle_values(D)
         assert values.mean() == pytest.approx(2.0, abs=0.3)
 
     def test_mada_on_plane_near_two(self):
         r = np.random.default_rng(13)
         pts = np.hstack([r.uniform(size=(2500, 2)), np.zeros((2500, 1))])
-        D = np.array([knn(pts, q, 20).distances for q in range(400)])
+        _, D = neighborhoods(pts, 20, range(400))
         values, div = mada_values(D)
         assert np.median(values[~div]) == pytest.approx(2.0, abs=0.3)
 
     def test_tle_on_ball_near_three(self):
         pts = ball_cloud(2500, 3, 21)
-        rows = range(0, 300)
-        nls = [knn(pts, q, 20) for q in rows]
-        D = np.array([nl.distances for nl in nls])
-        NB = np.array([pts[nl.indices] for nl in nls])
-        values, div = tle_values(D, NB, pts[list(rows)])
+        idx, D = neighborhoods(pts, 20, range(300))
+        values, div = tle_values(D, pts[idx], pts[:300])
         assert values[~div].mean() == pytest.approx(3.0, abs=0.45)

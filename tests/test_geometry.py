@@ -1,22 +1,19 @@
-"""Neighborhood machinery: exhaustive oracle, tie policy, backends, tables."""
+"""Neighborhood machinery: exhaustive oracle, tie policy, batched tables."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lidbag.geometry import (
     CapacityError,
     DimensionMismatchError,
     EmptyReferenceError,
     GeometryError,
-    NeighborList,
     NeighborTables,
     PointCloud,
     dist_block,
-    knn,
     neighbor_tables,
-    pairwise_distance,
 )
 
 
@@ -33,16 +30,38 @@ def oracle_knn(points, qpoint, k, *, exclude_id=None, ids=None):
     return np.array([t[1] for t in top]), np.array([t[0] for t in top])
 
 
+def table_row(points, query, k, *, ids=None):
+    """One query's self-excluded neighbors from :func:`neighbor_tables`.
+
+    ``query`` is an original id (a member of the reference, whose own entry
+    is dropped) or a coordinate vector (a non-member).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    ids = np.arange(pts.shape[0], dtype=np.int64) if ids is None else np.asarray(ids)
+    if isinstance(query, (int, np.integer)):
+        qpoint = pts[np.nonzero(ids == query)[0][0]]
+        tabs = neighbor_tables(dist_block(qpoint, pts), ids, np.array([query]), k)
+    else:
+        tabs = neighbor_tables(dist_block(query, pts), ids, None, k)
+    return tabs.excl_idx[0], tabs.excl_dist[0]
+
+
+def all_rows(points, k):
+    """Self-excluded tables of every point against the whole cloud."""
+    ids = np.arange(len(points), dtype=np.int64)
+    return neighbor_tables(dist_block(points, points), ids, ids, k)
+
+
 class TestDistances:
     def test_pairwise_distance_345(self):
-        assert pairwise_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert dist_block([0.0, 0.0], [3.0, 4.0])[0, 0] == 5.0
 
     def test_pairwise_distance_zero(self):
-        assert pairwise_distance([1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
+        assert dist_block([1.5, -2.0, 7.0], [1.5, -2.0, 7.0])[0, 0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            pairwise_distance([0.0, 0.0], [1.0, 2.0, 3.0])
+            dist_block([0.0, 0.0], [1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatchError):
             dist_block(np.zeros((2, 2)), np.zeros((3, 4)))
 
@@ -53,12 +72,18 @@ class TestDistances:
         assert blk.shape == (7, 5)
         for i in range(7):
             for j in range(5):
-                assert blk[i, j] == pytest.approx(pairwise_distance(a[i], b[j]), abs=1e-12)
+                assert blk[i, j] == pytest.approx(math.dist(a[i], b[j]), abs=1e-12)
 
     def test_dist_block_diagonal_exact_zero(self, rng):
         a = rng.normal(size=(20, 4)) * 1e3
         blk = dist_block(a, a)
         assert np.all(np.diag(blk) == 0.0)
+
+    def test_column_gather_equals_recomputed_columns(self, rng):
+        # The engine takes a bag's distance columns from either source.
+        a = rng.normal(size=(300, 7)) * 10
+        cols = np.sort(rng.choice(300, size=40, replace=False))
+        assert dist_block(a, a)[:, cols].tobytes() == dist_block(a, a[cols]).tobytes()
 
 
 class TestPointCloud:
@@ -95,19 +120,31 @@ class TestPointCloud:
             PointCloud(points=pts, manifold_label=np.array([1, 1]), gt_lid=np.array([0.0]))
 
 
-class TestNeighborList:
-    def test_invariants_enforced(self):
-        with pytest.raises(GeometryError):
-            NeighborList(query=0, indices=np.array([1, 2]), distances=np.array([2.0, 1.0]),
-                         has_duplicate=False)
-        with pytest.raises(GeometryError):
-            NeighborList(query=0, indices=np.array([1, 1]), distances=np.array([1.0, 2.0]),
-                         has_duplicate=False)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            PointCloud.single_manifold(pts, 1.0)
 
-    def test_k_property(self):
-        nl = NeighborList(query=0, indices=np.array([3, 1, 4]),
-                          distances=np.array([1.0, 1.0, 2.0]), has_duplicate=False)
-        assert nl.k == 3
+
+class TestNeighborList:
+    """Each table row is one query's neighbor list."""
+
+    def test_invariants_enforced(self, rng):
+        pts = rng.normal(size=(40, 2))
+        pts[:10] = pts[10:20]  # exact duplicates
+        tabs = all_rows(pts, 12)
+        for dist in (tabs.excl_dist, tabs.incl_dist):
+            assert np.all(np.diff(dist, axis=1) >= 0)
+        for idx in (tabs.excl_idx, tabs.incl_idx):
+            for row in idx:
+                assert len(np.unique(row)) == row.shape[0]
+
+    def test_k_property(self, rng):
+        tabs = all_rows(rng.normal(size=(9, 2)), 3)
+        assert tabs.depth == 3
+        assert tabs.excl_idx.shape == tabs.incl_dist.shape == (9, 3)
 
 
 class TestKnnExamples:
@@ -116,45 +153,51 @@ class TestKnnExamples:
     line = np.array([[0.0], [1.0], [3.0], [6.0]])
 
     def test_member_query_excludes_self(self):
-        nl = knn(self.line, 1, 2)
-        np.testing.assert_array_equal(nl.indices, [0, 2])
-        np.testing.assert_allclose(nl.distances, [1.0, 2.0])
+        idx, dist = table_row(self.line, 1, 2)
+        np.testing.assert_array_equal(idx, [0, 2])
+        np.testing.assert_allclose(dist, [1.0, 2.0])
 
     def test_nonmember_query_keeps_everything(self):
-        nl = knn(self.line, np.array([2.9]), 4)
-        np.testing.assert_array_equal(nl.indices, [2, 1, 0, 3])
+        idx, _ = table_row(self.line, np.array([2.9]), 4)
+        np.testing.assert_array_equal(idx, [2, 1, 0, 3])
 
     def test_tie_broken_by_smaller_id(self):
         # 2.0 is equidistant from points 1 (at 1) and 2 (at 3).
-        nl = knn(self.line, np.array([2.0]), 1)
-        assert nl.indices[0] == 1
+        idx, _ = table_row(self.line, np.array([2.0]), 1)
+        assert idx[0] == 1
 
     def test_capacity_error_reports_available(self):
+        with pytest.raises(CapacityError) as exc:
+            table_row(self.line, 0, 4)  # member: only 3 others available
+        assert exc.value.available == 3
+        table_row(self.line, np.array([0.5]), 4)  # non-member: 4 is fine
         with pytest.raises(CapacityError):
-            knn(self.line, 0, 4)  # member: only 3 others available
-        knn(self.line, np.array([0.5]), 4)  # non-member: 4 is fine
-        with pytest.raises(CapacityError):
-            knn(self.line, np.array([0.5]), 5)
+            table_row(self.line, np.array([0.5]), 5)
 
     def test_empty_reference(self):
         with pytest.raises(EmptyReferenceError):
-            knn(np.zeros((0, 1)), np.array([0.0]), 1)
+            neighbor_tables(np.zeros((1, 0)), np.zeros(0, dtype=np.int64), None, 1)
 
     def test_unknown_member_id(self):
-        with pytest.raises(GeometryError):
-            knn(self.line, 17, 2)
+        # Membership is decided by id: a query id absent from the reference
+        # ids loses no candidate.
+        ref_ids = np.array([0, 2, 3])
+        tabs = neighbor_tables(dist_block(self.line[1], self.line[ref_ids]),
+                               ref_ids, np.array([1]), 2)
+        np.testing.assert_array_equal(tabs.excl_idx, tabs.incl_idx)
+        np.testing.assert_array_equal(tabs.excl_idx[0], [0, 2])
 
     def test_duplicate_flag(self):
+        # Duplicates are kept at distance zero, lower id first.
         doubled = np.array([[0.0], [0.0], [5.0]])
-        nl = knn(doubled, 0, 1)
-        assert nl.has_duplicate
-        assert nl.indices[0] == 1
-        nl2 = knn(doubled, 2, 1)
-        assert not nl2.has_duplicate
+        idx, dist = table_row(doubled, 0, 1)
+        assert idx[0] == 1 and dist[0] == 0.0
+        idx, dist = table_row(doubled, 2, 1)
+        assert idx[0] == 0 and dist[0] == 5.0
 
     def test_reference_ids_relabel(self):
-        nl = knn(self.line, 30, 2, reference_ids=[10, 30, 20, 40])
-        np.testing.assert_array_equal(nl.indices, [10, 20])
+        idx, _ = table_row(self.line, 30, 2, ids=[10, 30, 20, 40])
+        np.testing.assert_array_equal(idx, [10, 20])
 
 
 class TestKnnOracle:
@@ -165,56 +208,39 @@ class TestKnnOracle:
             pts = rng.normal(size=(n, dim))
             if trial % 3 == 0:  # inject exact duplicates to stress ties
                 pts[: n // 2] = pts[n // 2 : 2 * (n // 2)]
-            k = int(rng.integers(1, n))
-            q = int(rng.integers(0, n))
-            nl = knn(pts, q, min(k, n - 1))
-            oid, od = oracle_knn(pts, pts[q], min(k, n - 1), exclude_id=q)
-            np.testing.assert_array_equal(nl.indices, oid)
-            np.testing.assert_array_equal(nl.distances, od)
+            k = min(int(rng.integers(1, n)), n - 1)
+            tabs = all_rows(pts, k)
+            for q in range(n):
+                oid, od = oracle_knn(pts, pts[q], k, exclude_id=q)
+                np.testing.assert_array_equal(tabs.excl_idx[q], oid)
+                np.testing.assert_array_equal(tabs.excl_dist[q], od)
 
     def test_lattice_ties_match_full_sort(self):
         # Integer lattice: many exactly-equal distances.
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
+        tabs = all_rows(pts, 8)
         for q in range(pts.shape[0]):
-            nl = knn(pts, q, 8)
             oid, od = oracle_knn(pts, pts[q], 8, exclude_id=q)
-            np.testing.assert_array_equal(nl.indices, oid)
-            np.testing.assert_array_equal(nl.distances, od)
+            np.testing.assert_array_equal(tabs.excl_idx[q], oid)
+            np.testing.assert_array_equal(tabs.excl_dist[q], od)
 
     def test_prefix_property(self, rng):
         pts = rng.normal(size=(40, 3))
-        big = knn(pts, 7, 20)
+        big = all_rows(pts, 20)
         for k in range(1, 20):
-            small = knn(pts, 7, k)
-            np.testing.assert_array_equal(small.indices, big.indices[:k])
-            np.testing.assert_array_equal(small.distances, big.distances[:k])
+            small = all_rows(pts, k)
+            np.testing.assert_array_equal(small.excl_idx, big.excl_idx[:, :k])
+            np.testing.assert_array_equal(small.excl_dist, big.excl_dist[:, :k])
+            np.testing.assert_array_equal(small.incl_idx, big.incl_idx[:, :k])
 
     def test_row_permutation_invariance(self, rng):
         pts = rng.normal(size=(25, 2))
         perm = rng.permutation(25)
-        base = knn(pts, 4, 6)
-        shuffled = knn(pts[perm], 4, 6, reference_ids=perm)
-        np.testing.assert_array_equal(base.indices, shuffled.indices)
-        np.testing.assert_array_equal(base.distances, shuffled.distances)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_kdtree_backend_bit_identical(self, seed):
-        r = np.random.default_rng(seed)
-        n = int(r.integers(4, 50))
-        dim = int(r.integers(1, 5))
-        pts = np.round(r.normal(size=(n, dim)) * 2) / 2  # coarse grid forces ties
-        k = int(r.integers(1, n - 1))
-        q = int(r.integers(0, n))
-        a = knn(pts, q, k, backend="bruteforce")
-        b = knn(pts, q, k, backend="kdtree")
-        np.testing.assert_array_equal(a.indices, b.indices)
-        assert a.distances.tobytes() == b.distances.tobytes()
-
-    def test_unknown_backend(self):
-        with pytest.raises(GeometryError):
-            knn(np.zeros((3, 1)), 0, 1, backend="balltree")
+        base = table_row(pts, 4, 6)
+        shuffled = table_row(pts[perm], 4, 6, ids=perm)
+        np.testing.assert_array_equal(base[0], shuffled[0])
+        np.testing.assert_array_equal(base[1], shuffled[1])
 
 
 class TestNeighborTablesBatch:
@@ -226,9 +252,11 @@ class TestNeighborTablesBatch:
         assert isinstance(tabs, NeighborTables)
         assert tabs.depth == 6
         for q in range(30):
-            nl = knn(pts, q, 6)
-            np.testing.assert_array_equal(tabs.excl_idx[q], nl.indices)
-            assert tabs.excl_dist[q].tobytes() == nl.distances.tobytes()
+            oid, od = oracle_knn(pts, pts[q], 6, exclude_id=q)
+            np.testing.assert_array_equal(tabs.excl_idx[q], oid)
+            np.testing.assert_allclose(tabs.excl_dist[q], od, rtol=1e-15)
+            row = table_row(pts, q, 6)
+            assert tabs.excl_dist[q].tobytes() == row[1].tobytes()
 
     def test_inclusive_rows_lead_with_self(self, rng):
         pts = rng.normal(size=(15, 2))
@@ -243,8 +271,8 @@ class TestNeighborTablesBatch:
         ids = np.arange(20, dtype=np.int64)
         tabs = neighbor_tables(dist_block(qs, ref), ids, None, 3)
         for i in range(5):
-            nl = knn(ref, qs[i], 3)
-            np.testing.assert_array_equal(tabs.excl_idx[i], nl.indices)
+            oid, _ = oracle_knn(ref, qs[i], 3)
+            np.testing.assert_array_equal(tabs.excl_idx[i], oid)
 
     def test_lattice_ties_in_batch(self):
         xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0))

@@ -338,6 +338,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mse=" in out and "manifold 1" in out
 
+    def test_estimate_truncated_csv_names_the_file(self, tmp_path, capsys):
+        main(["generate", "--dataset", "M13a_Scurve", "--n", "60",
+              "--format", "csv", "--out", str(tmp_path)])
+        path = tmp_path / "M13a_Scurve.csv"
+        text = path.read_text()
+        path.write_text(text[: len(text) - 30])  # cut mid-row
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(path), "--variant", "baseline",
+                  "--k", "4", "--out", str(tmp_path / "est")])
+        assert str(path) in str(exc.value)
+        capsys.readouterr()
+
     def test_estimate_builtin_dataset_baseline(self, tmp_path, capsys):
         rc = main(["estimate", "--dataset", "M7_Roll", "--n", "100",
                    "--variant", "baseline", "--k", "5", "--out", str(tmp_path)])
