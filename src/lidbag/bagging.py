@@ -137,23 +137,37 @@ def estimates_from_tables(
 
     Slices the first k columns of the self-excluded tables (sorted neighbor
     prefixes nest, so one deep table serves every smaller k).
+
+    A query whose nearest other point is at distance 0 (a duplicate point)
+    has no defined estimate: it is flagged divergent with the +inf
+    sentinel, so ``clamp`` caps it and ``skip`` drops it from a bagged
+    mean, and the kernel runs on the other queries only.
     """
     k = config.k if k is None else k
     if k > tables.depth:
         raise BaggingError(f"tables of depth {tables.depth} cannot serve k={k}")
-    d = tables.excl_dist[:, :k]
+    clamp_max = config.resolve_clamp(points.shape[1])
+    dup = tables.excl_dist[:, 0] == 0.0
+    if not np.any(dup):
+        values, flags = _kernel(config, tables.excl_dist[:, :k], tables.excl_idx[:, :k], points)
+        return clamp_values(values, flags, clamp_max)
+    values = np.full(dup.shape[0], np.inf)
+    flags = dup.copy()
+    ok = np.nonzero(~dup)[0]
+    values[ok], flags[ok] = _kernel(
+        config, tables.excl_dist[ok, :k], tables.excl_idx[ok, :k], points, ok
+    )
+    return clamp_values(values, flags, clamp_max)
+
+
+def _kernel(config: EstimatorConfig, d, idx, points, queries=slice(None)):
+    """Unclamped estimates from sorted distances ``d`` to neighbors ``idx``
+    of the query points ``points[queries]``."""
     if config.method == "tle":
-        values, flags = batch_values(
-            "tle",
-            d,
-            neighbor_points=points[tables.excl_idx[:, :k]],
-            query_points=points,
+        return batch_values(
+            "tle", d, neighbor_points=points[idx], query_points=points[queries]
         )
-    else:
-        values, flags = batch_values(
-            config.method, d, normalization=config.mle_normalization
-        )
-    return clamp_values(values, flags, config.resolve_clamp(points.shape[1]))
+    return batch_values(config.method, d, normalization=config.mle_normalization)
 
 
 def bag_tables(
@@ -166,8 +180,8 @@ def bag_tables(
     """Neighbor tables of all queries against one bag.
 
     ``dfull_cols`` holds the distances from every query to the bag's points
-    (typically a column gather of the full distance matrix, which is exactly
-    equal to recomputing them).  ``depth_incl`` may exceed ``depth_excl`` up
+    (the bag's rows of the symmetric full distance matrix, transposed, or
+    the same block recomputed; the two are exactly equal).  ``depth_incl`` may exceed ``depth_excl`` up
     to the bag size for smoothing neighborhoods.
     """
     m = bag.shape[0]

@@ -6,6 +6,13 @@ Euclidean distances computed by :func:`dist_block`, and neighbor tables
 built from them by :func:`neighbor_tables` with ties broken by ascending
 original point index.  That rule makes every result independent of
 reference-set permutation, worker count, and platform.
+
+:func:`neighbor_tables` works through its queries in fixed-size tiles, so
+its memory does not grow with the number of queries.  In each tile it
+finds every row's prefix with one partition, decides from the next order
+statistic whether a tie straddles the prefix edge (only those rows are
+re-ranked over all columns), and ranks the prefix by one stable sort over
+id-ordered columns, which orders by (distance, id).
 """
 
 from __future__ import annotations
@@ -123,7 +130,10 @@ def dist_block(a, b) -> np.ndarray:
 
     This is the single distance kernel of the package.  Each entry is
     computed from its two rows alone, so a column gather of a larger block
-    is bit-identical to recomputing the block for those columns.
+    is bit-identical to recomputing the block for those columns.  Entry
+    (i, j) sums the same squared differences in the same order as (j, i),
+    so ``dist_block(p, p)`` is exactly symmetric and its rows are its
+    columns.
     """
     a = _as_points(a, "a")
     b = _as_points(b, "b")
@@ -132,6 +142,13 @@ def dist_block(a, b) -> np.ndarray:
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
     return cdist(a, b)
+
+
+#: Distances per query block in :func:`neighbor_tables`.  The tile and its
+#: partition index (256 KiB each) stay cache-sized and are reused from the
+#: heap block after block, so a table's temporaries no longer grow with the
+#: number of queries or fault fresh pages in for every table.
+_BLOCK_CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -164,16 +181,26 @@ def neighbor_tables(
 
     Parameters
     ----------
-    dcols : (nq, m) distances from each query to each reference point.
+    dcols : (nq, m) distances from each query to each reference point.  Any
+        memory layout works; each block of rows is copied into a contiguous
+        tile, so a transposed row gather is as good as a column gather.
     reference_ids : (m,) original ids of the reference columns.
     query_ids : (nq,) original ids of the queries, or None when no query is a
         member of the reference set.  Membership is decided by id equality.
     depth : number of neighbors to keep per row; requires depth <= m - 1 when
         any query is a member, else depth <= m.
 
-    Ties are broken by ascending original id; rows whose selection is
-    ambiguous at the prefix boundary are re-ranked exhaustively, so the
-    partition shortcut never changes the outcome.
+    Queries are processed in blocks of ``_BLOCK_CELLS // m`` rows (at least
+    one), each copied into one reused tile, so the temporaries stay
+    cache-sized whatever nq is.  A tile holds its columns in ascending id
+    order (for non-ascending ``reference_ids`` that order is computed once
+    and applied as each tile is copied).  Each row keeps its ``need = depth + 1`` smallest entries via a
+    partition at ``kth = need``: position ``need`` then holds the next order
+    statistic, and when it equals the need-th distance a tie straddles the
+    prefix edge and the row is re-ranked by a stable sort over all its
+    columns.  Otherwise the kept positions are sorted ascending and ranked
+    by one stable argsort of their distances.  Both orders are (distance,
+    id), so ties go to the smaller original id.
     """
     dcols = np.asarray(dcols, dtype=np.float64)
     nq, m = dcols.shape
@@ -186,45 +213,79 @@ def neighbor_tables(
     max_depth = m - 1 if member_possible else m
     if depth > max_depth:
         raise CapacityError(depth, max_depth)
-    need = min(depth + 1, m)
-
-    if need < m:
-        part = np.argpartition(dcols, need - 1, axis=1)[:, :need]
-    else:
-        part = np.broadcast_to(np.arange(m), (nq, m)).copy()
-    pd = np.take_along_axis(dcols, part, axis=1)
-    pids = reference_ids[part]
-    order = np.lexsort((pids, pd), axis=1)
-    pd = np.take_along_axis(pd, order, axis=1)
-    pids = np.take_along_axis(pids, order, axis=1)
-
-    if need < m:
-        # A tie at the prefix edge can leave a smaller-id point outside the
-        # partition; re-rank those rows over the full reference.
-        edge = pd[:, -1]
-        ambiguous = np.count_nonzero(dcols <= edge[:, None], axis=1) > need
-        if np.any(ambiguous):
-            rows = np.nonzero(ambiguous)[0]
-            sub = dcols[rows]
-            full = np.lexsort(
-                (np.broadcast_to(reference_ids, sub.shape), sub), axis=1
-            )[:, :need]
-            pd[rows] = np.take_along_axis(sub, full, axis=1)
-            pids[rows] = reference_ids[full]
-
-    incl_idx = pids[:, :depth]
-    incl_dist = pd[:, :depth]
-
     if member_possible:
         qids = np.asarray(query_ids, dtype=np.int64).reshape(-1)
         if qids.shape[0] != nq:
             raise GeometryError("query_ids must match dcols rows")
-        self_mask = pids == qids[:, None]
-        push = np.argsort(self_mask, axis=1, kind="stable")
-        excl_idx = np.take_along_axis(pids, push, axis=1)[:, :depth]
-        excl_dist = np.take_along_axis(pd, push, axis=1)[:, :depth]
+    need = min(depth + 1, m)
+
+    if np.all(reference_ids[1:] >= reference_ids[:-1]):
+        by_id, ids = None, reference_ids
     else:
-        excl_idx = incl_idx
-        excl_dist = incl_dist
+        by_id = np.argsort(reference_ids, kind="stable")
+        ids = reference_ids[by_id]
+
+    incl_idx = np.empty((nq, depth), dtype=np.int64)
+    incl_dist = np.empty((nq, depth))
+    if member_possible:
+        excl_idx = np.empty_like(incl_idx)
+        excl_dist = np.empty_like(incl_dist)
+    else:
+        excl_idx, excl_dist = incl_idx, incl_dist
+
+    rows = max(1, _BLOCK_CELLS // m)
+    tile = np.empty((min(rows, nq), m))
+    for lo in range(0, nq, rows):
+        hi = min(nq, lo + rows)
+        t = tile[: hi - lo]
+        if by_id is None:
+            np.copyto(t, dcols[lo:hi])
+        else:
+            np.take(dcols[lo:hi], by_id, axis=1, out=t)
+        pos, pd = _ranked_prefix(t, need)
+        pids = ids[pos]
+        incl_idx[lo:hi] = pids[:, :depth]
+        incl_dist[lo:hi] = pd[:, :depth]
+        if member_possible:
+            # Move each query's own entry to the end, keeping the rest in order.
+            self_mask = pids == qids[lo:hi, None]
+            hit = np.nonzero(self_mask.any(axis=1))[0]
+            excl_idx[lo:hi] = pids[:, :depth]
+            excl_dist[lo:hi] = pd[:, :depth]
+            if hit.size:
+                push = np.argsort(self_mask[hit], axis=1, kind="stable")[:, :depth]
+                excl_idx[lo + hit] = _take_rows(pids[hit], push)
+                excl_dist[lo + hit] = _take_rows(pd[hit], push)
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
+
+
+def _ranked_prefix(tile: np.ndarray, need: int):
+    """Column positions and distances of each row's ``need`` smallest
+    entries, ordered by (distance, column)."""
+    m = tile.shape[1]
+    if need == m:
+        pos = np.argsort(tile, axis=1, kind="stable")
+        return pos, _take_rows(tile, pos)
+    part = np.argpartition(tile, need, axis=1)
+    pos = np.sort(part[:, :need], axis=1)
+    nxt = _take_rows(tile, part[:, need : need + 1])[:, 0]
+    pd = _take_rows(tile, pos)
+    rank = np.argsort(pd, axis=1, kind="stable")
+    pos = _take_rows(pos, rank)
+    pd = _take_rows(pd, rank)
+    # Which of the tied columns the partition kept is arbitrary; the full
+    # stable sort picks the smaller ids.
+    tied = np.nonzero(nxt == pd[:, -1])[0]
+    if tied.size:
+        sub = tile[tied]
+        full = np.argsort(sub, axis=1, kind="stable")[:, :need]
+        pos[tied] = full
+        pd[tied] = _take_rows(sub, full)
+    return pos, pd
+
+
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis=1)`` for a C-contiguous 2-D ``a``,
+    as one flat gather, which costs less per call."""
+    return a.reshape(-1)[idx + np.arange(0, a.size, a.shape[1])[:, None]]

@@ -170,9 +170,10 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       estimate and post-smoothing neighborhood (sorted neighbor prefixes
       nest, so any smaller k is a column slice).
     * Bagged cells with the same rate and seed share one ensemble: its bags
-      are drawn once, their distance columns are gathered from the shared
-      block when there is one and computed per bag otherwise (the two are
-      bit-identical), and one table per bag serves every cell.  Each cell is
+      are drawn once, their distance columns are read from the shared
+      block when there is one (as its rows, transposed: the block is exactly
+      symmetric) and computed per bag otherwise (the two are bit-identical),
+      and one table per bag serves every cell.  Each cell is
       emitted when the growing ensemble reaches its B, so a B grid costs
       max(B) bags, not sum(B).
 
@@ -231,7 +232,8 @@ def _run_ensemble(cloud, group, dfull, full, emit, policy, threads, progress):
 
     def one_bag(i: int):
         bag = bags[i]
-        dcols = dist_block(points, points[bag]) if dfull is None else dfull[:, bag]
+        # m contiguous rows instead of a strided gather across every row.
+        dcols = dist_block(points, points[bag]) if dfull is None else dfull[bag].T
         tables = bag_tables(dcols, bag, ids, depth_excl, depth_incl)
         raw, out = {}, {}
         for est, ks in keys:

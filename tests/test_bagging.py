@@ -16,7 +16,7 @@ from lidbag.bagging import (
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
-from lidbag.estimators import EstimatorConfig
+from lidbag.estimators import EstimatorConfig, batch_values, clamp_values
 from lidbag.geometry import PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import variant_estimates
 
@@ -235,6 +235,48 @@ class TestEstimatesFromTables:
         b, bf = estimates_from_tables(cfg, shallow, pts)
         assert a.tobytes() == b.tobytes()
         np.testing.assert_array_equal(af, bf)
+
+
+class TestDuplicatePoints:
+    """A point and its exact copy have no defined estimate: divergent, not an abort."""
+
+    base = np.random.default_rng(5).normal(size=(60, 3))
+    cloud = PointCloud.single_manifold(np.vstack([base, base[7]]), 3.0)
+    copies = np.array([7, 60])
+    cap = 30.0  # default clamp: 10 x the ambient dimension
+
+    @pytest.mark.parametrize("method", ["mle", "mada", "tle"])
+    def test_copies_flagged_and_other_rows_untouched(self, method):
+        pts = self.cloud.points
+        ids = np.arange(self.cloud.n, dtype=np.int64)
+        tabs = neighbor_tables(dist_block(pts, pts), ids, ids, 6)
+        est = EstimatorConfig(method=method, k=6)
+        values, flags = estimates_from_tables(est, tabs, pts)
+        assert np.all(values[self.copies] == self.cap)
+        assert np.all(flags[self.copies])
+        rest = np.setdiff1d(ids, self.copies)
+        d = tabs.excl_dist[rest]
+        if method == "tle":
+            raw = batch_values("tle", d, neighbor_points=pts[tabs.excl_idx[rest]],
+                               query_points=pts[rest])
+        else:
+            raw = batch_values(method, d)
+        want, want_flags = clamp_values(*raw, self.cap)
+        assert values[rest].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(flags[rest], want_flags)
+
+    @pytest.mark.parametrize("policy", DIVERGENCE_POLICIES)
+    @pytest.mark.parametrize("variant", ["baseline", "bagged", "bagged_pre_post"])
+    def test_every_pipeline_finishes(self, variant, policy):
+        est = EstimatorConfig(method="mle", k=5)
+        cfg = None if variant == "baseline" else BaggingConfig(bags=5, rate=0.5, seed=1)
+        values, flags = variant_estimates(self.cloud, variant, est, cfg, policy=policy)
+        assert values.shape == flags.shape == (self.cloud.n,)
+        assert np.all(np.isfinite(values)) and np.all(values <= self.cap)
+        if variant == "baseline":
+            np.testing.assert_array_equal(np.nonzero(flags)[0], self.copies)
+        if variant == "bagged" and policy == "clamp":
+            assert np.all(flags[self.copies])
 
 
 class TestBaggedEstimateAll:

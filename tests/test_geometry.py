@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidbag import geometry
+from lidbag.datasets import DATASET_NAMES, GeneratorSpec, generate
 from lidbag.geometry import (
     CapacityError,
     DimensionMismatchError,
@@ -80,10 +84,26 @@ class TestDistances:
         assert np.all(np.diag(blk) == 0.0)
 
     def test_column_gather_equals_recomputed_columns(self, rng):
-        # The engine takes a bag's distance columns from either source.
+        # The engine takes a bag's distance columns from either source; from
+        # the shared block it reads them as rows, by symmetry.
         a = rng.normal(size=(300, 7)) * 10
         cols = np.sort(rng.choice(300, size=40, replace=False))
-        assert dist_block(a, a)[:, cols].tobytes() == dist_block(a, a[cols]).tobytes()
+        full = dist_block(a, a)
+        recomputed = dist_block(a, a[cols]).tobytes()
+        assert full[:, cols].tobytes() == recomputed
+        assert np.ascontiguousarray(full[cols].T).tobytes() == recomputed
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_self_block_exactly_symmetric_on_generators(self, name):
+        pts = generate(GeneratorSpec(name, n=150, seed=3)).points
+        blk = dist_block(pts, pts)
+        assert blk.tobytes() == np.ascontiguousarray(blk.T).tobytes()
+
+    def test_self_block_exactly_symmetric_on_random_clouds(self, rng):
+        for dim in range(1, 101):
+            pts = rng.normal(size=(40, dim)) * rng.uniform(0.01, 100.0)
+            blk = dist_block(pts, pts)
+            assert blk.tobytes() == np.ascontiguousarray(blk.T).tobytes(), dim
 
 
 class TestPointCloud:
@@ -293,3 +313,69 @@ class TestNeighborTablesBatch:
         neighbor_tables(d, ids, None, 5)  # non-member: 5 allowed
         with pytest.raises(CapacityError):
             neighbor_tables(d, ids, None, 6)
+
+
+def lexsort_tables(dcols, reference_ids, query_ids, depth):
+    """Full-row reference: rank every column by (distance, id) with one lexsort."""
+    ids = np.broadcast_to(reference_ids, dcols.shape)
+    order = np.lexsort((ids, dcols), axis=1)
+    ranked_ids = np.take_along_axis(ids, order, axis=1)
+    ranked_d = np.take_along_axis(dcols, order, axis=1)
+    incl = ranked_ids[:, :depth], ranked_d[:, :depth]
+    if query_ids is None:
+        return incl + incl
+    keep = ranked_ids != np.asarray(query_ids)[:, None]
+    excl_idx = np.array([r[k][:depth] for r, k in zip(ranked_ids, keep)])
+    excl_d = np.array([r[k][:depth] for r, k in zip(ranked_d, keep)])
+    return incl + (excl_idx.reshape(-1, depth), excl_d.reshape(-1, depth))
+
+
+class TestBlockedKernel:
+    """The query-blocked kernel against a full-row lexsort, across block edges."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(150, 400),
+        dim=st.integers(1, 3),
+        side=st.integers(2, 6),
+        lattice=st.booleans(),
+        depth_kind=st.sampled_from(["one", "max", "any"]),
+        members=st.booleans(),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_lexsort_reference(self, m, dim, side, lattice, depth_kind, members,
+                                       shuffled, seed):
+        rng = np.random.default_rng(seed)
+        rows = geometry._BLOCK_CELLS // m
+        n = max(m, 3 * rows) + int(rng.integers(1, rows))
+        if n % rows == 0:
+            n += 1
+        # Lattice points tie everywhere, so most rows are re-ranked at the
+        # prefix edge; in a Gaussian cloud only copied points tie, mostly
+        # inside the prefix.  Copies of the last query of each block at the
+        # start of the next make ties straddle block edges.
+        if lattice:
+            pts = rng.integers(0, side, size=(n, dim)).astype(np.float64)
+        else:
+            pts = rng.normal(size=(n, dim))
+        dup = rng.choice(n, size=n // 10, replace=False)
+        pts[dup] = pts[rng.choice(n, size=dup.size)]
+        for edge in range(rows, n, rows):
+            pts[edge] = pts[edge - 1]
+        ref_ids = rng.choice(n, size=m, replace=False)
+        if not shuffled:
+            ref_ids = np.sort(ref_ids)
+        # Every cloud point queries the reference: those drawn into it are
+        # members, the rest are not.
+        query_ids = np.arange(n, dtype=np.int64) if members else None
+        max_depth = m - 1 if members else m
+        depth = {"one": 1, "max": max_depth,
+                 "any": int(rng.integers(1, max_depth + 1))}[depth_kind]
+        dcols = dist_block(pts, pts[ref_ids])
+        got = neighbor_tables(dcols, ref_ids, query_ids, depth)
+        want = lexsort_tables(dcols, ref_ids, query_ids, depth)
+        for field, ref in zip(("incl_idx", "incl_dist", "excl_idx", "excl_dist"), want):
+            out = getattr(got, field)
+            assert out.shape == ref.shape, field
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes(), field

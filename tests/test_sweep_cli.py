@@ -213,6 +213,23 @@ class TestRunSweep:
         for s in result.skips:
             assert "k_s=50" in s.reason
 
+    def test_duplicate_point_becomes_divergent_rows(self, monkeypatch):
+        def with_duplicate(spec):
+            cloud = generate(spec)
+            pts = cloud.points.copy()
+            pts[1] = pts[0]
+            return dataclasses.replace(cloud, points=pts)
+
+        monkeypatch.setattr("lidbag.sweep.generate", with_duplicate)
+        grid = SweepGrid(**SMALL)
+        result = run_sweep(grid)
+        assert len(result.rows) + len(result.skips) == grid.cell_count()
+        assert not result.skips
+        assert all(row.divergent_count > 0 for row in result.rows
+                   if row.variant == "baseline")
+        assert any(row.divergent_count > 0 for row in result.rows
+                   if row.variant == "bagged")
+
     def test_progress_callback_sees_every_dataset(self):
         seen = []
         run_sweep(SweepGrid(**SMALL), progress=seen.append)
