@@ -148,12 +148,10 @@ def estimates_from_tables(
         raise BaggingError(f"tables of depth {tables.depth} cannot serve k={k}")
     clamp_max = config.resolve_clamp(points.shape[1])
     dup = tables.excl_dist[:, 0] == 0.0
-    if not np.any(dup):
-        values, flags = _kernel(config, tables.excl_dist[:, :k], tables.excl_idx[:, :k], points)
-        return clamp_values(values, flags, clamp_max)
+    # A slice keeps clean data on views of the tables instead of copies.
+    ok = np.nonzero(~dup)[0] if dup.any() else slice(None)
     values = np.full(dup.shape[0], np.inf)
     flags = dup.copy()
-    ok = np.nonzero(~dup)[0]
     values[ok], flags[ok] = _kernel(
         config, tables.excl_dist[ok, :k], tables.excl_idx[ok, :k], points, ok
     )
