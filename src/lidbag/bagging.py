@@ -177,10 +177,11 @@ def bag_tables(
 ) -> NeighborTables:
     """Neighbor tables of all queries against one bag.
 
-    ``dfull_cols`` holds the distances from every query to the bag's points
-    (the bag's rows of the symmetric full distance matrix, transposed, or
-    the same block recomputed; the two are exactly equal).  ``depth_incl`` may exceed ``depth_excl`` up
-    to the bag size for smoothing neighborhoods.
+    ``dfull_cols`` holds the distances from every query to the bag's points:
+    the bag's rows of the symmetric full distance matrix, transposed, or a
+    lazy block that :func:`~lidbag.geometry.neighbor_tables` computes tile
+    by tile (the two are exactly equal).  ``depth_incl`` may exceed
+    ``depth_excl`` up to the bag size for smoothing neighborhoods.
     """
     m = bag.shape[0]
     combined = depth_excl if depth_incl is None else max(depth_excl, depth_incl)

@@ -59,6 +59,13 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in _csv_list(text)]
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--policy", choices=DIVERGENCE_POLICIES, default="clamp")
     e.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS,
                    default="k_minus_1")
-    e.add_argument("--threads", type=int, default=1)
+    e.add_argument("--threads", type=_thread_count, default=1)
     e.add_argument("--out", required=True, help="output directory (created if missing)")
     e.set_defaults(fn=_cmd_estimate)
 
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k-s", dest="k_s", type=int, default=None)
     s.add_argument("--policy", choices=DIVERGENCE_POLICIES, default=None)
     s.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS, default=None)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_thread_count, default=1)
     s.add_argument("--timing-in-results", action="store_true",
                    help="append wall_time_ms to results.csv (breaks byte-stability)")
     s.add_argument("--quiet", action="store_true")

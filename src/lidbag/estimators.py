@@ -26,6 +26,12 @@ MLE_NORMALIZATIONS = ("k_minus_1", "k")
 #: unless the configuration states an explicit cap.
 CLAMP_DIM_FACTOR = 10.0
 
+#: (query, neighbor, neighbor) cells per chunk in :func:`tle_values`.  The
+#: chunk's dozen-odd (c, k, k) float temporaries stay cache-sized (256 KiB
+#: each) instead of tens of MB; rows are independent, so chunking does not
+#: change any value.
+_TLE_CELLS = 2**15
+
 
 class EstimatorError(ValueError):
     """Base class for estimator failures."""
@@ -221,7 +227,7 @@ def tle_values(dists: np.ndarray, neighbor_points: np.ndarray, query_points: np.
         raise EstimatorError("neighbor_points/query_points shapes do not match dists")
     _check_distances(d)
 
-    chunk = max(16, min(n, int(4.2e6 / (k * k))))
+    chunk = max(1, _TLE_CELLS // (k * k))
     values = np.empty(n)
     divergent = np.empty(n, dtype=bool)
     for lo in range(0, n, chunk):

@@ -8,11 +8,14 @@ original point index.  That rule makes every result independent of
 reference-set permutation, worker count, and platform.
 
 :func:`neighbor_tables` works through its queries in fixed-size tiles, so
-its memory does not grow with the number of queries.  In each tile it
-finds every row's prefix with one partition, decides from the next order
-statistic whether a tie straddles the prefix edge (only those rows are
-re-ranked over all columns), and ranks the prefix by one stable sort over
-id-ordered columns, which orders by (distance, id).
+its memory does not grow with the number of queries.  A tile is copied
+from a materialised distance block or, given a :class:`_LazyBlock`,
+computed by :func:`dist_block` from the points themselves, so a table over
+n queries needs O(tile + n * depth) memory, never an (n, m) block.  In each
+tile it finds every row's prefix with one partition, decides from the next
+order statistic whether a tie straddles the prefix edge (only those rows
+are re-ranked over all columns), and ranks the prefix by one stable sort
+over id-ordered columns, which orders by (distance, id).
 """
 
 from __future__ import annotations
@@ -135,13 +138,31 @@ def dist_block(a, b) -> np.ndarray:
     so ``dist_block(p, p)`` is exactly symmetric and its rows are its
     columns.
     """
+    return cdist(*_operands(a, b))
+
+
+def _operands(a, b):
     a = _as_points(a, "a")
     b = _as_points(b, "b")
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    return cdist(a, b)
+    return a, b
+
+
+class _LazyBlock:
+    """Stands for ``dist_block(queries, refs)`` without computing it.
+
+    :func:`neighbor_tables` fills each query tile with
+    ``dist_block(queries[lo:hi], refs)``, which is bit-identical to the same
+    rows of the full block because every entry is computed from its two rows
+    alone.
+    """
+
+    def __init__(self, queries, refs):
+        self.queries, self.refs = _operands(queries, refs)
+        self.shape = (self.queries.shape[0], self.refs.shape[0])
 
 
 #: Distances per query block in :func:`neighbor_tables`.  The tile and its
@@ -181,9 +202,10 @@ def neighbor_tables(
 
     Parameters
     ----------
-    dcols : (nq, m) distances from each query to each reference point.  Any
-        memory layout works; each block of rows is copied into a contiguous
-        tile, so a transposed row gather is as good as a column gather.
+    dcols : (nq, m) distances from each query to each reference point, or a
+        :class:`_LazyBlock` that computes them tile by tile.  Any memory
+        layout works; each block of rows is copied into a contiguous tile,
+        so a transposed row gather is as good as a column gather.
     reference_ids : (m,) original ids of the reference columns.
     query_ids : (nq,) original ids of the queries, or None when no query is a
         member of the reference set.  Membership is decided by id equality.
@@ -191,18 +213,21 @@ def neighbor_tables(
         any query is a member, else depth <= m.
 
     Queries are processed in blocks of ``_BLOCK_CELLS // m`` rows (at least
-    one), each copied into one reused tile, so the temporaries stay
-    cache-sized whatever nq is.  A tile holds its columns in ascending id
-    order (for non-ascending ``reference_ids`` that order is computed once
-    and applied as each tile is copied).  Each row keeps its ``need = depth + 1`` smallest entries via a
-    partition at ``kth = need``: position ``need`` then holds the next order
-    statistic, and when it equals the need-th distance a tie straddles the
-    prefix edge and the row is re-ranked by a stable sort over all its
-    columns.  Otherwise the kept positions are sorted ascending and ranked
-    by one stable argsort of their distances.  Both orders are (distance,
-    id), so ties go to the smaller original id.
+    one), each copied into one reused tile or computed by :func:`dist_block`,
+    so the temporaries stay cache-sized whatever nq is.  A tile holds its
+    columns in ascending id order (for non-ascending ``reference_ids`` that
+    order is computed once and applied as each tile is copied, or to the
+    reference points once).  Each row keeps its ``need = depth + 1``
+    smallest entries via a partition at ``kth = need``: position ``need``
+    then holds the next order statistic, and when it equals the need-th
+    distance a tie straddles the prefix edge and the row is re-ranked by a
+    stable sort over all its columns.  Otherwise the kept positions are
+    sorted ascending and ranked by one stable argsort of their distances.
+    Both orders are (distance, id), so ties go to the smaller original id.
     """
-    dcols = np.asarray(dcols, dtype=np.float64)
+    lazy = isinstance(dcols, _LazyBlock)
+    if not lazy:
+        dcols = np.asarray(dcols, dtype=np.float64)
     nq, m = dcols.shape
     reference_ids = np.asarray(reference_ids, dtype=np.int64).reshape(-1)
     if reference_ids.shape[0] != m:
@@ -234,14 +259,20 @@ def neighbor_tables(
         excl_idx, excl_dist = incl_idx, incl_dist
 
     rows = max(1, _BLOCK_CELLS // m)
-    tile = np.empty((min(rows, nq), m))
+    if lazy:
+        refs = dcols.refs if by_id is None else dcols.refs[by_id]
+    else:
+        tile = np.empty((min(rows, nq), m))
     for lo in range(0, nq, rows):
         hi = min(nq, lo + rows)
-        t = tile[: hi - lo]
-        if by_id is None:
-            np.copyto(t, dcols[lo:hi])
+        if lazy:
+            t = dist_block(dcols.queries[lo:hi], refs)
         else:
-            np.take(dcols[lo:hi], by_id, axis=1, out=t)
+            t = tile[: hi - lo]
+            if by_id is None:
+                np.copyto(t, dcols[lo:hi])
+            else:
+                np.take(dcols[lo:hi], by_id, axis=1, out=t)
         pos, pd = _ranked_prefix(t, need)
         pids = ids[pos]
         incl_idx[lo:hi] = pids[:, :depth]

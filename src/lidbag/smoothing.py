@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, dist_block, neighbor_tables
+from .geometry import PointCloud, _LazyBlock, dist_block, neighbor_tables
 from .estimators import EstimatorConfig
 from .bagging import (
     AnchoredMean,
@@ -113,7 +113,7 @@ def smooth(estimates, reference, queries, cfg: SmoothingConfig, *, flags=None):
     if cfg.k_s > m:
         raise SmoothingCapacityError(cfg.k_s, m)
     tables = neighbor_tables(
-        dist_block(queries, ref_points), np.arange(m, dtype=np.int64), None, cfg.k_s
+        _LazyBlock(queries, ref_points), np.arange(m, dtype=np.int64), None, cfg.k_s
     )
     out, out_flags = gather_mean(
         estimates, tables.incl_idx, None if flags is None else np.asarray(flags, dtype=bool)
@@ -163,26 +163,31 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
              progress=None) -> None:
     """Run feasible plan cells over one cloud, sharing all the work they allow.
 
-    * One n x n distance block is built only when a cell needs full-cloud
-      neighborhoods (``baseline``, ``smoothed``, the post-smoothed variants)
-      or when some ensemble's bags would cost as much distance work as the
-      block (r * B >= 1).  One deep table on it serves every full-cloud
-      estimate and post-smoothing neighborhood (sorted neighbor prefixes
-      nest, so any smaller k is a column slice).
+    * One n x n distance block is built only when some ensemble's bags
+      would cost as much distance work as the block (r * B >= 1).  Every
+      table reads its distances from that block when it exists and
+      otherwise computes them one cache-sized query tile at a time (the
+      two are bit-identical), so at r * B < 1 memory stays O(tile + n * k)
+      and no n x n or n x m block is ever built.
+    * One deep full-cloud table serves every ``baseline`` and ``smoothed``
+      estimate and every post-smoothing neighborhood (sorted neighbor
+      prefixes nest, so any smaller k is a column slice).
     * Bagged cells with the same rate and seed share one ensemble: its bags
       are drawn once, their distance columns are read from the shared
       block when there is one (as its rows, transposed: the block is exactly
-      symmetric) and computed per bag otherwise (the two are bit-identical),
-      and one table per bag serves every cell.  Each cell is
-      emitted when the growing ensemble reaches its B, so a B grid costs
-      max(B) bags, not sum(B).
+      symmetric) and streamed from the bag's points otherwise, and one table
+      per bag serves every cell.  Each cell is emitted when the growing
+      ensemble reaches its B, so a B grid costs max(B) bags, not sum(B).
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
     cell's attributable kernel, smoothing and aggregation time (the shared
     distance and table work is excluded).  All parallelism is a map over
     bags whose results merge in bag order, so the output does not depend on
-    ``threads``.  ``progress`` receives one line per ensemble.
+    ``threads``, which must be at least 1.  ``progress`` receives one line
+    per ensemble.
     """
+    if threads < 1:
+        raise SmoothingError(f"threads must be >= 1, got {threads}")
     points, n = cloud.points, cloud.n
     ids = np.arange(n, dtype=np.int64)
     ensembles: dict[tuple, list[PlanCell]] = {}
@@ -193,17 +198,16 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     full_ks = [c.k_s for c in cells if c.variant == "smoothed" or c.variant in _POST]
 
     dfull = None
-    if unbagged or full_ks or any(
-        rate * max(c.bags.bags for c in group) >= 1.0
-        for (rate, _), group in ensembles.items()
-    ):
+    if any(rate * max(c.bags.bags for c in group) >= 1.0
+           for (rate, _), group in ensembles.items()):
         dfull = dist_block(points, points)
+    dsource = _LazyBlock(points, points) if dfull is None else dfull
     full = None
     if unbagged:
         depth_incl = max(full_ks) if full_ks else None
-        full = bag_tables(dfull, ids, ids, max(c.est.k for c in unbagged), depth_incl)
+        full = bag_tables(dsource, ids, ids, max(c.est.k for c in unbagged), depth_incl)
     elif full_ks:
-        full = neighbor_tables(dfull, ids, None, max(full_ks))
+        full = neighbor_tables(dsource, ids, None, max(full_ks))
 
     for cell in unbagged:
         t0 = time.perf_counter()
@@ -233,7 +237,7 @@ def _run_ensemble(cloud, group, dfull, full, emit, policy, threads, progress):
     def one_bag(i: int):
         bag = bags[i]
         # m contiguous rows instead of a strided gather across every row.
-        dcols = dist_block(points, points[bag]) if dfull is None else dfull[bag].T
+        dcols = _LazyBlock(points, points[bag]) if dfull is None else dfull[bag].T
         tables = bag_tables(dcols, bag, ids, depth_excl, depth_incl)
         raw, out = {}, {}
         for est, ks in keys:

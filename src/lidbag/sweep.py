@@ -406,11 +406,13 @@ def benchmark_runtime(
 ) -> list[BenchmarkPoint]:
     """Time ``variant_estimates`` for the baseline against the bagged variant.
 
-    Nothing is cached between calls: the baseline builds its n^2 distance
-    block, and the bagged variant builds B blocks of n*m when r*B < 1 and
-    one shared n^2 block otherwise, the cost model in which bagging wins
-    when r*B < 1.  Each measurement discards one warmup run and keeps the
-    median of ``repeats``.
+    Nothing is cached between calls: the baseline computes its n^2
+    distances and the bagged variant its B * n * m (one shared n^2 block
+    when r*B >= 1), the cost model in which bagging wins when r*B < 1.
+    Below r*B = 1 neither holds an n^2 block: distances are computed one
+    query tile at a time as the neighbor tables consume them.  Each
+    measurement discards one warmup run and keeps the median of
+    ``repeats``.
     """
     out = []
     for n in n_values:

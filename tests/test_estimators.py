@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidbag import estimators
 from lidbag.estimators import (
     CLAMP_DIM_FACTOR,
     METHODS,
@@ -170,6 +171,31 @@ class TestTleValues:
     def test_shape_validation(self):
         with pytest.raises(EstimatorError):
             tle_values(np.ones((2, 3)), np.zeros((2, 4, 2)), np.zeros((2, 2)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(2, 72), dim=st.integers(1, 5), lattice=st.booleans(),
+           seed=st.integers(0, 2**31))
+    def test_rows_independent_of_chunking(self, k, dim, lattice, seed):
+        # A row subset is chunked differently from the full batch; every
+        # row must still come out bit for bit the same.
+        r = np.random.default_rng(seed)
+        chunk = max(1, estimators._TLE_CELLS // (k * k))
+        n = 3 * chunk + int(r.integers(1, chunk + 1))
+        q = r.normal(size=(n, dim))
+        if lattice:  # equidistant and coincident neighbors
+            off = r.integers(-2, 3, size=(n, k, dim)).astype(np.float64)
+            off[np.all(off == 0.0, axis=2)] = 1.0
+        else:
+            off = r.normal(size=(n, k, dim))
+        d = np.linalg.norm(off, axis=2)
+        order = np.argsort(d, axis=1, kind="stable")
+        d = np.take_along_axis(d, order, axis=1)
+        nb = q[:, None, :] + np.take_along_axis(off, order[:, :, None], axis=1)
+        values, div = tle_values(d, nb, q)
+        rows = r.choice(n, size=int(r.integers(1, n + 1)), replace=False)
+        sub_values, sub_div = tle_values(d[rows], nb[rows], q[rows])
+        assert sub_values.tobytes() == values[rows].tobytes()
+        assert sub_div.tobytes() == div[rows].tobytes()
 
 
 class TestClamping:

@@ -373,9 +373,12 @@ class TestBlockedKernel:
         depth = {"one": 1, "max": max_depth,
                  "any": int(rng.integers(1, max_depth + 1))}[depth_kind]
         dcols = dist_block(pts, pts[ref_ids])
-        got = neighbor_tables(dcols, ref_ids, query_ids, depth)
         want = lexsort_tables(dcols, ref_ids, query_ids, depth)
-        for field, ref in zip(("incl_idx", "incl_dist", "excl_idx", "excl_dist"), want):
-            out = getattr(got, field)
-            assert out.shape == ref.shape, field
-            assert out.tobytes() == np.ascontiguousarray(ref).tobytes(), field
+        # The materialised block and the lazy source that computes each tile
+        # from the points must give the same tables.
+        for source in (dcols, geometry._LazyBlock(pts, pts[ref_ids])):
+            got = neighbor_tables(source, ref_ids, query_ids, depth)
+            for field, ref in zip(("incl_idx", "incl_dist", "excl_idx", "excl_dist"), want):
+                out = getattr(got, field)
+                assert out.shape == ref.shape, (type(source), field)
+                assert out.tobytes() == np.ascontiguousarray(ref).tobytes(), (type(source), field)

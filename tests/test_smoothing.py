@@ -15,7 +15,8 @@ from lidbag.bagging import (
 )
 from lidbag.datasets import GeneratorSpec, generate
 from lidbag.estimators import EstimatorConfig
-from lidbag.geometry import PointCloud, dist_block
+from lidbag import geometry, smoothing
+from lidbag.geometry import PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import (
     VARIANTS,
     SmoothingCapacityError,
@@ -31,7 +32,8 @@ def reference(cloud, variant, est, bag_cfg=None, k_s=None, policy="clamp", trace
     """Loop-based reference for all six variants: each bag from scratch.
 
     Per bag: dist_block -> bag_tables -> estimates_from_tables -> in-bag
-    gather_mean (pre) -> AnchoredMean; then a full-cloud smooth (post).  The
+    gather_mean (pre) -> AnchoredMean; then a gather_mean over neighbor
+    tables of the materialised full-cloud block (post).  The
     unbagged variants are one bag holding the whole cloud.  ``trace``, if
     given, receives (bag, raw estimates, pre-smoothing neighborhoods) per bag.
     """
@@ -53,7 +55,8 @@ def reference(cloud, variant, est, bag_cfg=None, k_s=None, policy="clamp", trace
         acc.add(values, flags)
     values, flags = acc.result(policy)
     if post:
-        values, flags = smooth(values, cloud, points, SmoothingConfig(k_s), flags=flags)
+        hood = neighbor_tables(dist_block(points, points), ids, None, k_s).incl_idx
+        values, flags = gather_mean(values, hood, flags)
     return values, flags
 
 
@@ -98,6 +101,58 @@ class TestEngineMatchesReference:
         got = variant_estimates(self.cloud, "bagged_pre_post", est, bag_cfg, threads=2)
         want = reference(self.cloud, "bagged_pre_post", est, bag_cfg)
         assert got[0].tobytes() == want[0].tobytes()
+
+
+class TestStreamedPath:
+    """At r*B < 1 every table streams its distances tile by tile."""
+
+    # m = 110 columns per bag: 4 query tiles per bag table, 38 per full table.
+    cloud = generate(GeneratorSpec("M12_Norm", n=1100, seed=2))
+    est = EstimatorConfig(method="mle", k=6)
+
+    def spy(self, monkeypatch):
+        shapes = []
+
+        def recording(a, b, _real=geometry.dist_block):
+            out = _real(a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(geometry, "dist_block", recording)
+        monkeypatch.setattr(smoothing, "dist_block", recording)
+        return shapes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_block_beyond_a_tile_below_rb_one(self, variant, monkeypatch):
+        n = self.cloud.n
+        shapes = self.spy(monkeypatch)
+        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
+        assert shapes
+        assert max(a * b for a, b in shapes) <= max(geometry._BLOCK_CELLS, n)
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v.startswith("bagged")])
+    def test_one_shared_block_at_rb_one(self, variant, monkeypatch):
+        n = self.cloud.n
+        shapes = self.spy(monkeypatch)
+        bag_cfg = BaggingConfig(bags=10, rate=0.1, seed=1)
+        variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
+        assert shapes == [(n, n)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_thread_count_identity(self, variant):
+        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        s_cfg = SmoothingConfig(9)
+        one = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=1)
+        three = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=3)
+        assert one[0].tobytes() == three[0].tobytes()
+        assert one[1].tobytes() == three[1].tobytes()
+
+    def test_rejects_thread_count_below_one(self):
+        bag_cfg = BaggingConfig(bags=2, rate=0.1, seed=1)
+        for threads in (0, -5):
+            with pytest.raises(SmoothingError, match=f"threads must be >= 1, got {threads}"):
+                variant_estimates(self.cloud, "bagged", self.est, bag_cfg, threads=threads)
 
 
 class TestSmoothingConfig:

@@ -380,6 +380,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["estimate", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("verb", [["estimate", "--dataset", "M7_Roll"], ["sweep"]])
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys, verb, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--threads", threads, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_report_round_trip(self, tmp_path, capsys):
         sweep_out = tmp_path / "sweep"
         rc = main(["sweep", "--datasets", "M5b_Helix2d", "--estimators", "mle",
