@@ -126,13 +126,7 @@ class AnchoredMean:
         return np.where(usable, mean_ok, mean_all), ~usable
 
 
-def estimates_from_tables(
-    config: EstimatorConfig,
-    tables: NeighborTables,
-    points: np.ndarray,
-    *,
-    k: int | None = None,
-):
+def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, points: np.ndarray):
     """Clamped estimates for every query from prebuilt neighbor tables.
 
     Slices the first k columns of the self-excluded tables (sorted neighbor
@@ -143,7 +137,7 @@ def estimates_from_tables(
     sentinel, so ``clamp`` caps it and ``skip`` drops it from a bagged
     mean, and the kernel runs on the other queries only.
     """
-    k = config.k if k is None else k
+    k = config.k
     if k > tables.depth:
         raise BaggingError(f"tables of depth {tables.depth} cannot serve k={k}")
     clamp_max = config.resolve_clamp(points.shape[1])
@@ -152,20 +146,13 @@ def estimates_from_tables(
     ok = np.nonzero(~dup)[0] if dup.any() else slice(None)
     values = np.full(dup.shape[0], np.inf)
     flags = dup.copy()
-    values[ok], flags[ok] = _kernel(
-        config, tables.excl_dist[ok, :k], tables.excl_idx[ok, :k], points, ok
-    )
-    return clamp_values(values, flags, clamp_max)
-
-
-def _kernel(config: EstimatorConfig, d, idx, points, queries=slice(None)):
-    """Unclamped estimates from sorted distances ``d`` to neighbors ``idx``
-    of the query points ``points[queries]``."""
+    d, idx = tables.excl_dist[ok, :k], tables.excl_idx[ok, :k]
     if config.method == "tle":
-        return batch_values(
-            "tle", d, neighbor_points=points[idx], query_points=points[queries]
-        )
-    return batch_values(config.method, d, normalization=config.mle_normalization)
+        raw = batch_values("tle", d, neighbor_points=points[idx], query_points=points[ok])
+    else:
+        raw = batch_values(config.method, d, normalization=config.mle_normalization)
+    values[ok], flags[ok] = raw
+    return clamp_values(values, flags, clamp_max)
 
 
 def bag_tables(
@@ -175,20 +162,19 @@ def bag_tables(
     depth_excl: int,
     depth_incl: int | None = None,
 ) -> NeighborTables:
-    """Neighbor tables of all queries against one bag.
+    """Neighbor tables of all queries against one bag, in one pass.
 
     ``dfull_cols`` holds the distances from every query to the bag's points:
-    the bag's rows of the symmetric full distance matrix, transposed, or a
-    lazy block that :func:`~lidbag.geometry.neighbor_tables` computes tile
-    by tile (the two are exactly equal).  ``depth_incl`` may exceed
-    ``depth_excl`` up to the bag size for smoothing neighborhoods.
+    the bag's rows of the symmetric full distance matrix, transposed
+    (materialised, or read span by span through a geometry ``_BlockRows``),
+    or a lazy block that :func:`~lidbag.geometry.neighbor_tables` computes
+    tile by tile (all exactly equal).  The self-excluded tables keep
+    ``depth_excl`` neighbors, at most m - 1; the inclusive (smoothing)
+    tables keep ``depth_incl`` (default ``depth_excl``), at most the bag
+    size m, and both come from one :func:`~lidbag.geometry.neighbor_tables`
+    pass over the distances.
     """
     m = bag.shape[0]
-    combined = depth_excl if depth_incl is None else max(depth_excl, depth_incl)
-    if combined <= m - 1:
-        return neighbor_tables(dfull_cols, bag, query_ids, combined)
     if depth_excl > m - 1:
         raise LocalityCapacityError(depth_excl, m)
-    est = neighbor_tables(dfull_cols, bag, query_ids, depth_excl)
-    incl = neighbor_tables(dfull_cols, bag, None, min(depth_incl, m))
-    return NeighborTables(incl.incl_idx, incl.incl_dist, est.excl_idx, est.excl_dist)
+    return neighbor_tables(dfull_cols, bag, query_ids, depth_excl, depth_incl)

@@ -2,16 +2,17 @@
 
 All verbs write CSV into --out and print a short summary to stdout.  The
 sweep verb accepts a JSON config file mirroring SweepGrid; explicit flags
-override config values.  Floats are printed with 17 significant digits so
-files round-trip exactly.
+override config values.  Every result CSV goes through
+:func:`lidbag.sweep.write_csv`, whose floats (17 significant digits)
+round-trip exactly; ``generate`` writes datasets with their own format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .datasets import (
@@ -36,10 +37,10 @@ from .sweep import (
     SweepGrid,
     benchmark_runtime,
     emit_heatmap_data,
-    fmt_float,
     read_sweep_csv,
     run_sweep,
     write_best_csv,
+    write_csv,
     write_heatmap_csv,
     write_skips_csv,
     write_sweep_csv,
@@ -128,11 +129,7 @@ def _cmd_estimate(args) -> int:
         policy=args.policy, threads=args.threads,
     )
     path = out / "estimates.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["query", "estimate", "divergent"])
-        for q, (v, f) in enumerate(zip(values, flags)):
-            w.writerow([str(q), fmt_float(v), str(int(f))])
+    write_csv(path, ("query", "estimate", "divergent"), zip(range(cloud.n), values, flags))
     dec = decompose(values, cloud)
     print(f"{label}: {args.variant} {args.estimator} k={args.k}"
           + (f" r={args.r} B={args.bags}" if bag_cfg else ""))
@@ -182,8 +179,6 @@ def _grid_from_args(args) -> SweepGrid:
         cfg["policy"] = args.policy
     if args.mle_normalization is not None:
         cfg["mle_normalization"] = args.mle_normalization
-    if cfg.get("datasets") == "all":
-        cfg["datasets"] = list(DATASET_NAMES)
     return SweepGrid.from_dict(cfg)
 
 
@@ -213,11 +208,8 @@ def _cmd_theory(args) -> int:
     out = _out_dir(args)
     if args.experiment == "overlap":
         exp = run_overlap(args.n, args.m, args.trials, args.seed)
-        with open(out / "overlap.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["h", "observed", "expected_pmf"])
-            for h, (obs, pmf) in enumerate(zip(exp.histogram, exp.pmf)):
-                w.writerow([str(h), str(int(obs)), fmt_float(pmf)])
+        write_csv(out / "overlap.csv", ("h", "observed", "expected_pmf"),
+                  zip(range(len(exp.pmf)), exp.histogram, exp.pmf))
         lines = exp.summary_lines()
     elif args.experiment == "variance":
         rows = []
@@ -227,25 +219,15 @@ def _cmd_theory(args) -> int:
             rows.append(exp)
             lines.extend(exp.summary_lines())
             lines.append("")
-        with open(out / "variance.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "r", "m", "B", "trials", "var_single", "var_bagged",
-                        "cov", "rho", "closed_form", "closed_form_analytic",
-                        "sandwich_ok"])
-            for e in rows:
-                w.writerow([str(e.n), fmt_float(e.r), str(e.m), str(e.B),
-                            str(e.trials), fmt_float(e.var_single),
-                            fmt_float(e.var_bagged), fmt_float(e.cov),
-                            fmt_float(e.rho), fmt_float(e.closed_form()),
-                            fmt_float(e.closed_form_analytic), str(int(e.sandwich_ok))])
+        write_csv(out / "variance.csv",
+                  ("n", "r", "m", "B", "trials", "var_single", "var_bagged", "cov", "rho",
+                   "closed_form", "closed_form_analytic", "sandwich_ok"),
+                  [(e.n, e.r, e.m, e.B, e.trials, e.var_single, e.var_bagged, e.cov, e.rho,
+                    e.closed_form(), e.closed_form_analytic, e.sandwich_ok) for e in rows])
     else:  # conditional
         exp = run_conditional_covariance(args.n, args.r, args.trials, args.seed)
-        with open(out / "conditional.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["h", "count", "gamma_hat", "se", "gamma_analytic"])
-            for b in exp.bins:
-                w.writerow([str(b.h), str(b.count), fmt_float(b.gamma_hat),
-                            fmt_float(b.se), fmt_float(b.gamma_analytic)])
+        cols = ("h", "count", "gamma_hat", "se", "gamma_analytic")
+        write_csv(out / "conditional.csv", cols, map(attrgetter(*cols), exp.bins))
         lines = exp.summary_lines()
     _write_lines(out / "summary.txt", lines)
     for line in lines:
@@ -283,15 +265,9 @@ def _cmd_bench(args) -> int:
         args.n_values, args.bags, args.r, args.estimator,
         k=args.k, seed=args.seed, repeats=args.repeats,
     )
-    with open(out / "bench.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "r", "B", "k", "estimator", "t_base_ms", "t_bag_ms",
-                    "rb", "predicted_bag_faster", "bag_faster", "agrees"])
-        for p in points:
-            w.writerow([str(p.n), fmt_float(p.r), str(p.B), str(p.k), p.estimator,
-                        fmt_float(p.t_base_ms), fmt_float(p.t_bag_ms), fmt_float(p.rb),
-                        str(int(p.predicted_bag_faster)), str(int(p.bag_faster)),
-                        str(int(p.agrees))])
+    cols = ("n", "r", "B", "k", "estimator", "t_base_ms", "t_bag_ms", "rb",
+            "predicted_bag_faster", "bag_faster", "agrees")
+    write_csv(out / "bench.csv", cols, map(attrgetter(*cols), points))
     for p in points:
         verdict = "agrees with" if p.agrees else "CONTRADICTS"
         print(f"n={p.n} r*B={p.rb:g}: base {p.t_base_ms:.1f} ms,"

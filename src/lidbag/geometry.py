@@ -9,9 +9,10 @@ reference-set permutation, worker count, and platform.
 
 :func:`neighbor_tables` works through its queries in fixed-size tiles, so
 its memory does not grow with the number of queries.  A tile is copied
-from a materialised distance block or, given a :class:`_LazyBlock`,
-computed by :func:`dist_block` from the points themselves, so a table over
-n queries needs O(tile + n * depth) memory, never an (n, m) block.  In each
+from a materialised distance block, read from segments of its rows given a
+:class:`_BlockRows`, or, given a :class:`_LazyBlock`, computed by
+:func:`dist_block` from the points themselves, so a table over n queries
+needs O(tile + n * depth) memory, never an (n, m) block.  In each
 tile it finds every row's prefix with one partition, decides from the next
 order statistic whether a tie straddles the prefix edge (only those rows
 are re-ranked over all columns), and ranks the prefix by one stable sort
@@ -165,11 +166,31 @@ class _LazyBlock:
         self.shape = (self.queries.shape[0], self.refs.shape[0])
 
 
+class _BlockRows:
+    """Stands for ``block[rows].T`` without gathering it.
+
+    For the exactly symmetric ``dist_block(p, p)`` that is the distance
+    from every point to the points ``rows``.  :func:`neighbor_tables` reads
+    ``block[rows, lo:lo + span]`` (contiguous row segments) for a span of
+    queries at a time and fills its tiles from that, so no (n, m) copy is
+    made.
+    """
+
+    def __init__(self, block, rows):
+        self.block, self.rows = block, np.asarray(rows, dtype=np.int64)
+        self.shape = (block.shape[1], self.rows.shape[0])
+
+
 #: Distances per query block in :func:`neighbor_tables`.  The tile and its
 #: partition index (256 KiB each) stay cache-sized and are reused from the
 #: heap block after block, so a table's temporaries no longer grow with the
 #: number of queries or fault fresh pages in for every table.
 _BLOCK_CELLS = 32768
+
+#: Queries per row-segment read from a :class:`_BlockRows` (rounded up to
+#: whole tiles): 1 KiB segments, long enough to stream from memory, while
+#: the (m, span) buffer stays within a few MiB.
+_SPAN = 128
 
 
 @dataclass(frozen=True)
@@ -197,36 +218,46 @@ def neighbor_tables(
     reference_ids: np.ndarray,
     query_ids: np.ndarray | None,
     depth: int,
+    depth_incl: int | None = None,
 ) -> NeighborTables:
     """Build inclusive/exclusive sorted neighbor tables from a distance block.
 
     Parameters
     ----------
-    dcols : (nq, m) distances from each query to each reference point, or a
-        :class:`_LazyBlock` that computes them tile by tile.  Any memory
-        layout works; each block of rows is copied into a contiguous tile,
-        so a transposed row gather is as good as a column gather.
+    dcols : (nq, m) distances from each query to each reference point, a
+        :class:`_LazyBlock` that computes them tile by tile, or a
+        :class:`_BlockRows` that reads them from rows of a symmetric block.
+        Any memory layout works; each block of rows is copied into a
+        contiguous tile.
     reference_ids : (m,) original ids of the reference columns.
     query_ids : (nq,) original ids of the queries, or None when no query is a
         member of the reference set.  Membership is decided by id equality.
-    depth : number of neighbors to keep per row; requires depth <= m - 1 when
-        any query is a member, else depth <= m.
+    depth : number of neighbors to keep per row in ``excl_*``; requires
+        depth <= m - 1 when any query is a member, else depth <= m.
+    depth_incl : number of neighbors to keep per row in ``incl_*`` (default
+        ``depth``); requires depth_incl <= m.  One pass serves both depths,
+        so a smoothing neighborhood may reach the whole reference set while
+        the estimation depth stays below it.
 
     Queries are processed in blocks of ``_BLOCK_CELLS // m`` rows (at least
     one), each copied into one reused tile or computed by :func:`dist_block`,
     so the temporaries stay cache-sized whatever nq is.  A tile holds its
     columns in ascending id order (for non-ascending ``reference_ids`` that
     order is computed once and applied as each tile is copied, or to the
-    reference points once).  Each row keeps its ``need = depth + 1``
-    smallest entries via a partition at ``kth = need``: position ``need``
-    then holds the next order statistic, and when it equals the need-th
-    distance a tie straddles the prefix edge and the row is re-ranked by a
-    stable sort over all its columns.  Otherwise the kept positions are
-    sorted ascending and ranked by one stable argsort of their distances.
-    Both orders are (distance, id), so ties go to the smaller original id.
+    reference points once).  Each row keeps its
+    ``need = min(max(depth + 1, depth_incl), m)`` smallest entries, by a
+    stable sort of the whole row when need = m and otherwise via a partition
+    at ``kth = need``: position ``need`` then holds the next order
+    statistic, and when it equals the need-th distance a tie straddles the
+    prefix edge and the row is re-ranked by a stable sort over all its
+    columns.  Otherwise the kept positions are sorted ascending and ranked
+    by one stable argsort of their distances.  Both orders are
+    (distance, id), so ties go to the smaller original id, and ``incl_*``
+    and ``excl_*`` are cut from the same ranked prefix.
     """
     lazy = isinstance(dcols, _LazyBlock)
-    if not lazy:
+    segmented = isinstance(dcols, _BlockRows)
+    if not (lazy or segmented):
         dcols = np.asarray(dcols, dtype=np.float64)
     nq, m = dcols.shape
     reference_ids = np.asarray(reference_ids, dtype=np.int64).reshape(-1)
@@ -238,11 +269,14 @@ def neighbor_tables(
     max_depth = m - 1 if member_possible else m
     if depth > max_depth:
         raise CapacityError(depth, max_depth)
+    depth_incl = depth if depth_incl is None else depth_incl
+    if depth_incl > m:
+        raise CapacityError(depth_incl, m)
     if member_possible:
         qids = np.asarray(query_ids, dtype=np.int64).reshape(-1)
         if qids.shape[0] != nq:
             raise GeometryError("query_ids must match dcols rows")
-    need = min(depth + 1, m)
+    need = min(max(depth + 1, depth_incl), m)
 
     if np.all(reference_ids[1:] >= reference_ids[:-1]):
         by_id, ids = None, reference_ids
@@ -250,11 +284,11 @@ def neighbor_tables(
         by_id = np.argsort(reference_ids, kind="stable")
         ids = reference_ids[by_id]
 
-    incl_idx = np.empty((nq, depth), dtype=np.int64)
-    incl_dist = np.empty((nq, depth))
-    if member_possible:
-        excl_idx = np.empty_like(incl_idx)
-        excl_dist = np.empty_like(incl_dist)
+    incl_idx = np.empty((nq, depth_incl), dtype=np.int64)
+    incl_dist = np.empty((nq, depth_incl))
+    if member_possible or depth != depth_incl:
+        excl_idx = np.empty((nq, depth), dtype=np.int64)
+        excl_dist = np.empty((nq, depth))
     else:
         excl_idx, excl_dist = incl_idx, incl_dist
 
@@ -263,26 +297,34 @@ def neighbor_tables(
         refs = dcols.refs if by_id is None else dcols.refs[by_id]
     else:
         tile = np.empty((min(rows, nq), m))
+    if segmented:
+        block_rows = dcols.rows if by_id is None else dcols.rows[by_id]
+        span = rows * -(-_SPAN // rows)
     for lo in range(0, nq, rows):
         hi = min(nq, lo + rows)
         if lazy:
             t = dist_block(dcols.queries[lo:hi], refs)
         else:
             t = tile[: hi - lo]
-            if by_id is None:
+            if segmented:
+                if lo % span == 0:
+                    seg = dcols.block[block_rows, lo : lo + span]
+                np.copyto(t, seg[:, lo % span : lo % span + hi - lo].T)
+            elif by_id is None:
                 np.copyto(t, dcols[lo:hi])
             else:
                 np.take(dcols[lo:hi], by_id, axis=1, out=t)
         pos, pd = _ranked_prefix(t, need)
         pids = ids[pos]
-        incl_idx[lo:hi] = pids[:, :depth]
-        incl_dist[lo:hi] = pd[:, :depth]
+        incl_idx[lo:hi] = pids[:, :depth_incl]
+        incl_dist[lo:hi] = pd[:, :depth_incl]
+        if excl_idx is not incl_idx:
+            excl_idx[lo:hi] = pids[:, :depth]
+            excl_dist[lo:hi] = pd[:, :depth]
         if member_possible:
             # Move each query's own entry to the end, keeping the rest in order.
             self_mask = pids == qids[lo:hi, None]
             hit = np.nonzero(self_mask.any(axis=1))[0]
-            excl_idx[lo:hi] = pids[:, :depth]
-            excl_dist[lo:hi] = pd[:, :depth]
             if hit.size:
                 push = np.argsort(self_mask[hit], axis=1, kind="stable")[:, :depth]
                 excl_idx[lo + hit] = _take_rows(pids[hit], push)

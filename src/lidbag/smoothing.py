@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, _LazyBlock, dist_block, neighbor_tables
+from .geometry import PointCloud, _BlockRows, _LazyBlock, dist_block, neighbor_tables
 from .estimators import EstimatorConfig
 from .bagging import (
     AnchoredMean,
@@ -174,8 +174,9 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       prefixes nest, so any smaller k is a column slice).
     * Bagged cells with the same rate and seed share one ensemble: its bags
       are drawn once, their distance columns are read from the shared
-      block when there is one (as its rows, transposed: the block is exactly
-      symmetric) and streamed from the bag's points otherwise, and one table
+      block when there is one (as segments of its rows, span by span: the
+      block is exactly symmetric, so no n x m copy is made) and streamed
+      from the bag's points otherwise, and one table
       per bag serves every cell.  Each cell is emitted when the growing
       ensemble reaches its B, so a B grid costs max(B) bags, not sum(B).
 
@@ -236,8 +237,7 @@ def _run_ensemble(cloud, group, dfull, full, emit, policy, threads, progress):
 
     def one_bag(i: int):
         bag = bags[i]
-        # m contiguous rows instead of a strided gather across every row.
-        dcols = _LazyBlock(points, points[bag]) if dfull is None else dfull[bag].T
+        dcols = _LazyBlock(points, points[bag]) if dfull is None else _BlockRows(dfull, bag)
         tables = bag_tables(dcols, bag, ids, depth_excl, depth_incl)
         raw, out = {}, {}
         for est, ks in keys:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .smoothing import (
     variant_estimates,
 )
 from .evaluation import decompose, log_ratio
-
-SCHEMA_VERSION = 1
 
 #: Non-timing sweep columns, in file order.
 SWEEP_COLUMNS = (
@@ -451,39 +450,41 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _row_record(row: SweepRow, cols) -> list[str]:
-    rec = []
-    for c in cols:
-        v = getattr(row, c)
-        rec.append(fmt_float(v) if isinstance(v, float) else str(v))
-    return rec
+def _cell(v) -> str:
+    # bool before float and int: np.bool_ is neither, and str(np.True_) is "True".
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` (sequences of cells) to ``path``.
+
+    This is the convention of every result file lidbag writes: one header
+    row, ``\n`` line ends, floats with 17 significant digits (each parses
+    back to the same double), booleans as 0/1, anything else through
+    ``str``.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_sweep_csv(result: SweepResult, path, *, include_timing: bool = False) -> None:
     """Primary results CSV; timing column only on request (see module doc)."""
     cols = SWEEP_COLUMNS + (("wall_time_ms",) if include_timing else ())
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for row in result.sorted_rows():
-            w.writerow(_row_record(row, cols))
+    write_csv(path, cols, map(attrgetter(*cols), result.sorted_rows()))
 
 
 def write_timing_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TIMING_COLUMNS)
-        for row in result.sorted_rows():
-            w.writerow(_row_record(row, TIMING_COLUMNS))
+    write_csv(path, TIMING_COLUMNS, map(attrgetter(*TIMING_COLUMNS), result.sorted_rows()))
 
 
 def write_skips_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SKIP_COLUMNS)
-        for s in result.sorted_skips():
-            w.writerow([s.dataset, s.estimator, s.variant, str(s.k),
-                        fmt_float(s.r), str(s.B), s.reason])
+    write_csv(path, SKIP_COLUMNS, map(attrgetter(*SKIP_COLUMNS), result.sorted_skips()))
 
 
 def read_sweep_csv(path) -> SweepResult:
@@ -506,18 +507,9 @@ def read_sweep_csv(path) -> SweepResult:
 
 
 def write_heatmap_csv(cells: list[HeatmapCell], path, y_name: str = "k") -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["dataset", "estimator", "variant", y_name, "r", "log_mse_ratio"])
-        for c in cells:
-            w.writerow([c.dataset, c.estimator, c.variant, str(c.y),
-                        fmt_float(c.r), fmt_float(c.log_mse_ratio)])
+    write_csv(path, ("dataset", "estimator", "variant", y_name, "r", "log_mse_ratio"),
+              map(astuple, cells))
 
 
 def write_best_csv(result: SweepResult, path) -> None:
-    cols = SWEEP_COLUMNS
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for row in result.best_rows():
-            w.writerow(_row_record(row, cols))
+    write_csv(path, SWEEP_COLUMNS, map(attrgetter(*SWEEP_COLUMNS), result.best_rows()))

@@ -204,7 +204,8 @@ class TestBagTables:
         dfull = dist_block(pts, pts)
         bag = np.sort(rng.choice(30, size=8, replace=False)).astype(np.int64)
         qids = np.arange(30, dtype=np.int64)
-        # depth_incl = m > m - 1 forces the split path
+        # Smoothing may reach the whole bag (depth_incl = m) while estimation
+        # stops short of it; one table pass keeps both depths.
         tabs = bag_tables(dfull[:, bag], bag, qids, 4, 8)
         assert tabs.excl_dist.shape[1] == 4
         assert tabs.incl_dist.shape[1] == 8

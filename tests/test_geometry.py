@@ -313,17 +313,21 @@ class TestNeighborTablesBatch:
         neighbor_tables(d, ids, None, 5)  # non-member: 5 allowed
         with pytest.raises(CapacityError):
             neighbor_tables(d, ids, None, 6)
+        tabs = neighbor_tables(d, ids, ids, 2, 5)  # inclusive depth: max m
+        assert (tabs.excl_idx.shape, tabs.incl_idx.shape) == ((5, 2), (5, 5))
+        with pytest.raises(CapacityError):
+            neighbor_tables(d, ids, ids, 2, 6)
 
 
-def lexsort_tables(dcols, reference_ids, query_ids, depth):
+def lexsort_tables(dcols, reference_ids, query_ids, depth, depth_incl):
     """Full-row reference: rank every column by (distance, id) with one lexsort."""
     ids = np.broadcast_to(reference_ids, dcols.shape)
     order = np.lexsort((ids, dcols), axis=1)
     ranked_ids = np.take_along_axis(ids, order, axis=1)
     ranked_d = np.take_along_axis(dcols, order, axis=1)
-    incl = ranked_ids[:, :depth], ranked_d[:, :depth]
+    incl = ranked_ids[:, :depth_incl], ranked_d[:, :depth_incl]
     if query_ids is None:
-        return incl + incl
+        return incl + (ranked_ids[:, :depth], ranked_d[:, :depth])
     keep = ranked_ids != np.asarray(query_ids)[:, None]
     excl_idx = np.array([r[k][:depth] for r, k in zip(ranked_ids, keep)])
     excl_d = np.array([r[k][:depth] for r, k in zip(ranked_d, keep)])
@@ -340,12 +344,13 @@ class TestBlockedKernel:
         side=st.integers(2, 6),
         lattice=st.booleans(),
         depth_kind=st.sampled_from(["one", "max", "any"]),
+        incl_kind=st.sampled_from(["default", "m", "any"]),
         members=st.booleans(),
         shuffled=st.booleans(),
         seed=st.integers(0, 2**31),
     )
-    def test_matches_lexsort_reference(self, m, dim, side, lattice, depth_kind, members,
-                                       shuffled, seed):
+    def test_matches_lexsort_reference(self, m, dim, side, lattice, depth_kind, incl_kind,
+                                       members, shuffled, seed):
         rng = np.random.default_rng(seed)
         rows = geometry._BLOCK_CELLS // m
         n = max(m, 3 * rows) + int(rng.integers(1, rows))
@@ -372,12 +377,19 @@ class TestBlockedKernel:
         max_depth = m - 1 if members else m
         depth = {"one": 1, "max": max_depth,
                  "any": int(rng.integers(1, max_depth + 1))}[depth_kind]
+        # The inclusive (smoothing) depth may differ from depth either way,
+        # up to all m reference points.
+        depth_incl = {"default": None, "m": m,
+                      "any": int(rng.integers(1, m + 1))}[incl_kind]
         dcols = dist_block(pts, pts[ref_ids])
-        want = lexsort_tables(dcols, ref_ids, query_ids, depth)
-        # The materialised block and the lazy source that computes each tile
-        # from the points must give the same tables.
-        for source in (dcols, geometry._LazyBlock(pts, pts[ref_ids])):
-            got = neighbor_tables(source, ref_ids, query_ids, depth)
+        want = lexsort_tables(dcols, ref_ids, query_ids, depth,
+                              depth if depth_incl is None else depth_incl)
+        # The materialised block, the lazy source that computes each tile
+        # from the points, and the reference rows of the symmetric full
+        # block read span by span must give the same tables.
+        for source in (dcols, geometry._LazyBlock(pts, pts[ref_ids]),
+                       geometry._BlockRows(dist_block(pts, pts), ref_ids)):
+            got = neighbor_tables(source, ref_ids, query_ids, depth, depth_incl)
             for field, ref in zip(("incl_idx", "incl_dist", "excl_idx", "excl_dist"), want):
                 out = getattr(got, field)
                 assert out.shape == ref.shape, (type(source), field)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidbag.bagging import (
+    DIVERGENCE_POLICIES,
     AnchoredMean,
     BaggingConfig,
     LocalityCapacityError,
@@ -14,15 +15,17 @@ from lidbag.bagging import (
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
-from lidbag.estimators import EstimatorConfig
+from lidbag.estimators import METHODS, EstimatorConfig
 from lidbag import geometry, smoothing
 from lidbag.geometry import PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import (
     VARIANTS,
+    PlanCell,
     SmoothingCapacityError,
     SmoothingConfig,
     SmoothingError,
     gather_mean,
+    run_plan,
     smooth,
     variant_estimates,
 )
@@ -138,6 +141,19 @@ class TestStreamedPath:
         bag_cfg = BaggingConfig(bags=10, rate=0.1, seed=1)
         variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
         assert shapes == [(n, n)]
+
+    @pytest.mark.parametrize("variant, k_s, cells", [
+        ("bagged_pre", 110, 4 * 1100 * 110),  # k_s = m: 4 bags of 110 columns
+        ("smoothed", 1100, 1100 * 1100),  # k_s = n: one full-cloud table
+    ])
+    def test_smoothing_over_every_reference_point_reads_each_distance_once(
+            self, variant, k_s, cells, monkeypatch):
+        # The inclusive depth reaches the reference size while the estimation
+        # depth stays below it; one table pass serves both.
+        shapes = self.spy(monkeypatch)
+        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(k_s))
+        assert sum(a * b for a, b in shapes) == cells
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_thread_count_identity(self, variant):
@@ -367,3 +383,73 @@ class TestVariantDispatch:
         a, _ = variant_estimates(self.cloud, "smoothed", self.est)
         b, _ = variant_estimates(self.cloud, "smoothed", self.est, s_cfg=SmoothingConfig(k_s=7))
         assert a.tobytes() == b.tobytes()
+
+
+def small_cloud(kind, n, seed):
+    """A generator's cloud, or integer points in a 3-D box: exact ties and copies."""
+    if kind == "lattice":
+        pts = np.random.default_rng(seed).integers(0, 8, size=(n, 3)).astype(np.float64)
+        return PointCloud.single_manifold(pts, 3.0)
+    return generate(GeneratorSpec(kind, n=n, seed=seed))
+
+
+class TestInvariants:
+    """Invariants the design relies on, as properties of ``variant_estimates``."""
+
+    kinds = st.sampled_from(("M7_Roll", "M12_Norm", "Uniform", "Lollipop", "lattice"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=kinds, n=st.integers(20, 200), k=st.integers(2, 8),
+           method=st.sampled_from(METHODS), B=st.integers(1, 4),
+           pair=st.sampled_from([("bagged", "baseline"), ("bagged_post", "smoothed"),
+                                 ("bagged_pre", "smoothed")]),
+           policy=st.sampled_from(DIVERGENCE_POLICIES), seed=st.integers(0, 2**16))
+    def test_rate_one_reproduces_the_unbagged_variant(self, kind, n, k, method, B, pair,
+                                                      policy, seed):
+        # Every bag at r = 1 is the whole cloud, read from the shared block
+        # (r * B >= 1) while the unbagged variant streams its distances.
+        cloud = small_cloud(kind, n, seed)
+        est = EstimatorConfig(method=method, k=k)
+        bagged, unbagged = pair
+        got = variant_estimates(cloud, bagged, est, BaggingConfig(B, 1.0, seed), policy=policy)
+        want = variant_estimates(cloud, unbagged, est, policy=policy)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=kinds, n=st.integers(40, 200), k=st.integers(2, 5),
+           method=st.sampled_from(METHODS),
+           variant=st.sampled_from([v for v in VARIANTS if v.startswith("bagged")]),
+           rate=st.sampled_from((0.2, 0.35, 0.6)), b1=st.integers(1, 3),
+           extra=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_b_prefix_stable(self, kind, n, k, method, variant, rate, b1, extra, seed):
+        # One plan holding B = b1 and B = b2 emits at each checkpoint what a
+        # separate run emits, even when only b2 crosses r * B = 1 and so
+        # moves the plan onto the shared block.
+        cloud = small_cloud(kind, n, seed)
+        est = EstimatorConfig(method=method, k=k)
+        configs = [BaggingConfig(b, rate, seed) for b in (b1, b1 + extra)]
+        out = {}
+        run_plan(cloud, [PlanCell(variant, est, k, c) for c in configs],
+                 lambda cell, values, flags, ms: out.setdefault(cell.bags, (values, flags)))
+        for c in configs:
+            alone = variant_estimates(cloud, variant, est, c)
+            assert out[c][0].tobytes() == alone[0].tobytes(), c
+            assert out[c][1].tobytes() == alone[1].tobytes(), c
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=kinds, n=st.integers(20, 200), k=st.integers(2, 7),
+           method=st.sampled_from(METHODS), variant=st.sampled_from(VARIANTS),
+           exponent=st.integers(-8, 8).filter(bool), rate=st.sampled_from((0.4, 1.0)),
+           seed=st.integers(0, 2**16))
+    def test_scale_invariant(self, kind, n, k, method, variant, exponent, rate, seed):
+        # A power-of-two factor scales every distance exactly, so neighbor
+        # tables and ties are unchanged and only the kernels' rounding moves.
+        cloud = small_cloud(kind, n, seed)
+        scaled = PointCloud(cloud.points * 2.0**exponent, cloud.manifold_label, cloud.gt_lid)
+        est = EstimatorConfig(method=method, k=k)
+        bag_cfg = BaggingConfig(3, rate, seed) if variant.startswith("bagged") else None  # m >= 8
+        a = variant_estimates(cloud, variant, est, bag_cfg)
+        b = variant_estimates(scaled, variant, est, bag_cfg)
+        np.testing.assert_array_equal(b[1], a[1])
+        np.testing.assert_allclose(b[0], a[0], rtol=1e-9, atol=0)

@@ -30,11 +30,13 @@ from lidbag.sweep import (
     read_sweep_csv,
     run_sweep,
     write_best_csv,
+    write_csv,
     write_heatmap_csv,
     write_skips_csv,
     write_sweep_csv,
     write_timing_csv,
 )
+from lidbag.theory import run_variance
 
 SMALL = dict(
     datasets=("M5b_Helix2d",),
@@ -303,6 +305,16 @@ class TestCsvIO:
         with pytest.raises(SweepError):
             read_sweep_csv(p)
 
+    def test_write_csv_convention(self, tmp_path):
+        # bools (numpy's too) as 0/1, numpy floats through fmt_float, numpy
+        # ints as digits, LF line ends.
+        p = tmp_path / "t.csv"
+        x = np.float64(0.1)
+        write_csv(p, ("a", "b", "c", "d", "e"),
+                  [(True, np.True_, x, np.int64(7), "s"), (False, np.False_, 2.5, 3, "t")])
+        assert fmt_float(x) == "0.10000000000000001"
+        assert p.read_bytes() == b"a,b,c,d,e\n1,1,0.10000000000000001,7,s\n0,0,2.5,3,t\n"
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_fmt_float_round_trips_every_double(self, x):
@@ -368,12 +380,19 @@ class TestCli:
         capsys.readouterr()
 
     def test_estimate_builtin_dataset_baseline(self, tmp_path, capsys):
+        # k=2 leaves some queries divergent, so the flag column holds both values.
         rc = main(["estimate", "--dataset", "M7_Roll", "--n", "100",
-                   "--variant", "baseline", "--k", "5", "--out", str(tmp_path)])
+                   "--variant", "baseline", "--k", "2", "--out", str(tmp_path)])
         assert rc == 0
         est_lines = (tmp_path / "estimates.csv").read_text().splitlines()
-        values = [float(line.split(",")[1]) for line in est_lines[1:]]
-        assert len(values) == 100
+        cells = [line.split(",") for line in est_lines[1:]]
+        assert [int(c[0]) for c in cells] == list(range(100))
+        values = np.array([float(c[1]) for c in cells])
+        want, flags = variant_estimates(generate(GeneratorSpec("M7_Roll", n=100, seed=0)),
+                                        "baseline", EstimatorConfig(method="mle", k=2))
+        assert values.tobytes() == want.tobytes()
+        assert flags.any() and not flags.all()
+        assert [c[2] for c in cells] == ["1" if f else "0" for f in flags]
         capsys.readouterr()
 
     def test_estimate_needs_a_data_source(self, tmp_path):
@@ -445,6 +464,15 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "v" / "variance.csv").read_text().splitlines()
         assert len(lines) == 1 + 2  # header + one row per B
+        header = lines[0].split(",")
+        for B, line in zip((1, 3), lines[1:]):
+            row = dict(zip(header, line.split(",")))
+            e = run_variance(100, 0.2, B, 400, 0)
+            for col in ("r", "var_single", "var_bagged", "cov", "rho", "closed_form_analytic"):
+                assert row[col] == fmt_float(getattr(e, col)), col
+            assert row["closed_form"] == fmt_float(e.closed_form())
+            assert (row["n"], row["m"], row["B"], row["trials"]) == ("100", "20", str(B), "400")
+            assert row["sandwich_ok"] == ("1" if e.sandwich_ok else "0")
 
         rc = main(["theory", "--experiment", "conditional", "--n", "40",
                    "--r", "0.5", "--trials", "3000", "--out", str(tmp_path / "c")])
@@ -458,4 +486,9 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert len(lines) == 2
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        flags = [row[c] for c in ("predicted_bag_faster", "bag_faster", "agrees")]
+        assert set(flags) <= {"0", "1"}
+        assert row["predicted_bag_faster"] == "1"  # r*B = 0.4
+        assert (flags[2] == "1") == (flags[0] == flags[1])
         assert "prediction" in capsys.readouterr().out
