@@ -4,7 +4,8 @@ Bags are index sets of size m = ceil(n * r) drawn without replacement, and
 bag i is a pure function of (seed, i).  For a query inside bag i the
 per-bag estimate uses the bag minus the query as reference (m - 1 points);
 for a query outside, the full bag (m points): :func:`bag_tables` builds
-both kinds of neighborhood from one distance block and
+both kinds of neighborhood in one pass over the distances, for one bag or
+for a stack of bags read from one distance tile, and
 :func:`estimates_from_tables` turns them into clamped estimates.  The
 bagged aggregate is the per-query mean over bags, kept by
 :class:`AnchoredMean`, which (a) is exact when all per-bag values coincide
@@ -88,8 +89,16 @@ class AnchoredMean:
 
     Maintains sum(v_i - anchor) with the first column as anchor; the mean
     is anchor + sum/B, which returns the anchor exactly whenever every
-    column equals it.  Divergence-aware: tracks both the all-column sum
+    column equals it.  A non-finite first value (+inf, a divergent estimate
+    left unclamped) is anchored at 0.0 instead, so it cannot turn the
+    differences into NaN.  Divergence-aware: tracks both the all-column sum
     (clamp policy) and the unflagged-column sum (skip policy).
+
+    :meth:`add` takes one column of n values or a (b, n) stack of b columns
+    in order; the sums run over the stack sequentially, so adding a stack is
+    bitwise the same as adding its columns one by one.  Every query is
+    independent, so an accumulator over a slice of queries gives those
+    queries' bits of an accumulator over all of them.
     """
 
     def __init__(self, n: int):
@@ -101,15 +110,18 @@ class AnchoredMean:
         self._count = 0
 
     def add(self, values: np.ndarray, flags: np.ndarray) -> None:
+        values = np.atleast_2d(values)
+        flags = np.atleast_2d(flags)
         if self._anchor is None:
-            self._anchor = values.copy()
+            first = values[0]
+            self._anchor = np.where(np.isfinite(first), first, 0.0)
         diff = values - self._anchor
-        self._sum_all += diff
         ok = ~flags
-        self._sum_ok += np.where(ok, diff, 0.0)
-        self._cnt_ok += ok
-        self._any_flag |= flags
-        self._count += 1
+        self._sum_all = _running_sum(self._sum_all, diff)
+        self._sum_ok = _running_sum(self._sum_ok, np.where(ok, diff, 0.0))
+        self._cnt_ok += ok.sum(axis=0)
+        self._any_flag |= flags.any(axis=0)
+        self._count += values.shape[0]
 
     def result(self, policy: str = "clamp"):
         """Aggregate over everything added so far: (values, flags)."""
@@ -126,11 +138,20 @@ class AnchoredMean:
         return np.where(usable, mean_ok, mean_all), ~usable
 
 
-def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, points: np.ndarray):
+def _running_sum(total: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows of ``stack``, added one row at a time in order
+    (``np.add.accumulate`` is sequential, unlike a pairwise reduction)."""
+    return np.add.accumulate(np.concatenate([total[None], stack]), axis=0)[-1]
+
+
+def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, points: np.ndarray,
+                          query_ids: np.ndarray | None = None):
     """Clamped estimates for every query from prebuilt neighbor tables.
 
     Slices the first k columns of the self-excluded tables (sorted neighbor
-    prefixes nest, so one deep table serves every smaller k).
+    prefixes nest, so one deep table serves every smaller k).  Row i of the
+    tables belongs to point ``query_ids[i]`` (default: point i); only TLE
+    reads the query's coordinates.
 
     A query whose nearest other point is at distance 0 (a duplicate point)
     has no defined estimate: it is flagged divergent with the +inf
@@ -148,7 +169,8 @@ def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, point
     flags = dup.copy()
     d, idx = tables.excl_dist[ok, :k], tables.excl_idx[ok, :k]
     if config.method == "tle":
-        raw = batch_values("tle", d, neighbor_points=points[idx], query_points=points[ok])
+        queries = points[ok] if query_ids is None else points[np.asarray(query_ids)[ok]]
+        raw = batch_values("tle", d, neighbor_points=points[idx], query_points=queries)
     else:
         raw = batch_values(config.method, d, normalization=config.mle_normalization)
     values[ok], flags[ok] = raw
@@ -162,19 +184,20 @@ def bag_tables(
     depth_excl: int,
     depth_incl: int | None = None,
 ) -> NeighborTables:
-    """Neighbor tables of all queries against one bag, in one pass.
+    """Neighbor tables of all queries against one bag, or a stack of bags.
 
+    ``bag`` holds one bag's m ids, or (g, m) ids of g bags.
     ``dfull_cols`` holds the distances from every query to the bag's points:
-    the bag's rows of the symmetric full distance matrix, transposed
-    (materialised, or read span by span through a geometry ``_BlockRows``),
-    or a lazy block that :func:`~lidbag.geometry.neighbor_tables` computes
-    tile by tile (all exactly equal).  The self-excluded tables keep
+    an (nq, m) array, or a geometry ``_RowGroups`` that reads each bag's rows
+    of a distance tile from the ensemble's union to a range of queries (the
+    tables then stack the bags, query range within bag, and ``query_ids``
+    repeats the range once per bag).  The self-excluded tables keep
     ``depth_excl`` neighbors, at most m - 1; the inclusive (smoothing)
     tables keep ``depth_incl`` (default ``depth_excl``), at most the bag
     size m, and both come from one :func:`~lidbag.geometry.neighbor_tables`
     pass over the distances.
     """
-    m = bag.shape[0]
+    m = bag.shape[-1]
     if depth_excl > m - 1:
         raise LocalityCapacityError(depth_excl, m)
     return neighbor_tables(dfull_cols, bag, query_ids, depth_excl, depth_incl)

@@ -99,8 +99,11 @@ def mle_values(dists: np.ndarray, normalization: str = "k_minus_1"):
 
         ( (1/(k-1)) * sum_{i<k} ln(r_k / r_i) )^{-1}
 
-    (or the 1/k variant).  A zero log-sum — all k distances equal — is
-    flagged divergent, with the +inf sentinel as the raw value.
+    (or the 1/k variant).  A row of k equal distances is flagged divergent,
+    with the +inf sentinel as the raw value, as is any row whose computed
+    log-sum is not positive: the sum of k - 1 equal logs need not round to
+    (k - 1) times one of them, so an equal row can leave a log-sum of either
+    sign near zero, and the estimate must not depend on that rounding.
     """
     d = np.asarray(dists, dtype=np.float64)
     if d.ndim == 1:
@@ -112,7 +115,7 @@ def mle_values(dists: np.ndarray, normalization: str = "k_minus_1"):
         raise EstimatorError(f"unknown MLE normalization {normalization!r}")
     _check_distances(d)
     log_sum = (k - 1) * np.log(d[:, -1]) - np.sum(np.log(d[:, :-1]), axis=1)
-    divergent = log_sum == 0.0
+    divergent = (d[:, 0] == d[:, -1]) | ~(log_sum > 0.0)
     num = float(k - 1) if normalization == "k_minus_1" else float(k)
     with np.errstate(divide="ignore"):
         values = num / log_sum

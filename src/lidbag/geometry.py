@@ -7,16 +7,18 @@ built from them by :func:`neighbor_tables` with ties broken by ascending
 original point index.  That rule makes every result independent of
 reference-set permutation, worker count, and platform.
 
-:func:`neighbor_tables` works through its queries in fixed-size tiles, so
-its memory does not grow with the number of queries.  A tile is copied
-from a materialised distance block, read from segments of its rows given a
-:class:`_BlockRows`, or, given a :class:`_LazyBlock`, computed by
-:func:`dist_block` from the points themselves, so a table over n queries
-needs O(tile + n * depth) memory, never an (n, m) block.  In each
-tile it finds every row's prefix with one partition, decides from the next
-order statistic whether a tie straddles the prefix edge (only those rows
-are re-ranked over all columns), and ranks the prefix by one stable sort
-over id-ordered columns, which orders by (distance, id).
+:func:`neighbor_tables` works through its queries in fixed-size chunks, so
+its memory does not grow with the number of queries.  A chunk is copied
+from a materialised distance block or read from a :class:`_RowGroups`: the
+rows of one distance tile (from the union of several reference groups, such
+as the bags of an ensemble, to a range of queries) that belong to each
+group.  Callers compute those tiles query range by query range
+(:func:`_query_tiles`), so a table over n queries needs O(tile + n * depth)
+memory, never an (n, m) block.  In each chunk it finds every row's prefix
+with one partition, decides from the next order statistic whether a tie
+straddles the prefix edge (only those rows are re-ranked over all columns),
+and ranks the prefix by one stable sort over id-ordered columns, which
+orders by (distance, id).
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class PointCloud:
         return cls(pts, labels, np.asarray([float(gt_lid)]))
 
 
-def dist_block(a, b) -> np.ndarray:
+def dist_block(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Exact Euclidean distance matrix between row sets ``a`` and ``b``.
 
     This is the single distance kernel of the package.  Each entry is
@@ -137,9 +139,10 @@ def dist_block(a, b) -> np.ndarray:
     is bit-identical to recomputing the block for those columns.  Entry
     (i, j) sums the same squared differences in the same order as (j, i),
     so ``dist_block(p, p)`` is exactly symmetric and its rows are its
-    columns.
+    columns.  ``out``, a C-contiguous float64 array of the result's shape,
+    receives the result instead of a new array.
     """
-    return cdist(*_operands(a, b))
+    return cdist(*_operands(a, b), out=out)
 
 
 def _operands(a, b):
@@ -152,45 +155,42 @@ def _operands(a, b):
     return a, b
 
 
-class _LazyBlock:
-    """Stands for ``dist_block(queries, refs)`` without computing it.
+class _RowGroups:
+    """Stands for the distances from q queries to g groups of reference points.
 
-    :func:`neighbor_tables` fills each query tile with
-    ``dist_block(queries[lo:hi], refs)``, which is bit-identical to the same
-    rows of the full block because every entry is computed from its two rows
-    alone.
-    """
-
-    def __init__(self, queries, refs):
-        self.queries, self.refs = _operands(queries, refs)
-        self.shape = (self.queries.shape[0], self.refs.shape[0])
-
-
-class _BlockRows:
-    """Stands for ``block[rows].T`` without gathering it.
-
-    For the exactly symmetric ``dist_block(p, p)`` that is the distance
-    from every point to the points ``rows``.  :func:`neighbor_tables` reads
-    ``block[rows, lo:lo + span]`` (contiguous row segments) for a span of
-    queries at a time and fills its tiles from that, so no (n, m) copy is
-    made.
+    ``block`` is a (u, q) distance tile from u points to q queries, and
+    ``rows`` a (g, m) array of row positions in it, one row per group.  Rows
+    ``j * q`` to ``(j + 1) * q`` of the (g * q, m) stand-in are
+    ``block[rows[j]].T``: the distances from every query to group j's points.
+    :func:`neighbor_tables` copies one group's rows of the tile at a time
+    (none when they are all of its rows, in order) and reads that copy chunk
+    by chunk, so no (g * q, m) array is made.  ``dist_block(p, p)`` is exactly
+    symmetric, so a tile's rows may be the references and its columns the
+    queries.
     """
 
     def __init__(self, block, rows):
-        self.block, self.rows = block, np.asarray(rows, dtype=np.int64)
-        self.shape = (block.shape[1], self.rows.shape[0])
+        self.block = block
+        self.rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+        self.shape = (self.rows.shape[0] * block.shape[1], self.rows.shape[1])
 
 
-#: Distances per query block in :func:`neighbor_tables`.  The tile and its
+#: Distances per query chunk in :func:`neighbor_tables`.  The chunk and its
 #: partition index (256 KiB each) stay cache-sized and are reused from the
-#: heap block after block, so a table's temporaries no longer grow with the
+#: heap chunk after chunk, so a table's temporaries no longer grow with the
 #: number of queries or fault fresh pages in for every table.
 _BLOCK_CELLS = 32768
 
-#: Queries per row-segment read from a :class:`_BlockRows` (rounded up to
-#: whole tiles): 1 KiB segments, long enough to stream from memory, while
-#: the (m, span) buffer stays within a few MiB.
-_SPAN = 128
+#: Distances per tile of :func:`_query_tiles` (4 MiB): the one distance block
+#: a caller holds at a time, whatever the number of queries or references.
+_UNION_CELLS = 2**19
+
+
+def _query_tiles(nq: int, width: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` query ranges whose distances to ``width`` points fit one
+    tile of ``_UNION_CELLS`` entries (one query when a row alone exceeds it)."""
+    span = max(1, _UNION_CELLS // max(1, width))
+    return [(lo, min(nq, lo + span)) for lo in range(0, nq, span)]
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,13 @@ def neighbor_tables(
 
     Parameters
     ----------
-    dcols : (nq, m) distances from each query to each reference point, a
-        :class:`_LazyBlock` that computes them tile by tile, or a
-        :class:`_BlockRows` that reads them from rows of a symmetric block.
-        Any memory layout works; each block of rows is copied into a
-        contiguous tile.
-    reference_ids : (m,) original ids of the reference columns.
+    dcols : (nq, m) distances from each query to each reference point, or a
+        :class:`_RowGroups` that stands for g groups of them, read from a
+        distance tile.  Any memory layout works; each chunk of rows is copied
+        into a contiguous tile.
+    reference_ids : (m,) original ids of the reference columns; for a
+        :class:`_RowGroups`, (g, m) ids, one row per group (or (m,) when
+        g = 1).
     query_ids : (nq,) original ids of the queries, or None when no query is a
         member of the reference set.  Membership is decided by id equality.
     depth : number of neighbors to keep per row in ``excl_*``; requires
@@ -239,12 +240,12 @@ def neighbor_tables(
         so a smoothing neighborhood may reach the whole reference set while
         the estimation depth stays below it.
 
-    Queries are processed in blocks of ``_BLOCK_CELLS // m`` rows (at least
-    one), each copied into one reused tile or computed by :func:`dist_block`,
-    so the temporaries stay cache-sized whatever nq is.  A tile holds its
-    columns in ascending id order (for non-ascending ``reference_ids`` that
-    order is computed once and applied as each tile is copied, or to the
-    reference points once).  Each row keeps its
+    Each group's queries are processed in equal chunks of about
+    ``_BLOCK_CELLS // m`` rows (at least one), each copied into one reused
+    tile, so the temporaries stay cache-sized whatever nq is.  A tile holds
+    its columns in ascending id order (for non-ascending ids that order is
+    computed once per group and applied as each tile is copied).  Each row
+    keeps its
     ``need = min(max(depth + 1, depth_incl), m)`` smallest entries, by a
     stable sort of the whole row when need = m and otherwise via a partition
     at ``kth = need``: position ``need`` then holds the next order
@@ -253,16 +254,22 @@ def neighbor_tables(
     columns.  Otherwise the kept positions are sorted ascending and ranked
     by one stable argsort of their distances.  Both orders are
     (distance, id), so ties go to the smaller original id, and ``incl_*``
-    and ``excl_*`` are cut from the same ranked prefix.
+    and ``excl_*`` are cut from the same ranked prefix: a member query's own
+    entry is first in its row unless a copy of it has a smaller id, so
+    ``excl_*`` is the prefix shifted by one on rows that start with the
+    query, and only rows that start with a copy search for the query.
     """
-    lazy = isinstance(dcols, _LazyBlock)
-    segmented = isinstance(dcols, _BlockRows)
-    if not (lazy or segmented):
+    if isinstance(dcols, _RowGroups):
+        source = dcols
+    else:
         dcols = np.asarray(dcols, dtype=np.float64)
-    nq, m = dcols.shape
-    reference_ids = np.asarray(reference_ids, dtype=np.int64).reshape(-1)
-    if reference_ids.shape[0] != m:
+        source = _RowGroups(dcols.T, np.arange(dcols.shape[1]))
+    nq, m = source.shape
+    groups, per = source.rows.shape[0], source.block.shape[1]
+    reference_ids = np.asarray(reference_ids, dtype=np.int64)
+    if reference_ids.size != groups * m:
         raise GeometryError("reference_ids must match dcols columns")
+    reference_ids = reference_ids.reshape(groups, m)
     if m == 0:
         raise EmptyReferenceError("empty reference set")
     member_possible = query_ids is not None
@@ -278,11 +285,13 @@ def neighbor_tables(
             raise GeometryError("query_ids must match dcols rows")
     need = min(max(depth + 1, depth_incl), m)
 
-    if np.all(reference_ids[1:] >= reference_ids[:-1]):
-        by_id, ids = None, reference_ids
-    else:
-        by_id = np.argsort(reference_ids, kind="stable")
-        ids = reference_ids[by_id]
+    rows, ids = source.rows, reference_ids
+    unsorted = np.nonzero(np.any(ids[:, 1:] < ids[:, :-1], axis=1))[0]
+    if unsorted.size:
+        by_id = np.argsort(ids[unsorted], axis=1, kind="stable")
+        rows, ids = rows.copy(), ids.copy()
+        rows[unsorted] = np.take_along_axis(rows[unsorted], by_id, axis=1)
+        ids[unsorted] = np.take_along_axis(ids[unsorted], by_id, axis=1)
 
     incl_idx = np.empty((nq, depth_incl), dtype=np.int64)
     incl_dist = np.empty((nq, depth_incl))
@@ -292,43 +301,45 @@ def neighbor_tables(
     else:
         excl_idx, excl_dist = incl_idx, incl_dist
 
-    rows = max(1, _BLOCK_CELLS // m)
-    if lazy:
-        refs = dcols.refs if by_id is None else dcols.refs[by_id]
-    else:
-        tile = np.empty((min(rows, nq), m))
-    if segmented:
-        block_rows = dcols.rows if by_id is None else dcols.rows[by_id]
-        span = rows * -(-_SPAN // rows)
-    for lo in range(0, nq, rows):
-        hi = min(nq, lo + rows)
-        if lazy:
-            t = dist_block(dcols.queries[lo:hi], refs)
-        else:
-            t = tile[: hi - lo]
-            if segmented:
-                if lo % span == 0:
-                    seg = dcols.block[block_rows, lo : lo + span]
-                np.copyto(t, seg[:, lo % span : lo % span + hi - lo].T)
-            elif by_id is None:
-                np.copyto(t, dcols[lo:hi])
-            else:
-                np.take(dcols[lo:hi], by_id, axis=1, out=t)
-        pos, pd = _ranked_prefix(t, need)
-        pids = ids[pos]
-        incl_idx[lo:hi] = pids[:, :depth_incl]
-        incl_dist[lo:hi] = pd[:, :depth_incl]
-        if excl_idx is not incl_idx:
-            excl_idx[lo:hi] = pids[:, :depth]
-            excl_dist[lo:hi] = pd[:, :depth]
-        if member_possible:
-            # Move each query's own entry to the end, keeping the rest in order.
-            self_mask = pids == qids[lo:hi, None]
-            hit = np.nonzero(self_mask.any(axis=1))[0]
-            if hit.size:
-                push = np.argsort(self_mask[hit], axis=1, kind="stable")[:, :depth]
-                excl_idx[lo + hit] = _take_rows(pids[hit], push)
-                excl_dist[lo + hit] = _take_rows(pd[hit], push)
+    # Equal chunks per group, as many as whole chunks of _BLOCK_CELLS // m
+    # rows fit (at least one row, at least one chunk): a remainder is spread
+    # over the chunks instead of taking a short chunk of its own.
+    chunk = max(1, _BLOCK_CELLS // m)
+    chunk = -(-per // max(1, per // chunk))
+    tile = np.empty((min(chunk, per), m))
+    every_row = np.arange(source.block.shape[0])
+    for g in range(groups):
+        # One contiguous copy of the group's rows, read chunk by chunk.
+        block = source.block
+        if not np.array_equal(rows[g], every_row):
+            block = block[rows[g]]
+        for a in range(0, per, chunk):
+            b = min(per, a + chunk)
+            lo, hi = g * per + a, g * per + b
+            t = tile[: b - a]
+            np.copyto(t, block[:, a:b].T)
+            pos, pd = _ranked_prefix(t, need)
+            pids = ids[g][pos]
+            incl_idx[lo:hi] = pids[:, :depth_incl]
+            incl_dist[lo:hi] = pd[:, :depth_incl]
+            if excl_idx is not incl_idx:
+                excl_idx[lo:hi] = pids[:, :depth]
+                excl_dist[lo:hi] = pd[:, :depth]
+            if member_possible:
+                # Rows that start with the query drop it by a shift of one.
+                q = qids[lo:hi]
+                first = pids[:, 0] == q
+                shift = np.nonzero(first)[0]
+                excl_idx[lo + shift] = pids[shift, 1 : depth + 1]
+                excl_dist[lo + shift] = pd[shift, 1 : depth + 1]
+                # A copy of the query ranks before it: move the query's own
+                # entry (if present) to the end, keeping the rest in order.
+                dup = np.nonzero(~first & (pd[:, 0] == 0.0))[0]
+                if dup.size:
+                    self_mask = pids[dup] == q[dup, None]
+                    push = np.argsort(self_mask, axis=1, kind="stable")[:, :depth]
+                    excl_idx[lo + dup] = _take_rows(pids[dup], push)
+                    excl_dist[lo + dup] = _take_rows(pd[dup], push)
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
 

@@ -20,13 +20,22 @@ every smoothed value they touch, keeping the pipeline total.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, _BlockRows, _LazyBlock, dist_block, neighbor_tables
+from . import geometry
+from .geometry import (
+    GeometryError,
+    PointCloud,
+    _query_tiles,
+    _RowGroups,
+    dist_block,
+    neighbor_tables,
+)
 from .estimators import EstimatorConfig
 from .bagging import (
     AnchoredMean,
@@ -86,7 +95,7 @@ def gather_mean(values: np.ndarray, idx: np.ndarray, flags: np.ndarray | None = 
     ``idx`` holds (q, k_s) indices into ``values``.  Returns (means, flags).
     """
     sm = values[idx].mean(axis=1)
-    if flags is None:
+    if flags is None or not flags.any():
         return sm, np.zeros(idx.shape[0], dtype=bool)
     return sm, flags[idx].any(axis=1)
 
@@ -98,7 +107,9 @@ def smooth(estimates, reference, queries, cfg: SmoothingConfig, *, flags=None):
     ``estimates``; ``queries`` is a (q, dim) array, e.g. new points to carry
     finished estimates onto.  A query contributes its own estimate only when
     it is literally a reference member (distance zero; equal distances break
-    toward the lower reference index).
+    toward the lower reference index).  Non-finite coordinates raise
+    :class:`~lidbag.geometry.GeometryError`, and ``flags`` must hold one
+    flag per reference point.
 
     Returns smoothed values, or (values, flags) when ``flags`` is given.
     """
@@ -110,14 +121,21 @@ def smooth(estimates, reference, queries, cfg: SmoothingConfig, *, flags=None):
         raise SmoothingError(
             f"got {estimates.shape[0]} estimates for {m} reference points"
         )
+    if flags is not None:
+        flags = np.asarray(flags, dtype=bool).reshape(-1)
+        if flags.shape[0] != m:
+            raise SmoothingError(f"got {flags.shape[0]} flags for {m} reference points")
+    for name, arr in (("reference", ref_points), ("queries", queries)):
+        if not np.all(np.isfinite(arr)):
+            raise GeometryError(f"{name} coordinates must be finite")
     if cfg.k_s > m:
         raise SmoothingCapacityError(cfg.k_s, m)
-    tables = neighbor_tables(
-        _LazyBlock(queries, ref_points), np.arange(m, dtype=np.int64), None, cfg.k_s
-    )
-    out, out_flags = gather_mean(
-        estimates, tables.incl_idx, None if flags is None else np.asarray(flags, dtype=bool)
-    )
+    ids = np.arange(m, dtype=np.int64)
+    hood = np.empty((queries.shape[0], cfg.k_s), dtype=np.int64)
+    for lo, hi in _query_tiles(queries.shape[0], m):
+        block = dist_block(ref_points, queries[lo:hi])
+        hood[lo:hi] = neighbor_tables(_RowGroups(block, ids), ids, None, cfg.k_s).incl_idx
+    out, out_flags = gather_mean(estimates, hood, flags)
     return out if flags is None else (out, out_flags)
 
 
@@ -163,120 +181,259 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
              progress=None) -> None:
     """Run feasible plan cells over one cloud, sharing all the work they allow.
 
-    * One n x n distance block is built only when some ensemble's bags
-      would cost as much distance work as the block (r * B >= 1).  Every
-      table reads its distances from that block when it exists and
-      otherwise computes them one cache-sized query tile at a time (the
-      two are bit-identical), so at r * B < 1 memory stays O(tile + n * k)
-      and no n x n or n x m block is ever built.
+    * The work is a map over query tiles.  Each tile computes, in one
+      :func:`~lidbag.geometry.dist_block` call of at most a tile budget of
+      entries, the distances from its queries to the union U of every
+      reference set the plan ranks against (the whole cloud when a
+      full-cloud table is needed, else the union of the ensembles' bags),
+      and ranks every table's rows of the tile from it.  Distance work is
+      n * |U|, at most n^2 and at most the sum of the bags' n * m, and
+      memory is one tile plus O(n) per result: no n x n or n x m block is
+      ever built.
     * One deep full-cloud table serves every ``baseline`` and ``smoothed``
       estimate and every post-smoothing neighborhood (sorted neighbor
       prefixes nest, so any smaller k is a column slice).
     * Bagged cells with the same rate and seed share one ensemble: its bags
-      are drawn once, their distance columns are read from the shared
-      block when there is one (as segments of its rows, span by span: the
-      block is exactly symmetric, so no n x m copy is made) and streamed
-      from the bag's points otherwise, and one table
-      per bag serves every cell.  Each cell is emitted when the growing
-      ensemble reaches its B, so a B grid costs max(B) bags, not sum(B).
+      are drawn once, and in each tile their tables are built as one stack,
+      each estimator runs once over the stack, and one table per bag serves
+      every cell.  The stack is folded into running means in bag order, and
+      each cell takes the mean at its B, so a B grid costs max(B) bags, not
+      sum(B).  Pre-smoothing needs every member's in-bag estimate, so an
+      ensemble with pre-smoothed cells keeps each bag's member estimates and
+      every query's in-bag neighborhood (B * n * max k_s positions of one or
+      two bytes each while m <= 65536) and gathers after the last tile.
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
     cell's attributable kernel, smoothing and aggregation time (the shared
     distance and table work is excluded).  All parallelism is a map over
-    bags whose results merge in bag order, so the output does not depend on
-    ``threads``, which must be at least 1.  ``progress`` receives one line
-    per ensemble.
+    query tiles, and every per-query result depends on that query's rows
+    alone (:class:`~lidbag.bagging.AnchoredMean` adds bags query by query),
+    so the output does not depend on ``threads``, which must be at least 1.
+    ``progress`` receives one line per ensemble.
     """
     if threads < 1:
         raise SmoothingError(f"threads must be >= 1, got {threads}")
     points, n = cloud.points, cloud.n
     ids = np.arange(n, dtype=np.int64)
-    ensembles: dict[tuple, list[PlanCell]] = {}
+    groups: dict[tuple, list[PlanCell]] = {}
     for cell in cells:
         if cell.bags is not None:
-            ensembles.setdefault((cell.bags.rate, cell.bags.seed), []).append(cell)
+            groups.setdefault((cell.bags.rate, cell.bags.seed), []).append(cell)
+    ensembles = [_Ensemble(n, group) for group in groups.values()]
+    if progress:
+        for e in ensembles:
+            progress(f"r={e.cells[0].bags.rate:.4g} (m={e.bags.shape[1]}), {e.bags.shape[0]} bags")
     unbagged = [c for c in cells if c.bags is None]
+    ests = list(dict.fromkeys(c.est for c in unbagged))
     full_ks = [c.k_s for c in cells if c.variant == "smoothed" or c.variant in _POST]
+    hood = np.empty((n, max(full_ks)), dtype=np.int64) if full_ks else None
+    raw = {est: (np.empty(n), np.empty(n, dtype=bool)) for est in ests}
 
-    dfull = None
-    if any(rate * max(c.bags.bags for c in group) >= 1.0
-           for (rate, _), group in ensembles.items()):
-        dfull = dist_block(points, points)
-    dsource = _LazyBlock(points, points) if dfull is None else dfull
-    full = None
-    if unbagged:
-        depth_incl = max(full_ks) if full_ks else None
-        full = bag_tables(dsource, ids, ids, max(c.est.k for c in unbagged), depth_incl)
-    elif full_ks:
-        full = neighbor_tables(dsource, ids, None, max(full_ks))
+    full = bool(ests or full_ks)
+    if full:
+        union = ids
+    elif ensembles:
+        union = np.unique(np.concatenate([e.bags.ravel() for e in ensembles]))
+    else:
+        return
+    refs = points if full else points[union]
+    for e in ensembles:
+        e.rows = np.searchsorted(union, e.bags)
+
+    def full_tile(block, lo, hi):
+        source, qids = _RowGroups(block, ids), ids[lo:hi]
+        if ests:
+            depth_incl = hood.shape[1] if full_ks else None
+            tables = bag_tables(source, ids, qids, max(est.k for est in ests), depth_incl)
+        else:
+            tables = neighbor_tables(source, ids, None, hood.shape[1])
+        if full_ks:
+            hood[lo:hi] = tables.incl_idx
+        spent = {}
+        for est in ests:
+            t0 = time.perf_counter()
+            values, flags = raw[est]
+            values[lo:hi], flags[lo:hi] = estimates_from_tables(est, tables, points, qids)
+            spent[est] = time.perf_counter() - t0
+        return spent
+
+    u = union.shape[0]
+    tiles = _query_tiles(n, u)
+    # One distance buffer per worker, reused tile after tile: a fresh block
+    # per tile made the allocator return and fault in the tile's working set
+    # every time (~2500 page faults per tile of a TLE call at n = 8000).
+    buffers = threading.local()
+
+    def one_tile(span):
+        lo, hi = span
+        if not hasattr(buffers, "block"):
+            buffers.block = np.empty(u * (tiles[0][1] - tiles[0][0]))
+        block = dist_block(refs, points[lo:hi], out=buffers.block[: u * (hi - lo)].reshape(u, hi - lo))
+        spent = full_tile(block, lo, hi) if full else {}
+        for e in ensembles:
+            spent.update(e.tile(block, lo, hi, points, policy))
+        return spent
+
+    spent = _sum_times(_ordered_map(one_tile, tiles, threads))
+    pre = [e for e in ensembles if e.pre_keys]
+    if pre:
+        spent = _sum_times([spent] + _ordered_map(
+            lambda span: _sum_times([e.pre_tile(*span, policy) for e in pre]), tiles, threads))
 
     for cell in unbagged:
-        t0 = time.perf_counter()
-        values, flags = estimates_from_tables(cell.est, full, points)
+        values, flags = raw[cell.est]
+        t = spent[cell.est]
         if cell.variant == "smoothed":
-            values, flags = gather_mean(values, full.incl_idx[:, : cell.k_s], flags)
-        emit(cell, values, flags, (time.perf_counter() - t0) * 1e3)
+            t0 = time.perf_counter()
+            values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
+            t += time.perf_counter() - t0
+        emit(cell, values, flags, t * 1e3)
+    for e in ensembles:
+        e.emit(emit, hood, spent)
 
-    for group in ensembles.values():
-        _run_ensemble(cloud, group, dfull, full, emit, policy, threads, progress)
+
+def _sum_times(parts):
+    """Sum dicts of seconds key by key."""
+    total = {}
+    for part in parts:
+        for key, t in part.items():
+            total[key] = total.get(key, 0.0) + t
+    return total
 
 
-def _run_ensemble(cloud, group, dfull, full, emit, policy, threads, progress):
-    """Bagged cells sharing one (rate, seed) ensemble; see :func:`run_plan`."""
-    points, n = cloud.points, cloud.n
-    ids = np.arange(n, dtype=np.int64)
-    checkpoints = sorted({c.bags.bags for c in group})
-    bags = draw_bags(n, group[0].bags, count=checkpoints[-1])
-    if progress:
-        progress(f"r={group[0].bags.rate:.4g} (m={bags.shape[1]}), {checkpoints[-1]} bags")
-    # One running mean per (estimator, in-bag k_s), k_s None for raw estimates.
-    keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None) for c in group))
-    depth_excl = max(c.est.k for c in group)
-    pre_ks = [ks for _, ks in keys if ks is not None]
-    depth_incl = max(pre_ks) if pre_ks else None
+def _segments(count: int, rows_each: int, width: int):
+    """Consecutive ranges of ``count`` items, ``rows_each`` table rows of
+    ``width`` columns per item, that hold at most one tile budget of cells
+    (at least one item per range, ranges of equal size).  A row counts as at
+    least 64 cells, for the estimator's temporaries of each row: a stack of
+    shallow tables that freed much more than the tile each time made the
+    allocator return its memory and fault it in again every time."""
+    per = max(1, geometry._UNION_CELLS // max(1, rows_each * max(64, width)))
+    per = -(-count // -(-count // per))
+    return [(lo, min(count, lo + per)) for lo in range(0, count, per)]
 
-    def one_bag(i: int):
-        bag = bags[i]
-        dcols = _LazyBlock(points, points[bag]) if dfull is None else _BlockRows(dfull, bag)
-        tables = bag_tables(dcols, bag, ids, depth_excl, depth_incl)
-        raw, out = {}, {}
-        for est, ks in keys:
-            if est not in raw:
+
+class _Ensemble:
+    """The bagged cells of one (rate, seed) ensemble and the state they share.
+
+    Results are kept per key, one key per (estimator, in-bag k_s) with k_s
+    None for raw estimates, and per checkpoint B.  ``rows`` holds the bags'
+    positions among the rows of each distance tile.
+    """
+
+    def __init__(self, n: int, cells):
+        self.cells = cells
+        self.checkpoints = sorted({c.bags.bags for c in cells})
+        self.bags = draw_bags(n, cells[0].bags, count=self.checkpoints[-1])
+        self.rows = None
+        keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None) for c in cells))
+        self.raw_keys = [key for key in keys if key[1] is None]
+        self.pre_keys = [key for key in keys if key[1] is not None]
+        self.ests = list(dict.fromkeys(est for est, _ in keys))
+        self.depth = max(c.est.k for c in cells)
+        self.depth_incl = max((ks for _, ks in self.pre_keys), default=None)
+        shape = (len(self.checkpoints), n)
+        self.means = {key: (np.empty(shape), np.empty(shape, dtype=bool)) for key in keys}
+        # A pre-smoothing gather reads members' in-bag estimates, which later
+        # tiles compute: keep each bag's member estimates, and every query's
+        # in-bag neighborhood as positions in the bag, in the narrowest type
+        # that holds m - 1 (``where`` maps a member's id to its position).
+        B, m = self.bags.shape
+        self.kept = {est: (np.empty((B, m)), np.empty((B, m), dtype=bool))
+                     for est, _ in self.pre_keys}
+        self.hoods = self.where = None
+        if self.pre_keys:
+            self.hoods = np.empty((B, n, self.depth_incl), dtype=np.min_scalar_type(m - 1))
+            self.where = np.zeros((B, n), dtype=self.hoods.dtype)
+            self.where[np.arange(B)[:, None], self.bags] = np.arange(m)
+
+    def tile(self, block, lo, hi, points, policy):
+        """Rank and estimate every bag's rows of queries lo..hi and fold the
+        raw estimates; returns seconds spent per key."""
+        q, count = hi - lo, self.bags.shape[0]
+        qids = np.arange(lo, hi, dtype=np.int64)
+        acc = AnchoredMean(len(self.raw_keys) * q)
+        spent, fold = dict.fromkeys(self.ests, 0.0), 0.0
+        # Without pre-smoothing no inclusive neighborhood is read.
+        depth_incl = self.depth_incl or 0
+        for b0, b1 in _segments(count, q, self.depth + depth_incl):
+            bag_q = np.tile(qids, b1 - b0)
+            tables = bag_tables(_RowGroups(block, self.rows[b0:b1]), self.bags[b0:b1], bag_q,
+                                self.depth, depth_incl)
+            if self.hoods is not None:
+                n = self.where.shape[1]
+                hood = tables.incl_idx.reshape(b1 - b0, q, -1) + (np.arange(b0, b1) * n)[:, None, None]
+                self.hoods[b0:b1, lo:hi] = self.where.reshape(-1)[hood]
+                # The bags' members among the queries, as (bag, position).
+                bi, bj = np.nonzero((self.bags[b0:b1] >= lo) & (self.bags[b0:b1] < hi))
+                bq = self.bags[b0 + bi, bj] - lo
+            raw = {}
+            for est in self.ests:
                 t0 = time.perf_counter()
-                v, f = estimates_from_tables(est, tables, points)
-                raw[est] = (v, f, time.perf_counter() - t0)
-            v, f, t = raw[est]
-            if ks is not None:
+                values, flags = estimates_from_tables(est, tables, points, bag_q)
+                raw[est] = values.reshape(b1 - b0, q), flags.reshape(b1 - b0, q)
+                if est in self.kept:
+                    kept_values, kept_flags = self.kept[est]
+                    kept_values[b0 + bi, bj] = raw[est][0][bi, bq]
+                    kept_flags[b0 + bi, bj] = raw[est][1][bi, bq]
+                spent[est] += time.perf_counter() - t0
+            if self.raw_keys:
                 t0 = time.perf_counter()
-                v, f = gather_mean(v, tables.incl_idx[:, :ks], f)
-                t += time.perf_counter() - t0
-            out[est, ks] = (v, f, t)
-        return out
+                self._fold(acc, self.raw_keys, [raw[est] for est, _ in self.raw_keys],
+                           b0, lo, hi, policy)
+                fold += (time.perf_counter() - t0) / len(self.raw_keys)
+        return {(self, key): spent[key[0]] + (fold if key[1] is None else 0.0)
+                for key in self.raw_keys + self.pre_keys}
 
-    means = {key: AnchoredMean(n) for key in keys}
-    spent = dict.fromkeys(keys, 0.0)
-    done = 0
-    for B in checkpoints:
-        for out in _ordered_map(one_bag, range(done, B), threads):
-            for key, (v, f, t) in out.items():
-                means[key].add(v, f)
-                spent[key] += t
-        done = B
-        aggregates = {}
-        for cell in group:
-            if cell.bags.bags != B:
-                continue
-            key = (cell.est, cell.k_s if cell.variant in _PRE else None)
-            if key not in aggregates:
-                t0 = time.perf_counter()
-                values, flags = means[key].result(policy)
-                aggregates[key] = (values, flags, spent[key] + time.perf_counter() - t0)
-            values, flags, t = aggregates[key]
-            if cell.variant in _POST:
-                t0 = time.perf_counter()
-                values, flags = gather_mean(values, full.incl_idx[:, : cell.k_s], flags)
-                t += time.perf_counter() - t0
-            emit(cell, values, flags, t * 1e3)
+    def pre_tile(self, lo, hi, policy):
+        """Pre-smooth every bag's rows of queries lo..hi and fold them."""
+        q, (count, m) = hi - lo, self.bags.shape
+        acc = AnchoredMean(len(self.pre_keys) * q)
+        t0 = time.perf_counter()
+        for b0, b1 in _segments(count, q, self.depth_incl):
+            offsets = (np.arange(b0, b1) * m)[:, None, None]
+            parts = []
+            for est, ks in self.pre_keys:
+                values, flags = self.kept[est]
+                idx = (self.hoods[b0:b1, lo:hi, :ks] + offsets).reshape(-1, ks)
+                v, f = gather_mean(values.reshape(-1), idx, flags.reshape(-1))
+                parts.append((v.reshape(b1 - b0, q), f.reshape(b1 - b0, q)))
+            self._fold(acc, self.pre_keys, parts, b0, lo, hi, policy)
+        t = (time.perf_counter() - t0) / len(self.pre_keys)
+        return {(self, key): t for key in self.pre_keys}
+
+    def _fold(self, acc, keys, parts, b0, lo, hi, policy):
+        """Add bags b0.. to ``acc``, one (bags, q) ``parts`` entry per key
+        side by side, and store each key's mean at every checkpoint reached."""
+        q = hi - lo
+        values = np.concatenate([v for v, _ in parts], axis=1)
+        flags = np.concatenate([f for _, f in parts], axis=1)
+        start, end = b0, b0 + values.shape[0]
+        for i, B in enumerate(self.checkpoints):
+            if start < B <= end:
+                acc.add(values[start - b0 : B - b0], flags[start - b0 : B - b0])
+                mean, mean_flags = acc.result(policy)
+                for j, key in enumerate(keys):
+                    self.means[key][0][i, lo:hi] = mean[j * q : (j + 1) * q]
+                    self.means[key][1][i, lo:hi] = mean_flags[j * q : (j + 1) * q]
+                start = B
+        if start < end:
+            acc.add(values[start - b0 :], flags[start - b0 :])
+
+    def emit(self, emit, hood, spent):
+        """Emit every cell at its checkpoint, post-smoothing over ``hood``."""
+        for i, B in enumerate(self.checkpoints):
+            for cell in self.cells:
+                if cell.bags.bags != B:
+                    continue
+                key = (cell.est, cell.k_s if cell.variant in _PRE else None)
+                values, flags = self.means[key][0][i], self.means[key][1][i]
+                t = spent[self, key]
+                if cell.variant in _POST:
+                    t0 = time.perf_counter()
+                    values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
+                    t += time.perf_counter() - t0
+                emit(cell, values, flags, t * 1e3)
 
 
 def _ordered_map(fn, items, threads: int):

@@ -3,10 +3,10 @@
 For each dataset the runner turns the grid into a plan: every feasible
 cell becomes one :class:`~lidbag.smoothing.PlanCell` and every infeasible
 one a skip with its reason.  :func:`~lidbag.smoothing.run_plan` executes
-the whole plan at once, so the work cells share is done once: one distance
-block and deep neighbor table per dataset, one bag ensemble per (dataset,
-r) shared by all estimators, k values and variants, and the B axis as
-checkpoints of that growing ensemble.  Each result becomes a row through
+the whole plan at once, so the work cells share is done once: one pass of
+distance tiles and one deep full-cloud neighbor table per dataset, one bag
+ensemble per (dataset, r) shared by all estimators, k values and variants,
+and the B axis as checkpoints of that growing ensemble.  Each result becomes a row through
 the MSE decomposition.
 
 Rows are sorted canonically before writing, making the primary CSV
@@ -405,13 +405,13 @@ def benchmark_runtime(
 ) -> list[BenchmarkPoint]:
     """Time ``variant_estimates`` for the baseline against the bagged variant.
 
-    Nothing is cached between calls: the baseline computes its n^2
-    distances and the bagged variant its B * n * m (one shared n^2 block
-    when r*B >= 1), the cost model in which bagging wins when r*B < 1.
-    Below r*B = 1 neither holds an n^2 block: distances are computed one
-    query tile at a time as the neighbor tables consume them.  Each
-    measurement discards one warmup run and keeps the median of
-    ``repeats``.
+    Nothing is cached between calls.  The baseline computes n^2 distances
+    and ranks n rows of n; the bagged variant computes the distances from
+    every point to the union U of its bags (n * |U| <= n^2) and ranks B * n
+    rows of m, r * B * n^2 cells: the cost model in which bagging wins when
+    r*B < 1.  Neither holds an n^2 block: distances are computed one query
+    tile at a time as the neighbor tables consume them.  Each measurement
+    discards one warmup run and keeps the median of ``repeats``.
     """
     out = []
     for n in n_values:

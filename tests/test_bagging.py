@@ -1,5 +1,7 @@
 """Bag drawing, anchored aggregation, per-bag tables, and the bagged variant."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,21 @@ class TestAnchoredMean:
             assert a.tobytes() == b.tobytes()
             np.testing.assert_array_equal(af, bf)
 
+    def test_stack_equals_columns_one_by_one(self, rng):
+        cols = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-3, 4, size=(7, 5))
+        flags = rng.random((7, 5)) < 0.3
+        one, stacked = AnchoredMean(5), AnchoredMean(5)
+        for j in range(7):
+            one.add(cols[j], flags[j])
+        stacked.add(cols[:1], flags[:1])
+        stacked.add(cols[1:4], flags[1:4])
+        stacked.add(cols[4:], flags[4:])
+        for policy in DIVERGENCE_POLICIES:
+            a, af = one.result(policy)
+            b, bf = stacked.result(policy)
+            assert a.tobytes() == b.tobytes()
+            np.testing.assert_array_equal(af, bf)
+
     def test_empty_accumulator_rejected(self):
         with pytest.raises(BaggingError):
             AnchoredMean(2).result()
@@ -161,6 +178,12 @@ class TestAggregate:
         value, flag = aggregate([1.0, 2.0, 30.0], [False, False, True], "skip")
         assert value == pytest.approx(1.5)
         assert not flag
+
+    def test_infinite_first_value_is_not_nan(self):
+        # An unclamped divergent estimate (+inf) in the first bag.
+        assert aggregate([math.inf, 2.0, 4.0], [True, False, False], "skip") == (3.0, False)
+        assert aggregate([math.inf, 2.0, 4.0], [True, False, False], "clamp") == (math.inf, True)
+        assert aggregate([math.inf, math.inf], [True, True], "skip") == (math.inf, True)
 
     def test_skip_falls_back_when_all_flagged(self):
         value, flag = aggregate([10.0, 30.0], [True, True], "skip")

@@ -73,6 +73,14 @@ class TestMleValues:
         assert div[0]
         assert values[0] == np.inf
 
+    @pytest.mark.parametrize("r", [0.3, 1.0 / 3.0, math.sqrt(3.0), math.sqrt(2.0) / 16.0])
+    def test_equal_radii_divergent_whatever_the_rounding(self, r):
+        # Six equal logs need not sum to six times one of them, which left a
+        # log-sum of +-1e-16 and an unflagged estimate of +-1e15 at k = 7.
+        values, div = mle_values(np.full((1, 7), r))
+        assert div[0]
+        assert values[0] == np.inf
+
     def test_matrix_rows_independent(self, rng):
         d = np.sort(rng.uniform(0.1, 2.0, size=(8, 5)), axis=1)
         together, _ = mle_values(d)

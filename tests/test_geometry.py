@@ -84,8 +84,8 @@ class TestDistances:
         assert np.all(np.diag(blk) == 0.0)
 
     def test_column_gather_equals_recomputed_columns(self, rng):
-        # The engine takes a bag's distance columns from either source; from
-        # the shared block it reads them as rows, by symmetry.
+        # The engine reads a bag's distances to the queries as the bag's rows
+        # of a distance tile, by symmetry; both equal recomputed columns.
         a = rng.normal(size=(300, 7)) * 10
         cols = np.sort(rng.choice(300, size=40, replace=False))
         full = dist_block(a, a)
@@ -369,6 +369,10 @@ class TestBlockedKernel:
         for edge in range(rows, n, rows):
             pts[edge] = pts[edge - 1]
         ref_ids = rng.choice(n, size=m, replace=False)
+        # A member query with a copy of smaller id in the reference set ranks
+        # behind that copy, so its self-exclusion cannot be a shift by one.
+        low, high = np.sort(ref_ids[:2])
+        pts[high] = pts[low]
         if not shuffled:
             ref_ids = np.sort(ref_ids)
         # Every cloud point queries the reference: those drawn into it are
@@ -384,13 +388,29 @@ class TestBlockedKernel:
         dcols = dist_block(pts, pts[ref_ids])
         want = lexsort_tables(dcols, ref_ids, query_ids, depth,
                               depth if depth_incl is None else depth_incl)
-        # The materialised block, the lazy source that computes each tile
-        # from the points, and the reference rows of the symmetric full
-        # block read span by span must give the same tables.
-        for source in (dcols, geometry._LazyBlock(pts, pts[ref_ids]),
-                       geometry._BlockRows(dist_block(pts, pts), ref_ids)):
-            got = neighbor_tables(source, ref_ids, query_ids, depth, depth_incl)
-            for field, ref in zip(("incl_idx", "incl_dist", "excl_idx", "excl_dist"), want):
-                out = getattr(got, field)
-                assert out.shape == ref.shape, (type(source), field)
-                assert out.tobytes() == np.ascontiguousarray(ref).tobytes(), (type(source), field)
+        # The materialised block and the streamed source must give the same
+        # tables.  The source reads the reference rows of a tile from every
+        # point to the queries lo..hi (distances are exactly symmetric), one
+        # group per reference set: here the reference set and its reverse.
+        got = neighbor_tables(dcols, ref_ids, query_ids, depth, depth_incl)
+        self.assert_tables(got, want, "materialised")
+        lo = int(rng.integers(0, n - 1))
+        hi = int(rng.integers(lo + 1, n + 1))
+        block = dist_block(pts, pts[lo:hi])
+        groups = np.stack([ref_ids, ref_ids[::-1]])
+        qids = None if query_ids is None else np.tile(query_ids[lo:hi], 2)
+        got = neighbor_tables(geometry._RowGroups(block, groups), groups, qids, depth, depth_incl)
+        for g in range(2):
+            rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
+            sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
+            self.assert_tables(sub, [t[lo:hi] for t in want], f"group {g}")
+
+    @staticmethod
+    def assert_tables(got, want, source):
+        for field, ref in zip(TABLE_FIELDS, want):
+            out = getattr(got, field)
+            assert out.shape == ref.shape, (source, field)
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes(), (source, field)
+
+
+TABLE_FIELDS = ("incl_idx", "incl_dist", "excl_idx", "excl_dist")

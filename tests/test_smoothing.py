@@ -1,5 +1,8 @@
 """Neighborhood smoothing and the six named estimation pipelines."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,8 @@ from lidbag.bagging import (
 )
 from lidbag.datasets import GeneratorSpec, generate
 from lidbag.estimators import METHODS, EstimatorConfig
-from lidbag import geometry, smoothing
-from lidbag.geometry import PointCloud, dist_block, neighbor_tables
+from lidbag import estimators, geometry, smoothing
+from lidbag.geometry import GeometryError, PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import (
     VARIANTS,
     PlanCell,
@@ -83,8 +86,8 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("policy", ["clamp", "skip"])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bitwise_equal_on_both_sides_of_rb_one(self, variant, policy, threads):
-        # B=4: rate 0.1 gives r*B = 0.4 (per-bag distance columns), rate 0.5
-        # gives r*B = 2 (columns gathered from one shared block).
+        # B=4: rate 0.1 gives r*B = 0.4 (the bags' union is a part of the
+        # cloud), rate 0.5 gives r*B = 2 (the union is nearly all of it).
         configs = [None]
         if variant.startswith("bagged"):
             configs = [BaggingConfig(bags=4, rate=rate, seed=3) for rate in (0.1, 0.5)]
@@ -107,17 +110,21 @@ class TestEngineMatchesReference:
 
 
 class TestStreamedPath:
-    """At r*B < 1 every table streams its distances tile by tile."""
+    """Every table streams its distances, one budget-sized tile at a time."""
 
-    # m = 110 columns per bag: 4 query tiles per bag table, 38 per full table.
+    # m = 110 columns per bag at r = 0.1; n^2 is more than twice the tile
+    # budget, so every plan runs over several query tiles.
     cloud = generate(GeneratorSpec("M12_Norm", n=1100, seed=2))
     est = EstimatorConfig(method="mle", k=6)
+    # r * B = 0.4, 1 and 5.
+    ensembles = [BaggingConfig(bags=4, rate=0.1, seed=1), BaggingConfig(bags=10, rate=0.1, seed=1),
+                 BaggingConfig(bags=10, rate=0.5, seed=1)]
 
     def spy(self, monkeypatch):
         shapes = []
 
-        def recording(a, b, _real=geometry.dist_block):
-            out = _real(a, b)
+        def recording(a, b, out=None, _real=geometry.dist_block):
+            out = _real(a, b, out)
             shapes.append(out.shape)
             return out
 
@@ -125,50 +132,105 @@ class TestStreamedPath:
         monkeypatch.setattr(smoothing, "dist_block", recording)
         return shapes
 
+    def configs(self, variant):
+        return self.ensembles if variant.startswith("bagged") else [None]
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_block_beyond_a_tile_below_rb_one(self, variant, monkeypatch):
         n = self.cloud.n
         shapes = self.spy(monkeypatch)
-        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
-        variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
+        variant_estimates(self.cloud, variant, self.est, self.configs(variant)[0], SmoothingConfig(9))
         assert shapes
-        assert max(a * b for a, b in shapes) <= max(geometry._BLOCK_CELLS, n)
+        assert max(a * b for a, b in shapes) <= max(geometry._UNION_CELLS, n)
 
-    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v.startswith("bagged")])
-    def test_one_shared_block_at_rb_one(self, variant, monkeypatch):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_block_beyond_a_tile_at_any_rb(self, variant, monkeypatch):
+        # At r * B >= 1 too: no n x n block, and each query's distances to the
+        # union of the bags are computed once, however many bags there are.
         n = self.cloud.n
         shapes = self.spy(monkeypatch)
-        bag_cfg = BaggingConfig(bags=10, rate=0.1, seed=1)
-        variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
-        assert shapes == [(n, n)]
+        for bag_cfg in self.configs(variant):
+            shapes.clear()
+            variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
+            assert max(a * b for a, b in shapes) <= max(geometry._UNION_CELLS, n), bag_cfg
+            assert sum(b for _, b in shapes) == n, bag_cfg
+            full = variant not in ("bagged", "bagged_pre")
+            union = n if full else np.unique(draw_bags(n, bag_cfg)).size
+            assert {a for a, _ in shapes} == {union}, bag_cfg
 
-    @pytest.mark.parametrize("variant, k_s, cells", [
-        ("bagged_pre", 110, 4 * 1100 * 110),  # k_s = m: 4 bags of 110 columns
-        ("smoothed", 1100, 1100 * 1100),  # k_s = n: one full-cloud table
+    @pytest.mark.parametrize("variant, k_s", [
+        ("bagged_pre", 110),  # k_s = m: 4 bags of 110 columns
+        ("smoothed", 1100),  # k_s = n: one full-cloud table
     ])
     def test_smoothing_over_every_reference_point_reads_each_distance_once(
-            self, variant, k_s, cells, monkeypatch):
+            self, variant, k_s, monkeypatch):
         # The inclusive depth reaches the reference size while the estimation
-        # depth stays below it; one table pass serves both.
+        # depth stays below it; one table pass serves both, and one distance
+        # from every query to every point of the union of the bags serves
+        # all four bags.
+        n = self.cloud.n
         shapes = self.spy(monkeypatch)
-        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        bag_cfg = self.ensembles[0] if variant.startswith("bagged") else None
         variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(k_s))
-        assert sum(a * b for a, b in shapes) == cells
+        union = n if bag_cfg is None else np.unique(draw_bags(n, bag_cfg)).size
+        assert sum(a * b for a, b in shapes) == n * union
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_thread_count_identity(self, variant):
-        bag_cfg = BaggingConfig(bags=4, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        # Tile workers write disjoint slices of shared result arrays; more
+        # workers than cores and a short switch interval would expose a lost
+        # or misplaced write as changed bytes.
         s_cfg = SmoothingConfig(9)
-        one = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=1)
-        three = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=3)
-        assert one[0].tobytes() == three[0].tobytes()
-        assert one[1].tobytes() == three[1].tobytes()
+        interval = sys.getswitchinterval()
+        for bag_cfg in self.configs(variant):
+            one = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=1)
+            sys.setswitchinterval(1e-5)
+            try:
+                three = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=3)
+            finally:
+                sys.setswitchinterval(interval)
+            assert one[0].tobytes() == three[0].tobytes(), bag_cfg
+            assert one[1].tobytes() == three[1].tobytes(), bag_cfg
 
     def test_rejects_thread_count_below_one(self):
         bag_cfg = BaggingConfig(bags=2, rate=0.1, seed=1)
         for threads in (0, -5):
             with pytest.raises(SmoothingError, match=f"threads must be >= 1, got {threads}"):
                 variant_estimates(self.cloud, "bagged", self.est, bag_cfg, threads=threads)
+
+
+class TestTileBudgets:
+    """The chunk, tile and TLE budgets decide memory and call counts only."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(("M7_Roll", "M12_Norm", "lattice")), n=st.integers(30, 160),
+           method=st.sampled_from(METHODS), variant=st.sampled_from(VARIANTS),
+           rate=st.sampled_from((0.1, 0.3, 0.7)), B=st.integers(1, 6),
+           block=st.integers(1, 4096), union=st.integers(1, 8192), tle=st.integers(1, 512),
+           seed=st.integers(0, 2**16))
+    def test_budgets_change_no_bit(self, kind, n, method, variant, rate, B, block, union, tle,
+                                   seed):
+        cloud = small_cloud(kind, n, seed)
+        est = EstimatorConfig(method=method, k=3)
+        bag_cfg = BaggingConfig(B, rate, seed) if variant.startswith("bagged") else None
+        if bag_cfg is not None and bag_cfg.bag_size(n) < 5:
+            bag_cfg = BaggingConfig(B, 0.7, seed)
+        s_cfg = SmoothingConfig(4)
+        ids = np.arange(n, dtype=np.int64)
+        bag = draw_bags(n, BaggingConfig(1, 0.5, seed))[0]
+        d = dist_block(cloud.points, cloud.points[bag])
+        want = (variant_estimates(cloud, variant, est, bag_cfg, s_cfg),
+                neighbor_tables(d, bag, ids, 3, 5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK_CELLS", block)
+            mp.setattr(geometry, "_UNION_CELLS", union)
+            mp.setattr(estimators, "_TLE_CELLS", tle)
+            got = (variant_estimates(cloud, variant, est, bag_cfg, s_cfg, threads=2),
+                   neighbor_tables(d, bag, ids, 3, 5))
+        for a, b in zip(got[0], want[0]):
+            assert a.tobytes() == b.tobytes()
+        for field in ("incl_idx", "incl_dist", "excl_idx", "excl_dist"):
+            assert getattr(got[1], field).tobytes() == getattr(want[1], field).tobytes()
 
 
 class TestSmoothingConfig:
@@ -248,6 +310,25 @@ class TestSmooth:
         with pytest.raises(SmoothingError):
             smooth(np.zeros(4), ref, ref, SmoothingConfig(k_s=2))
 
+    def test_rejects_non_finite_reference(self, rng):
+        ref = rng.normal(size=(10, 2))
+        bad = ref.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(GeometryError, match="reference"):
+            smooth(np.ones(10), bad, ref, SmoothingConfig(k_s=2))
+
+    def test_rejects_non_finite_queries(self, rng):
+        ref = rng.normal(size=(10, 2))
+        queries = ref[:4].copy()
+        queries[0, 0] = np.nan
+        with pytest.raises(GeometryError, match="queries"):
+            smooth(np.ones(10), ref, queries, SmoothingConfig(k_s=2))
+
+    def test_rejects_one_flag_per_point_mismatch(self, rng):
+        ref = rng.normal(size=(50, 2))
+        with pytest.raises(SmoothingError, match="60 flags for 50 reference points"):
+            smooth(np.ones(50), ref, ref, SmoothingConfig(k_s=2), flags=np.zeros(60, dtype=bool))
+
     def test_flags_round_trip(self, rng):
         ref = rng.normal(size=(10, 2))
         est = rng.uniform(size=10)
@@ -256,6 +337,36 @@ class TestSmooth:
         out, oflags = smooth(est, ref, ref, SmoothingConfig(k_s=2), flags=flags)
         assert oflags.dtype == bool
         assert oflags.any()  # at least point 3's own neighborhood is tainted
+
+
+class TestUnclampedDivergence:
+    """A duplicate pair gives +inf estimates, which ``clamp_max=inf`` keeps."""
+
+    pts = np.random.default_rng(0).normal(size=(300, 3))
+    pts[1] = pts[0]
+    cloud = PointCloud.single_manifold(pts, 3.0)
+    est = EstimatorConfig("mle", 5, clamp_max=math.inf)
+    bag_cfg = BaggingConfig(20, 0.5, 0)
+
+    def per_bag(self):
+        trace = []
+        reference(self.cloud, "bagged", self.est, self.bag_cfg, trace=trace)
+        return np.array([values for _, values, _ in trace])
+
+    def test_infinite_first_bag_is_not_nan(self):
+        per_bag = self.per_bag()
+        assert np.isinf(per_bag[0, :2]).all()  # both copies fall in the first bag
+        finite = np.isfinite(per_bag)
+        values, flags = variant_estimates(self.cloud, "bagged", self.est, self.bag_cfg,
+                                          policy="clamp")
+        assert not np.isnan(values).any()
+        np.testing.assert_array_equal(values[:2], [math.inf, math.inf])
+        assert flags[:2].all()
+        values, flags = variant_estimates(self.cloud, "bagged", self.est, self.bag_cfg,
+                                          policy="skip")
+        assert finite[:, :2].any(axis=0).all() and not flags[:2].any()
+        for q in (0, 1):
+            np.testing.assert_allclose(values[q], per_bag[finite[:, q], q].mean(), rtol=1e-12)
 
 
 class TestPipelines:
@@ -406,8 +517,9 @@ class TestInvariants:
            policy=st.sampled_from(DIVERGENCE_POLICIES), seed=st.integers(0, 2**16))
     def test_rate_one_reproduces_the_unbagged_variant(self, kind, n, k, method, B, pair,
                                                       policy, seed):
-        # Every bag at r = 1 is the whole cloud, read from the shared block
-        # (r * B >= 1) while the unbagged variant streams its distances.
+        # Every bag at r = 1 is the whole cloud, ranked as a stack of bags
+        # read from each distance tile, while the unbagged variant ranks the
+        # full-cloud table from the same tiles.
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=k)
         bagged, unbagged = pair
@@ -424,8 +536,8 @@ class TestInvariants:
            extra=st.integers(1, 4), seed=st.integers(0, 2**16))
     def test_b_prefix_stable(self, kind, n, k, method, variant, rate, b1, extra, seed):
         # One plan holding B = b1 and B = b2 emits at each checkpoint what a
-        # separate run emits, even when only b2 crosses r * B = 1 and so
-        # moves the plan onto the shared block.
+        # separate run emits, even when b2 crosses r * B = 1 and its bags
+        # widen the union the plan's distance tiles cover.
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=k)
         configs = [BaggingConfig(b, rate, seed) for b in (b1, b1 + extra)]
