@@ -12,7 +12,7 @@ its memory does not grow with the number of queries.  A chunk is copied
 from a materialised distance block or read from a :class:`_RowGroups`: the
 rows of one distance tile (from the union of several reference groups, such
 as the bags of an ensemble, to a range of queries) that belong to each
-group.  Callers compute those tiles query range by query range
+group, or the (group, query) pairs it names.  Callers compute those tiles query range by query range
 (:func:`_query_tiles`), so a table over n queries needs O(tile + n * depth)
 memory, never an (n, m) block.  In each chunk it finds every row's prefix
 with one partition, decides from the next order statistic whether a tie
@@ -131,7 +131,7 @@ class PointCloud:
         return cls(pts, labels, np.asarray([float(gt_lid)]))
 
 
-def dist_block(a, b, out: np.ndarray | None = None) -> np.ndarray:
+def dist_block(a, b) -> np.ndarray:
     """Exact Euclidean distance matrix between row sets ``a`` and ``b``.
 
     This is the single distance kernel of the package.  Each entry is
@@ -139,10 +139,9 @@ def dist_block(a, b, out: np.ndarray | None = None) -> np.ndarray:
     is bit-identical to recomputing the block for those columns.  Entry
     (i, j) sums the same squared differences in the same order as (j, i),
     so ``dist_block(p, p)`` is exactly symmetric and its rows are its
-    columns.  ``out``, a C-contiguous float64 array of the result's shape,
-    receives the result instead of a new array.
+    columns.
     """
-    return cdist(*_operands(a, b), out=out)
+    return cdist(*_operands(a, b))
 
 
 def _operands(a, b):
@@ -156,23 +155,27 @@ def _operands(a, b):
 
 
 class _RowGroups:
-    """Stands for the distances from q queries to g groups of reference points.
+    """Stands for the distances from queries to g groups of reference points.
 
     ``block`` is a (u, q) distance tile from u points to q queries, and
-    ``rows`` a (g, m) array of row positions in it, one row per group.  Rows
-    ``j * q`` to ``(j + 1) * q`` of the (g * q, m) stand-in are
-    ``block[rows[j]].T``: the distances from every query to group j's points.
-    :func:`neighbor_tables` copies one group's rows of the tile at a time
-    (none when they are all of its rows, in order) and reads that copy chunk
-    by chunk, so no (g * q, m) array is made.  ``dist_block(p, p)`` is exactly
-    symmetric, so a tile's rows may be the references and its columns the
-    queries.
+    ``rows`` a (g, m) array of row positions in it, one row per group.  The
+    stand-in is, group after group, ``block[rows[j]].T``: the distances from
+    every query to group j's points.  With ``pairs = (group, col)``, two
+    equal-length arrays, its row p is instead ``block[rows[group[p]],
+    col[p]]``: each row reads the one query and the one group it names, and
+    a ``block`` that is the transpose of a C-contiguous (q, u) tile serves
+    those rows fastest.
+    :func:`neighbor_tables` gathers the stand-in chunk by chunk, so no
+    (rows, m) array is made.  ``dist_block(p, p)`` is exactly symmetric, so
+    a tile's rows may be the references and its columns the queries.
     """
 
-    def __init__(self, block, rows):
+    def __init__(self, block, rows, pairs=None):
         self.block = block
         self.rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-        self.shape = (self.rows.shape[0] * block.shape[1], self.rows.shape[1])
+        self.pairs = pairs
+        nq = self.rows.shape[0] * block.shape[1] if pairs is None else pairs[0].shape[0]
+        self.shape = (nq, self.rows.shape[1])
 
 
 #: Distances per query chunk in :func:`neighbor_tables`.  The chunk and its
@@ -265,7 +268,7 @@ def neighbor_tables(
         dcols = np.asarray(dcols, dtype=np.float64)
         source = _RowGroups(dcols.T, np.arange(dcols.shape[1]))
     nq, m = source.shape
-    groups, per = source.rows.shape[0], source.block.shape[1]
+    groups = source.rows.shape[0]
     reference_ids = np.asarray(reference_ids, dtype=np.int64)
     if reference_ids.size != groups * m:
         raise GeometryError("reference_ids must match dcols columns")
@@ -301,47 +304,74 @@ def neighbor_tables(
     else:
         excl_idx, excl_dist = incl_idx, incl_dist
 
-    # Equal chunks per group, as many as whole chunks of _BLOCK_CELLS // m
-    # rows fit (at least one row, at least one chunk): a remainder is spread
-    # over the chunks instead of taking a short chunk of its own.
-    chunk = max(1, _BLOCK_CELLS // m)
-    chunk = -(-per // max(1, per // chunk))
-    tile = np.empty((min(chunk, per), m))
-    every_row = np.arange(source.block.shape[0])
-    for g in range(groups):
-        # One contiguous copy of the group's rows, read chunk by chunk.
-        block = source.block
-        if not np.array_equal(rows[g], every_row):
-            block = block[rows[g]]
-        for a in range(0, per, chunk):
-            b = min(per, a + chunk)
-            lo, hi = g * per + a, g * per + b
-            t = tile[: b - a]
-            np.copyto(t, block[:, a:b].T)
-            pos, pd = _ranked_prefix(t, need)
-            pids = ids[g][pos]
-            incl_idx[lo:hi] = pids[:, :depth_incl]
-            incl_dist[lo:hi] = pd[:, :depth_incl]
-            if excl_idx is not incl_idx:
-                excl_idx[lo:hi] = pids[:, :depth]
-                excl_dist[lo:hi] = pd[:, :depth]
-            if member_possible:
-                # Rows that start with the query drop it by a shift of one.
-                q = qids[lo:hi]
-                first = pids[:, 0] == q
-                shift = np.nonzero(first)[0]
-                excl_idx[lo + shift] = pids[shift, 1 : depth + 1]
-                excl_dist[lo + shift] = pd[shift, 1 : depth + 1]
-                # A copy of the query ranks before it: move the query's own
-                # entry (if present) to the end, keeping the rest in order.
-                dup = np.nonzero(~first & (pd[:, 0] == 0.0))[0]
-                if dup.size:
-                    self_mask = pids[dup] == q[dup, None]
-                    push = np.argsort(self_mask, axis=1, kind="stable")[:, :depth]
-                    excl_idx[lo + dup] = _take_rows(pids[dup], push)
-                    excl_dist[lo + dup] = _take_rows(pd[dup], push)
+    for lo, hi, t, row_ids in _chunks(source, rows, ids):
+        pos, pd = _ranked_prefix(t, need)
+        pids = row_ids[pos] if row_ids.ndim == 1 else _take_rows(row_ids, pos)
+        incl_idx[lo:hi] = pids[:, :depth_incl]
+        incl_dist[lo:hi] = pd[:, :depth_incl]
+        if excl_idx is not incl_idx:
+            excl_idx[lo:hi] = pids[:, :depth]
+            excl_dist[lo:hi] = pd[:, :depth]
+        if member_possible:
+            # Rows that start with the query drop it by a shift of one.
+            q = qids[lo:hi]
+            first = pids[:, 0] == q
+            shift = np.nonzero(first)[0]
+            excl_idx[lo + shift] = pids[shift, 1 : depth + 1]
+            excl_dist[lo + shift] = pd[shift, 1 : depth + 1]
+            # A copy of the query ranks before it: move the query's own
+            # entry (if present) to the end, keeping the rest in order.
+            dup = np.nonzero(~first & (pd[:, 0] == 0.0))[0]
+            if dup.size:
+                self_mask = pids[dup] == q[dup, None]
+                push = np.argsort(self_mask, axis=1, kind="stable")[:, :depth]
+                excl_idx[lo + dup] = _take_rows(pids[dup], push)
+                excl_dist[lo + dup] = _take_rows(pd[dup], push)
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
+
+
+def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):
+    """The stand-in of ``source`` chunk by chunk: (lo, hi, tile, ids) with
+    the stand-in's rows lo..hi in a C-contiguous tile and their reference
+    ids, (m,) when the chunk belongs to one group and (hi - lo, m) when
+    every row names its own.  ``rows`` and ``ids`` are the groups' row
+    positions and reference ids in ascending id order."""
+    m, block = rows.shape[1], source.block
+    chunk = max(1, _BLOCK_CELLS // m)
+    if source.pairs is not None:
+        # One flat take per chunk from the queries' rows of the transposed
+        # tile (a view when the tile is the transpose of a C-contiguous
+        # one): a pair's m entries lie in one row, not in m rows, which
+        # took a third of the time of a two-array fancy index of the tile.
+        group, col = source.pairs
+        nq, u, flat = group.shape[0], block.shape[0], block.T.reshape(-1)
+        step = max(1, -(-nq // max(1, nq // chunk)))
+        for lo in range(0, nq, step):
+            hi = min(nq, lo + step)
+            g = group[lo:hi]
+            yield lo, hi, np.take(flat, rows[g] + (col[lo:hi] * u)[:, None]), ids[g]
+        return
+    # Equal chunks per group, as many as whole chunks of _BLOCK_CELLS // m
+    # rows fit (at least one row, at least one chunk): a remainder is spread
+    # over the chunks instead of taking a short chunk of its own.  A group
+    # whose rows are not the whole block in order is gathered in one copy
+    # when that fits one tile budget (whole rows copy fastest), and chunk by
+    # chunk otherwise, so a reordered block is never copied whole.
+    per = block.shape[1]
+    step = max(1, -(-per // max(1, per // chunk)))
+    tile = np.empty((min(step, per), m))
+    every_row = np.arange(block.shape[0])
+    whole = m * per <= _UNION_CELLS
+    for g in range(rows.shape[0]):
+        group = block
+        if not np.array_equal(rows[g], every_row):
+            group = block[rows[g]] if whole else None
+        for a in range(0, per, step):
+            b = min(per, a + step)
+            t = tile[: b - a]
+            np.copyto(t, (block[rows[g], a:b] if group is None else group[:, a:b]).T)
+            yield g * per + a, g * per + b, t, ids[g]
 
 
 def _ranked_prefix(tile: np.ndarray, need: int):

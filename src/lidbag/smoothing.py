@@ -20,7 +20,6 @@ every smoothed value they touch, keeping the pipeline total.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -188,8 +187,8 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       full-cloud table is needed, else the union of the ensembles' bags),
       and ranks every table's rows of the tile from it.  Distance work is
       n * |U|, at most n^2 and at most the sum of the bags' n * m, and
-      memory is one tile plus O(n) per result: no n x n or n x m block is
-      ever built.
+      memory is one tile plus O(n) per result and O(B * (n + m)) per
+      ensemble: no n x n or n x m block is ever built.
     * One deep full-cloud table serves every ``baseline`` and ``smoothed``
       estimate and every post-smoothing neighborhood (sorted neighbor
       prefixes nest, so any smaller k is a column slice).
@@ -198,10 +197,18 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       each estimator runs once over the stack, and one table per bag serves
       every cell.  The stack is folded into running means in bag order, and
       each cell takes the mean at its B, so a B grid costs max(B) bags, not
-      sum(B).  Pre-smoothing needs every member's in-bag estimate, so an
-      ensemble with pre-smoothed cells keeps each bag's member estimates and
-      every query's in-bag neighborhood (B * n * max k_s positions of one or
-      two bytes each while m <= 65536) and gathers after the last tile.
+      sum(B).
+    * Pre-smoothing reads every member's in-bag estimate, which later tiles
+      may compute.  Ensembles keep every query's in-bag neighborhood
+      (B * n * k_s positions of one or two bytes) while those fit
+      ``_HOOD_BYTES``, widest bags first and up to the first that does
+      not fit: they take their members' estimates from the main map and
+      gather in a second map.  Any other pre-smoothed ensemble first
+      computes its members' estimates in a map over tiles of the union M
+      of those ensembles' bags (|U| * |M| more distances, and each bag
+      ranks the rows of its own B * m members once more), keeps those
+      B * m values, and the main map gathers from them as soon as a tile
+      is ranked.
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
     cell's attributable kernel, smoothing and aggregation time (the shared
@@ -237,8 +244,9 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     else:
         return
     refs = points if full else points[union]
+    u = union.shape[0]
     for e in ensembles:
-        e.rows = np.searchsorted(union, e.bags)
+        e.rows = e.bags if full else np.searchsorted(union, e.bags)
 
     def full_tile(block, lo, hi):
         source, qids = _RowGroups(block, ids), ids[lo:hi]
@@ -257,28 +265,46 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             spent[est] = time.perf_counter() - t0
         return spent
 
-    u = union.shape[0]
-    tiles = _query_tiles(n, u)
-    # One distance buffer per worker, reused tile after tile: a fresh block
-    # per tile made the allocator return and fault in the tile's working set
-    # every time (~2500 page faults per tile of a TLE call at n = 8000).
-    buffers = threading.local()
+    # Pre-smoothed ensembles keep their neighborhoods, widest bags first
+    # (their member pass would cost the most), until one does not fit.
+    budget = _HOOD_BYTES
+    for e in sorted((e for e in ensembles if e.pre_keys), key=lambda e: -e.bags.shape[1]):
+        B, m = e.bags.shape
+        size = B * n * e.depth_incl * np.min_scalar_type(m - 1).itemsize
+        if size > budget:
+            break
+        e.hoods = np.empty((B, n, e.depth_incl), dtype=np.min_scalar_type(m - 1))
+        budget -= size
+
+    spent = {}
+    pre = [e for e in ensembles if e.pre_keys and e.hoods is None]
+    if pre:
+        members = np.unique(np.concatenate([e.bags.ravel() for e in pre]))
+
+        def member_tile(span):
+            tile_ids = members[span[0] : span[1]]
+            # Members are the queries here: they read whole rows of the
+            # tile, so it is laid out query-major (the transpose of an
+            # exactly symmetric block).
+            block = dist_block(points[tile_ids], refs).T
+            return _sum_times([e.members(block, tile_ids, points) for e in pre])
+
+        spent = _sum_times(_ordered_map(member_tile, _query_tiles(members.shape[0], u), threads))
 
     def one_tile(span):
         lo, hi = span
-        if not hasattr(buffers, "block"):
-            buffers.block = np.empty(u * (tiles[0][1] - tiles[0][0]))
-        block = dist_block(refs, points[lo:hi], out=buffers.block[: u * (hi - lo)].reshape(u, hi - lo))
+        block = dist_block(refs, points[lo:hi])
         spent = full_tile(block, lo, hi) if full else {}
         for e in ensembles:
             spent.update(e.tile(block, lo, hi, points, policy))
         return spent
 
-    spent = _sum_times(_ordered_map(one_tile, tiles, threads))
-    pre = [e for e in ensembles if e.pre_keys]
-    if pre:
+    tiles = _query_tiles(n, u)
+    spent = _sum_times([spent] + _ordered_map(one_tile, tiles, threads))
+    kept = [e for e in ensembles if e.hoods is not None]
+    if kept:
         spent = _sum_times([spent] + _ordered_map(
-            lambda span: _sum_times([e.pre_tile(*span, policy) for e in pre]), tiles, threads))
+            lambda span: _sum_times([e.pre_tile(*span, policy) for e in kept]), tiles, threads))
 
     for cell in unbagged:
         values, flags = raw[cell.est]
@@ -290,6 +316,14 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         emit(cell, values, flags, t * 1e3)
     for e in ensembles:
         e.emit(emit, hood, spent)
+
+
+#: Bytes of in-bag neighborhoods a plan may keep for pre-smoothing (16 MiB);
+#: an ensemble beyond it ranks its members' rows twice instead.  Keeping
+#: them spares the default M12_Norm sweep a member pass of about a fifth
+#: of its run time (0.95 of 4.5 s under a profiler), and that sweep keeps
+#: 14 MB of them; a B grid's ensembles of 400 bags do not fit.
+_HOOD_BYTES = 2**24
 
 
 def _sum_times(parts):
@@ -304,10 +338,11 @@ def _sum_times(parts):
 def _segments(count: int, rows_each: int, width: int):
     """Consecutive ranges of ``count`` items, ``rows_each`` table rows of
     ``width`` columns per item, that hold at most one tile budget of cells
-    (at least one item per range, ranges of equal size).  A row counts as at
-    least 64 cells, for the estimator's temporaries of each row: a stack of
-    shallow tables that freed much more than the tile each time made the
-    allocator return its memory and fault it in again every time."""
+    (at least one item per range, ranges of equal size).  A row counts as
+    at least 64 cells, for the estimator's and the fold's temporaries of
+    each row: without that floor a stack of shallow tables (k = 10) took
+    2.4 times the memory (a traced peak of 24.2 against 10.1 MB for
+    ``bagged`` at n = 1000, B = 400, r = 0.25)."""
     per = max(1, geometry._UNION_CELLS // max(1, rows_each * max(64, width)))
     per = -(-count // -(-count // per))
     return [(lo, min(count, lo + per)) for lo in range(0, count, per)]
@@ -329,64 +364,110 @@ class _Ensemble:
         keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None) for c in cells))
         self.raw_keys = [key for key in keys if key[1] is None]
         self.pre_keys = [key for key in keys if key[1] is not None]
-        self.ests = list(dict.fromkeys(est for est, _ in keys))
-        self.depth = max(c.est.k for c in cells)
         self.depth_incl = max((ks for _, ks in self.pre_keys), default=None)
         shape = (len(self.checkpoints), n)
         self.means = {key: (np.empty(shape), np.empty(shape, dtype=bool)) for key in keys}
-        # A pre-smoothing gather reads members' in-bag estimates, which later
-        # tiles compute: keep each bag's member estimates, and every query's
-        # in-bag neighborhood as positions in the bag, in the narrowest type
-        # that holds m - 1 (``where`` maps a member's id to its position).
+        # Pre-smoothing gathers each bag's in-bag estimates of its members,
+        # kept by position in the bag.
         B, m = self.bags.shape
         self.kept = {est: (np.empty((B, m)), np.empty((B, m), dtype=bool))
                      for est, _ in self.pre_keys}
-        self.hoods = self.where = None
-        if self.pre_keys:
-            self.hoods = np.empty((B, n, self.depth_incl), dtype=np.min_scalar_type(m - 1))
-            self.where = np.zeros((B, n), dtype=self.hoods.dtype)
-            self.where[np.arange(B)[:, None], self.bags] = np.arange(m)
+        # Positions in the bag of every query's in-bag neighborhood, when
+        # the plan's budget lets this ensemble keep them.
+        self.hoods = None
+
+    def members(self, block, tile_ids, points):
+        """Keep the in-bag estimates of the bags' members among
+        ``tile_ids``, the ascending ids of ``block``'s columns; returns
+        seconds spent per pre-smoothed key."""
+        # Bags ascend, so each bag's members among the columns are a run.
+        j0 = (self.bags < tile_ids[0]).sum(axis=1)
+        counts, count = (self.bags <= tile_ids[-1]).sum(axis=1) - j0, self.bags.shape[0]
+        depth = max(est.k for est in self.kept)
+        spent = dict.fromkeys(self.kept, 0.0)
+        for b0, b1 in _segments(count, -(-int(counts.sum()) // count), depth):
+            c = counts[b0:b1]
+            bi = np.repeat(np.arange(b1 - b0), c)
+            bj = np.arange(c.sum()) + np.repeat(j0[b0:b1] - (np.cumsum(c) - c), c)
+            qids = self.bags[b0 + bi, bj]
+            source = _RowGroups(block, self.rows[b0:b1], (bi, np.searchsorted(tile_ids, qids)))
+            tables = bag_tables(source, self.bags[b0:b1], qids, depth, 0)
+            for est, (kept_values, kept_flags) in self.kept.items():
+                t0 = time.perf_counter()
+                kept_values[b0 + bi, bj], kept_flags[b0 + bi, bj] = estimates_from_tables(
+                    est, tables, points, qids)
+                spent[est] += time.perf_counter() - t0
+        return {(self, key): spent[key[0]] for key in self.pre_keys}
 
     def tile(self, block, lo, hi, points, policy):
-        """Rank and estimate every bag's rows of queries lo..hi and fold the
-        raw estimates; returns seconds spent per key."""
-        q, count = hi - lo, self.bags.shape[0]
+        """Rank and estimate every bag's rows of queries lo..hi, pre-smooth
+        them or keep their neighborhoods, and fold them; returns seconds
+        spent per key."""
+        q, (count, m) = hi - lo, self.bags.shape
         qids = np.arange(lo, hi, dtype=np.int64)
-        acc = AnchoredMean(len(self.raw_keys) * q)
-        spent, fold = dict.fromkeys(self.ests, 0.0), 0.0
-        # Without pre-smoothing no inclusive neighborhood is read.
+        stored = self.hoods is not None
+        keys = self.raw_keys + ([] if stored else self.pre_keys)
+        # Raw estimates and kept member estimates need the self-excluded
+        # tables, pre-smoothing the inclusive ones.
+        ests = [est for est, _ in self.raw_keys] + (list(self.kept) if stored else [])
+        ests = list(dict.fromkeys(ests))
+        depth = max((est.k for est in ests), default=0)
         depth_incl = self.depth_incl or 0
-        for b0, b1 in _segments(count, q, self.depth + depth_incl):
+        acc = AnchoredMean(len(keys) * q)
+        spent = dict.fromkeys(self.raw_keys + self.pre_keys, 0.0)
+        for b0, b1 in _segments(count, q, depth + depth_incl):
             bag_q = np.tile(qids, b1 - b0)
             tables = bag_tables(_RowGroups(block, self.rows[b0:b1]), self.bags[b0:b1], bag_q,
-                                self.depth, depth_incl)
-            if self.hoods is not None:
-                n = self.where.shape[1]
-                hood = tables.incl_idx.reshape(b1 - b0, q, -1) + (np.arange(b0, b1) * n)[:, None, None]
-                self.hoods[b0:b1, lo:hi] = self.where.reshape(-1)[hood]
+                                depth, depth_incl)
+            if stored:
                 # The bags' members among the queries, as (bag, position).
                 bi, bj = np.nonzero((self.bags[b0:b1] >= lo) & (self.bags[b0:b1] < hi))
                 bq = self.bags[b0 + bi, bj] - lo
             raw = {}
-            for est in self.ests:
+            for est in ests:
                 t0 = time.perf_counter()
                 values, flags = estimates_from_tables(est, tables, points, bag_q)
                 raw[est] = values.reshape(b1 - b0, q), flags.reshape(b1 - b0, q)
-                if est in self.kept:
+                if stored and est in self.kept:
                     kept_values, kept_flags = self.kept[est]
                     kept_values[b0 + bi, bj] = raw[est][0][bi, bq]
                     kept_flags[b0 + bi, bj] = raw[est][1][bi, bq]
-                spent[est] += time.perf_counter() - t0
-            if self.raw_keys:
+                t = time.perf_counter() - t0
+                for key in spent:
+                    spent[key] += t * (key[0] == est)
+            parts = [raw[est] for est, _ in self.raw_keys]
+            if self.pre_keys:
+                # Each query's in-bag neighborhood, as positions in its bag:
+                # ``where`` maps a member's id to its position in each bag
+                # of the segment, in the narrowest type that holds m - 1.
                 t0 = time.perf_counter()
-                self._fold(acc, self.raw_keys, [raw[est] for est, _ in self.raw_keys],
-                           b0, lo, hi, policy)
-                fold += (time.perf_counter() - t0) / len(self.raw_keys)
-        return {(self, key): spent[key[0]] + (fold if key[1] is None else 0.0)
-                for key in self.raw_keys + self.pre_keys}
+                n, bag = points.shape[0], np.arange(b1 - b0)[:, None]
+                where = np.empty((b1 - b0) * n, dtype=np.min_scalar_type(m - 1))
+                where[self.bags[b0:b1] + bag * n] = np.arange(m)
+                hood = where[tables.incl_idx.reshape(b1 - b0, -1) + bag * n]
+                if stored:
+                    self.hoods[b0:b1, lo:hi] = hood.reshape(b1 - b0, q, -1)
+                else:
+                    # Positions in the segment's flattened kept estimates.
+                    hood = (hood + bag * m).reshape(b1 - b0, q, -1)
+                    for est, ks in self.pre_keys:
+                        values, flags = (a[b0:b1].reshape(-1) for a in self.kept[est])
+                        v, f = gather_mean(values, hood[:, :, :ks].reshape(-1, ks), flags)
+                        parts.append((v.reshape(b1 - b0, q), f.reshape(b1 - b0, q)))
+                t = (time.perf_counter() - t0) / len(self.pre_keys)
+                for key in self.pre_keys:
+                    spent[key] += t
+            if keys:
+                t0 = time.perf_counter()
+                self._fold(acc, keys, parts, b0, lo, hi, policy)
+                t = (time.perf_counter() - t0) / len(keys)
+                for key in keys:
+                    spent[key] += t
+        return {(self, key): t for key, t in spent.items()}
 
     def pre_tile(self, lo, hi, policy):
-        """Pre-smooth every bag's rows of queries lo..hi and fold them."""
+        """Pre-smooth every bag's rows of queries lo..hi from the kept
+        neighborhoods and fold them."""
         q, (count, m) = hi - lo, self.bags.shape
         acc = AnchoredMean(len(self.pre_keys) * q)
         t0 = time.perf_counter()

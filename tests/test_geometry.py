@@ -1,6 +1,7 @@
 """Neighborhood machinery: exhaustive oracle, tie policy, batched tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,21 @@ class TestNeighborTablesBatch:
             row = table_row(pts, q, 6)
             assert tabs.excl_dist[q].tobytes() == row[1].tobytes()
 
+    def test_shuffled_reference_ids_copy_chunk_by_chunk(self, rng):
+        # Columns in non-ascending id order are put in id order one chunk at
+        # a time: the call holds no reordered copy of the 8 MB input.
+        dcols = rng.random((2000, 500))
+        ids = rng.permutation(500)
+        tracemalloc.start()
+        try:
+            tabs = neighbor_tables(dcols, ids, None, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        order = np.argsort(dcols, axis=1, kind="stable")[:, :5]
+        np.testing.assert_array_equal(tabs.incl_idx, ids[order])
+
     def test_inclusive_rows_lead_with_self(self, rng):
         pts = rng.normal(size=(15, 2))
         ids = np.arange(15, dtype=np.int64)
@@ -404,6 +420,16 @@ class TestBlockedKernel:
             rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
             sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
             self.assert_tables(sub, [t[lo:hi] for t in want], f"group {g}")
+        # Rows may instead name their own (group, query) pair, in any order.
+        group = rng.integers(0, 2, size=int(rng.integers(0, 2 * (hi - lo) + 1)))
+        col = rng.integers(0, hi - lo, size=group.size)
+        qids = None if query_ids is None else query_ids[lo:hi][col]
+        got = neighbor_tables(geometry._RowGroups(block, groups, (group, col)), groups, qids,
+                              depth, depth_incl)
+        for g in range(2):
+            sub = NeighborTables(*(getattr(got, f)[group == g] for f in TABLE_FIELDS))
+            self.assert_tables(sub, [t[lo:hi][col[group == g]] for t in want],
+                               f"pairs of group {g}")
 
     @staticmethod
     def assert_tables(got, want, source):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,8 +124,8 @@ class TestStreamedPath:
     def spy(self, monkeypatch):
         shapes = []
 
-        def recording(a, b, out=None, _real=geometry.dist_block):
-            out = _real(a, b, out)
+        def recording(a, b, _real=geometry.dist_block):
+            out = _real(a, b)
             shapes.append(out.shape)
             return out
 
@@ -143,20 +144,27 @@ class TestStreamedPath:
         assert shapes
         assert max(a * b for a, b in shapes) <= max(geometry._UNION_CELLS, n)
 
+    @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_no_block_beyond_a_tile_at_any_rb(self, variant, monkeypatch):
+    def test_no_block_beyond_a_tile_at_any_rb(self, variant, hood_bytes, monkeypatch):
         # At r * B >= 1 too: no n x n block, and each query's distances to the
-        # union of the bags are computed once, however many bags there are.
+        # union of the bags are computed once, however many bags there are;
+        # pre-smoothing without kept neighborhoods first computes each
+        # member's once more, for the in-bag estimates it gathers.
         n = self.cloud.n
         shapes = self.spy(monkeypatch)
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
         for bag_cfg in self.configs(variant):
             shapes.clear()
             variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
             assert max(a * b for a, b in shapes) <= max(geometry._UNION_CELLS, n), bag_cfg
-            assert sum(b for _, b in shapes) == n, bag_cfg
+            members = 0
+            if variant in smoothing._PRE and hood_bytes == 0:
+                members = np.unique(draw_bags(n, bag_cfg)).size
             full = variant not in ("bagged", "bagged_pre")
             union = n if full else np.unique(draw_bags(n, bag_cfg)).size
-            assert {a for a, _ in shapes} == {union}, bag_cfg
+            assert all(union in shape for shape in shapes), bag_cfg
+            assert sum(a * b for a, b in shapes) == (n + members) * union, bag_cfg
 
     @pytest.mark.parametrize("variant, k_s", [
         ("bagged_pre", 110),  # k_s = m: 4 bags of 110 columns
@@ -175,11 +183,54 @@ class TestStreamedPath:
         union = n if bag_cfg is None else np.unique(draw_bags(n, bag_cfg)).size
         assert sum(a * b for a, b in shapes) == n * union
 
+    def test_pre_smoothing_memory_stays_within_the_budget(self, monkeypatch):
+        # Kept in-bag neighborhoods never exceed _HOOD_BYTES: 100 bags of
+        # n * k_s one-byte positions (12 MB) fit the default budget, 200 do
+        # not, and an ensemble beyond it keeps each bag's m member
+        # estimates instead, so the peak does not grow with B * n * k_s.
+        def peak(bags):
+            tracemalloc.start()
+            try:
+                variant_estimates(self.cloud, "bagged_pre", self.est,
+                                  BaggingConfig(bags=bags, rate=0.1, seed=1), SmoothingConfig(110))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kept = peak(100)
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 0)
+        recomputed = [peak(100), peak(200)]
+        assert recomputed[1] - recomputed[0] < 2e6, recomputed
+        assert kept - recomputed[0] < 2**24 + 2e6, (kept, recomputed)
+        monkeypatch.undo()
+        assert peak(200) - recomputed[1] < 2e6
+
+    def test_ensembles_sharing_member_tiles_match_kept_neighborhoods(self, monkeypatch):
+        # Pre-smoothed ensembles without kept neighborhoods share the tiles
+        # over their members; with tiles of two members most hold none of
+        # the one-bag ensemble's.
+        cloud = small_cloud("M12_Norm", 200, 3)
+        est = EstimatorConfig(method="mle", k=4)
+        configs = [BaggingConfig(1, 0.05, 1), BaggingConfig(6, 0.4, 2)]
+        want = {c: variant_estimates(cloud, "bagged_pre", est, c, SmoothingConfig(5))
+                for c in configs}
+        monkeypatch.setattr(geometry, "_UNION_CELLS", 400)
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 0)
+        out = {}
+        run_plan(cloud, [PlanCell("bagged_pre", est, 5, c) for c in configs],
+                 lambda cell, values, flags, ms: out.setdefault(cell.bags, (values, flags)),
+                 threads=2)
+        for c in configs:
+            assert out[c][0].tobytes() == want[c][0].tobytes(), c
+            assert out[c][1].tobytes() == want[c][1].tobytes(), c
+
+    @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_thread_count_identity(self, variant):
+    def test_thread_count_identity(self, variant, hood_bytes, monkeypatch):
         # Tile workers write disjoint slices of shared result arrays; more
         # workers than cores and a short switch interval would expose a lost
         # or misplaced write as changed bytes.
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
         s_cfg = SmoothingConfig(9)
         interval = sys.getswitchinterval()
         for bag_cfg in self.configs(variant):
@@ -200,16 +251,17 @@ class TestStreamedPath:
 
 
 class TestTileBudgets:
-    """The chunk, tile and TLE budgets decide memory and call counts only."""
+    """The chunk, tile, TLE and kept-neighborhood budgets decide memory and
+    call counts only."""
 
     @settings(max_examples=15, deadline=None)
     @given(kind=st.sampled_from(("M7_Roll", "M12_Norm", "lattice")), n=st.integers(30, 160),
            method=st.sampled_from(METHODS), variant=st.sampled_from(VARIANTS),
            rate=st.sampled_from((0.1, 0.3, 0.7)), B=st.integers(1, 6),
            block=st.integers(1, 4096), union=st.integers(1, 8192), tle=st.integers(1, 512),
-           seed=st.integers(0, 2**16))
+           hood=st.sampled_from((0, 2**24)), seed=st.integers(0, 2**16))
     def test_budgets_change_no_bit(self, kind, n, method, variant, rate, B, block, union, tle,
-                                   seed):
+                                   hood, seed):
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=3)
         bag_cfg = BaggingConfig(B, rate, seed) if variant.startswith("bagged") else None
@@ -225,6 +277,7 @@ class TestTileBudgets:
             mp.setattr(geometry, "_BLOCK_CELLS", block)
             mp.setattr(geometry, "_UNION_CELLS", union)
             mp.setattr(estimators, "_TLE_CELLS", tle)
+            mp.setattr(smoothing, "_HOOD_BYTES", hood)
             got = (variant_estimates(cloud, variant, est, bag_cfg, s_cfg, threads=2),
                    neighbor_tables(d, bag, ids, 3, 5))
         for a, b in zip(got[0], want[0]):

@@ -110,8 +110,10 @@ def main(argv=None) -> int:
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
             "parent": {"ref": args.parent, "commit": parent_commit},
+            # Untracked files are not part of the measured code.
             "change": {"commit": _git("rev-parse", "HEAD"),
-                       "uncommitted_changes": bool(_git("status", "--porcelain"))},
+                       "uncommitted_changes": bool(_git("status", "--porcelain",
+                                                        "--untracked-files=no"))},
             "machine": {},
             "workloads": {},
         }
