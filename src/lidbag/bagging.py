@@ -151,7 +151,8 @@ def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, point
     Slices the first k columns of the self-excluded tables (sorted neighbor
     prefixes nest, so one deep table serves every smaller k).  Row i of the
     tables belongs to point ``query_ids[i]`` (default: point i); only TLE
-    reads the query's coordinates.
+    reads the query's coordinates, and MLE reads the logs of the deepest
+    prefix, which the tables compute once for every k.
 
     A query whose nearest other point is at distance 0 (a duplicate point)
     has no defined estimate: it is flagged divergent with the +inf
@@ -171,8 +172,11 @@ def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, point
     if config.method == "tle":
         queries = points[ok] if query_ids is None else points[np.asarray(query_ids)[ok]]
         raw = batch_values("tle", d, neighbor_points=points[idx], query_points=queries)
+    elif config.method == "mle":
+        raw = batch_values("mle", d, normalization=config.mle_normalization,
+                           logs=tables.excl_logs[ok, :k])
     else:
-        raw = batch_values(config.method, d, normalization=config.mle_normalization)
+        raw = batch_values(config.method, d)
     values[ok], flags[ok] = raw
     return clamp_values(values, flags, clamp_max)
 
@@ -191,11 +195,12 @@ def bag_tables(
     an (nq, m) array, or a geometry ``_RowGroups`` that reads each bag's rows
     of a distance tile from the ensemble's union to a range of queries (the
     tables then stack the bags, query range within bag, and ``query_ids``
-    repeats the range once per bag) or the (bag, query) pairs it names.  The self-excluded tables keep
-    ``depth_excl`` neighbors, at most m - 1; the inclusive (smoothing)
-    tables keep ``depth_incl`` (default ``depth_excl``), at most the bag
-    size m, and both come from one :func:`~lidbag.geometry.neighbor_tables`
-    pass over the distances.
+    repeats the range once per bag) or the (bag, query) pairs it names, and
+    that may carry the tile's ranked prefix for the bags to thin their rows
+    from.  The self-excluded tables keep ``depth_excl`` neighbors, at most
+    m - 1; the inclusive (smoothing) tables keep ``depth_incl`` (default
+    ``depth_excl``), at most the bag size m, and both come from one
+    :func:`~lidbag.geometry.neighbor_tables` pass over the distances.
     """
     m = bag.shape[-1]
     if depth_excl > m - 1:

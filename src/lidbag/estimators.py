@@ -92,7 +92,7 @@ def clamp_values(values, divergent, clamp_max: float):
     return np.where(over, clamp_max, values), divergent | over
 
 
-def mle_values(dists: np.ndarray, normalization: str = "k_minus_1"):
+def mle_values(dists: np.ndarray, normalization: str = "k_minus_1", logs=None):
     """Vectorized MLE over rows of sorted neighbor distances.
 
     For one row (r_1 <= ... <= r_k) the estimate is
@@ -104,6 +104,11 @@ def mle_values(dists: np.ndarray, normalization: str = "k_minus_1"):
     log-sum is not positive: the sum of k - 1 equal logs need not round to
     (k - 1) times one of them, so an equal row can leave a log-sum of either
     sign near zero, and the estimate must not depend on that rounding.
+
+    ``logs``, when given, holds ``np.log`` of at least the first k columns
+    of each row, for instance of a deeper sorted table that serves several
+    k: every k then reads the same logs, and the caller has checked that no
+    distance is zero (for sorted rows, that the first is not).
     """
     d = np.asarray(dists, dtype=np.float64)
     if d.ndim == 1:
@@ -113,8 +118,10 @@ def mle_values(dists: np.ndarray, normalization: str = "k_minus_1"):
         raise EstimatorError(f"MLE needs k >= 2, got {k}")
     if normalization not in MLE_NORMALIZATIONS:
         raise EstimatorError(f"unknown MLE normalization {normalization!r}")
-    _check_distances(d)
-    log_sum = (k - 1) * np.log(d[:, -1]) - np.sum(np.log(d[:, :-1]), axis=1)
+    if logs is None:
+        _check_distances(d)
+        logs = np.log(d)
+    log_sum = (k - 1) * logs[:, k - 1] - logs[:, : k - 1].sum(axis=1)
     divergent = (d[:, 0] == d[:, -1]) | ~(log_sum > 0.0)
     num = float(k - 1) if normalization == "k_minus_1" else float(k)
     with np.errstate(divide="ignore"):
@@ -254,10 +261,12 @@ def batch_values(
     normalization: str = "k_minus_1",
     neighbor_points: np.ndarray | None = None,
     query_points: np.ndarray | None = None,
+    logs: np.ndarray | None = None,
 ):
-    """Dispatch a vectorized estimator kernel by method name (unclamped)."""
+    """Dispatch a vectorized estimator kernel by method name (unclamped);
+    ``logs`` goes to :func:`mle_values`."""
     if method == "mle":
-        return mle_values(dists, normalization)
+        return mle_values(dists, normalization, logs)
     if method == "mada":
         return mada_values(dists)
     if method == "tle":

@@ -19,10 +19,21 @@ with one partition, decides from the next order statistic whether a tie
 straddles the prefix edge (only those rows are re-ranked over all columns),
 and ranks the prefix by one stable sort over id-ordered columns, which
 orders by (distance, id).
+
+A :class:`_RowGroups` may also carry the tile's ranked prefix
+(:func:`_ranked_tile`): every query's first D rows of the tile, ranked once
+by (distance, row).  Its groups then thin their rows from it instead: a
+group's members keep their order in it, so when the tile's rows ascend with
+the ids, the first ``need`` members of a query's prefix are that group's
+exact (distance, id) prefix, ties included, found by a membership lookup
+and a count per row with no sort.  A row with fewer members in its first D
+is partitioned over its group's columns as above.  Both producers feed the
+same cut into inclusive and self-excluded tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +179,15 @@ class _RowGroups:
     :func:`neighbor_tables` gathers the stand-in chunk by chunk, so no
     (rows, m) array is made.  ``dist_block(p, p)`` is exactly symmetric, so
     a tile's rows may be the references and its columns the queries.
+    ``prefix``, the tile's :func:`_ranked_tile`, lets groups whose rows
+    ascend with their ids (without ``pairs``) thin their rows from it.
     """
 
-    def __init__(self, block, rows, pairs=None):
+    def __init__(self, block, rows, pairs=None, prefix=None):
         self.block = block
         self.rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
         self.pairs = pairs
+        self.prefix = prefix
         nq = self.rows.shape[0] * block.shape[1] if pairs is None else pairs[0].shape[0]
         self.shape = (nq, self.rows.shape[1])
 
@@ -214,6 +228,13 @@ class NeighborTables:
     @property
     def depth(self) -> int:
         return self.excl_idx.shape[1]
+
+    @functools.cached_property
+    def excl_logs(self) -> np.ndarray:
+        """``np.log(excl_dist)``, taken once for every k the tables serve
+        (-inf at a zero distance)."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.excl_dist)
 
 
 def neighbor_tables(
@@ -261,6 +282,8 @@ def neighbor_tables(
     entry is first in its row unless a copy of it has a smaller id, so
     ``excl_*`` is the prefix shifted by one on rows that start with the
     query, and only rows that start with a copy search for the query.
+    A :class:`_RowGroups` that carries its tile's ranked prefix gives the
+    same tables from it by thinning (see the module docstring).
     """
     if isinstance(dcols, _RowGroups):
         source = dcols
@@ -286,7 +309,7 @@ def neighbor_tables(
         qids = np.asarray(query_ids, dtype=np.int64).reshape(-1)
         if qids.shape[0] != nq:
             raise GeometryError("query_ids must match dcols rows")
-    need = min(max(depth + 1, depth_incl), m)
+    need = _prefix_need(depth, depth_incl, m)
 
     rows, ids = source.rows, reference_ids
     unsorted = np.nonzero(np.any(ids[:, 1:] < ids[:, :-1], axis=1))[0]
@@ -304,9 +327,9 @@ def neighbor_tables(
     else:
         excl_idx, excl_dist = incl_idx, incl_dist
 
-    for lo, hi, t, row_ids in _chunks(source, rows, ids):
-        pos, pd = _ranked_prefix(t, need)
-        pids = row_ids[pos] if row_ids.ndim == 1 else _take_rows(row_ids, pos)
+    thin = (source.prefix is not None and source.pairs is None
+            and need <= source.prefix[0].shape[1] and np.all(rows[:, 1:] > rows[:, :-1]))
+    for lo, hi, pids, pd in (_thinned if thin else _partitioned)(source, rows, ids, need):
         incl_idx[lo:hi] = pids[:, :depth_incl]
         incl_dist[lo:hi] = pd[:, :depth_incl]
         if excl_idx is not incl_idx:
@@ -329,6 +352,83 @@ def neighbor_tables(
                 excl_dist[lo + dup] = _take_rows(pd[dup], push)
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
+
+
+def _prefix_need(depth: int, depth_incl: int, m: int) -> int:
+    """Ranked entries a row of :func:`neighbor_tables` keeps: the inclusive
+    depth, or one beyond the exclusive depth for a member query's own
+    entry, at most all m."""
+    return min(max(depth + 1, depth_incl), m)
+
+
+def _partitioned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int):
+    """The stand-in's ranked prefixes, (lo, hi, ids, distances) chunk by
+    chunk, each row partitioned over its own group's columns."""
+    for lo, hi, t, row_ids in _chunks(source, rows, ids):
+        pos, pd = _ranked_prefix(t, need)
+        yield lo, hi, row_ids[pos] if row_ids.ndim == 1 else _take_rows(row_ids, pos), pd
+
+
+def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int):
+    """The stand-in's ranked prefixes, as :func:`_partitioned` yields them,
+    thinned from ``source.prefix``: every row keeps the first ``need``
+    entries of its query's tile-wide (distance, row) order that belong to
+    its group.  A group whose rows ascend with its ids orders its members
+    by (distance, id) there, ties included, so no row is sorted again.  A
+    row with fewer than ``need`` members in the prefix is partitioned over
+    its group's columns instead."""
+    block, (pos, dist) = source.block, source.prefix
+    u, q = block.shape
+    m, depth = rows.shape[1], pos.shape[1]
+    step = max(1, _BLOCK_CELLS // depth)
+    first = np.arange(need)
+    for g in range(rows.shape[0]):
+        if m == u:
+            # Every row of the tile is a member: the prefix is the table.
+            for a in range(0, q, step):
+                b = min(q, a + step)
+                yield g * q + a, g * q + b, ids[g][pos[a:b, :need]], dist[a:b, :need]
+            continue
+        member = np.zeros(u, dtype=bool)
+        member[rows[g]] = True
+        id_of = np.empty(u, dtype=np.int64)
+        id_of[rows[g]] = ids[g]
+        for a in range(0, q, step):
+            b = min(q, a + step)
+            p = pos[a:b]
+            keep = member[p]
+            # Flat positions of every row's members, row after row; each
+            # row keeps its first ``need``.
+            at = np.flatnonzero(keep)
+            count = np.count_nonzero(keep, axis=1)
+            ok = count >= need
+            take = at[(np.cumsum(count) - count)[ok, None] + first]
+            if ok.all():
+                pids = id_of[p.reshape(-1)[take]]
+                pd = dist[a:b].reshape(-1)[take]
+            else:
+                pids = np.empty((b - a, need), dtype=np.int64)
+                pd = np.empty((b - a, need))
+                pids[ok] = id_of[p.reshape(-1)[take]]
+                pd[ok] = dist[a:b].reshape(-1)[take]
+                short = np.flatnonzero(~ok)
+                t = np.ascontiguousarray(block[rows[g][:, None], a + short].T)
+                fpos, pd[short] = _ranked_prefix(t, need)
+                pids[short] = ids[g][fpos]
+            yield g * q + a, g * q + b, pids, pd
+
+
+def _ranked_tile(block: np.ndarray, depth: int):
+    """Every query (column) of a (u, q) distance tile ranked to ``depth``:
+    (q, depth) row positions and distances in (distance, row) order, the
+    one ranking of a tile that :func:`neighbor_tables` thins from."""
+    u, q = block.shape
+    every = np.arange(u)[None]
+    pos = np.empty((q, depth), dtype=np.int64)
+    dist = np.empty((q, depth))
+    for lo, hi, t, _ in _chunks(_RowGroups(block, every), every, every):
+        pos[lo:hi], dist[lo:hi] = _ranked_prefix(t, depth)
+    return pos, dist
 
 
 def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):

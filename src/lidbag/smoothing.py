@@ -20,6 +20,7 @@ every smoothed value they touch, keeping the pipeline total.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -192,6 +193,17 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     * One deep full-cloud table serves every ``baseline`` and ``smoothed``
       estimate and every post-smoothing neighborhood (sorted neighbor
       prefixes nest, so any smaller k is a column slice).
+    * Each tile is ranked once.  With a full-cloud table, every query of the
+      tile is ranked over the whole cloud by (distance, id)
+      (:func:`~lidbag.geometry._ranked_tile`) to a depth D: that table's
+      prefix, and deep enough for the ensembles whose bags
+      :func:`_thin_depth` thins, the wide ones.  Such a bag's tables keep
+      the bag's members of each query's ranking, in order, without sorting
+      again (a row that meets too few members is partitioned); the others
+      partition their m columns.  Without a full-cloud table nothing is
+      ranked over the union, and every ensemble partitions.
+    * Every table serves all its MLE k values from one ``np.log`` of its
+      self-excluded prefix.
     * Bagged cells with the same rate and seed share one ensemble: its bags
       are drawn once, and in each tile their tables are built as one stack,
       each estimator runs once over the stack, and one table per bag serves
@@ -248,13 +260,15 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     for e in ensembles:
         e.rows = e.bags if full else np.searchsorted(union, e.bags)
 
-    def full_tile(block, lo, hi):
-        source, qids = _RowGroups(block, ids), ids[lo:hi]
+    full_incl = hood.shape[1] if full_ks else 0
+    full_depth = max((est.k for est in ests), default=full_incl)
+
+    def full_tile(block, prefix, lo, hi):
+        source, qids = _RowGroups(block, ids, prefix=prefix), ids[lo:hi]
         if ests:
-            depth_incl = hood.shape[1] if full_ks else None
-            tables = bag_tables(source, ids, qids, max(est.k for est in ests), depth_incl)
+            tables = bag_tables(source, ids, qids, full_depth, full_incl or None)
         else:
-            tables = neighbor_tables(source, ids, None, hood.shape[1])
+            tables = neighbor_tables(source, ids, None, full_incl)
         if full_ks:
             hood[lo:hi] = tables.incl_idx
         spent = {}
@@ -276,6 +290,17 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         e.hoods = np.empty((B, n, e.depth_incl), dtype=np.min_scalar_type(m - 1))
         budget -= size
 
+    # A plan with a full-cloud table ranks every tile once, as deep as that
+    # table and the ensembles the cost rule thins need; the other ensembles
+    # partition.  Without one, a prefix would cost every query a ranking of
+    # all u columns that only thinning uses: a bagged MLE call at n = 8000
+    # (u = 3221, m = 400, k = 10) took 0.90-1.00 s thinned against
+    # 0.79-0.83 s partitioned (three runs each).
+    prefix_depth = geometry._prefix_need(full_depth, full_incl, n) if full else 0
+    for e in ensembles:
+        e.thin = _thin_depth(u, e.bags.shape[1], e.need) if full else 0
+        prefix_depth = max(prefix_depth, e.thin)
+
     spent = {}
     pre = [e for e in ensembles if e.pre_keys and e.hoods is None]
     if pre:
@@ -294,9 +319,10 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     def one_tile(span):
         lo, hi = span
         block = dist_block(refs, points[lo:hi])
-        spent = full_tile(block, lo, hi) if full else {}
+        prefix = geometry._ranked_tile(block, prefix_depth) if prefix_depth else None
+        spent = full_tile(block, prefix, lo, hi) if full else {}
         for e in ensembles:
-            spent.update(e.tile(block, lo, hi, points, policy))
+            spent.update(e.tile(block, prefix if e.thin else None, lo, hi, points, policy))
         return spent
 
     tiles = _query_tiles(n, u)
@@ -324,6 +350,44 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
 #: of its run time (0.95 of 4.5 s under a profiler), and that sweep keeps
 #: 14 MB of them; a B grid's ensembles of 400 bags do not fit.
 _HOOD_BYTES = 2**24
+
+
+def _thin_depth(u: int, m: int, need: int) -> int:
+    """Depth D of a tile's ranked prefix from which bags of m of its u
+    reference points thin their ``need`` nearest members, or 0 when
+    partitioning each bag's m columns is faster.
+
+    A bag's members among a query's first D ranks are Hypergeometric(u, m,
+    D) (the query's own rank is one more member), with mean D * p, p = m /
+    u.  D is the smallest depth whose mean lies ``_THIN_Z`` standard
+    deviations (without the finite-population factor, so wider) above
+    ``need``: about need / p + z * sqrt(need * (1 - p)) / p.  A row that
+    falls short anyway is partitioned.
+
+    A thinned row reads about D prefix cells and a partitioned one its m
+    columns, and the prefix itself grows with D; thinning is chosen when
+    D <= m.  Measured per table row on M12_Norm, u = 2500, need = 73, ten
+    bags of one (u, q) tile (2-vCPU VM, one thread, best of five), as
+    partition / thin microseconds and the prefix's cost per query beyond
+    depth 73: m = 285, D = 992: 9.7 / 6.4, +98; m = 397, D = 704: 10.6 /
+    5.6, +62; m = 554, D = 497: 12.4 / 4.4, +40; m = 1500, D = 164: 20.5 /
+    2.6, +5.  Ten bags save less than the deeper prefix costs below D = m
+    and more above it; in whole default sweeps (n = 2500, B = 10),
+    thinning also m = 397 or m = 285 gained nothing measurable.  At
+    need = 11, the shape of the B-sweep (u = 2500, m = 125, D = 672) and of
+    a 5% bag at n = 8000 (m = 400, D = 672; 1.5-1.9 s partitioned against
+    2.0-2.4 s thinned for ``bagged_pre_post``) stay partitioned.
+    """
+    p = m / u
+    spread = _THIN_Z * math.sqrt(1.0 - p)
+    depth = math.ceil(((spread + math.sqrt(spread * spread + 4 * need)) / 2) ** 2 / p)
+    return depth if depth <= m else 0
+
+
+#: Standard deviations by which the mean member count of a thinned prefix
+#: exceeds ``need``: in the normal approximation about 3e-5 of the rows
+#: fall back to a partition.
+_THIN_Z = 4.0
 
 
 def _sum_times(parts):
@@ -375,6 +439,9 @@ class _Ensemble:
         # Positions in the bag of every query's in-bag neighborhood, when
         # the plan's budget lets this ensemble keep them.
         self.hoods = None
+        # Depth of the tile prefix this ensemble's tables thin from, 0 when
+        # they partition (:func:`_thin_depth`).
+        self.thin = 0
 
     def members(self, block, tile_ids, points):
         """Keep the in-bag estimates of the bags' members among
@@ -399,26 +466,40 @@ class _Ensemble:
                 spent[est] += time.perf_counter() - t0
         return {(self, key): spent[key[0]] for key in self.pre_keys}
 
-    def tile(self, block, lo, hi, points, policy):
+    @property
+    def tile_ests(self):
+        """The estimators run on every bag's rows of a tile: the raw ones,
+        and the kept members' ones when the neighborhoods are kept."""
+        stored = self.hoods is not None
+        return list(dict.fromkeys(
+            [est for est, _ in self.raw_keys] + (list(self.kept) if stored else [])))
+
+    @property
+    def need(self):
+        """Ranked entries per row of the bag tables of a tile."""
+        depth = max((est.k for est in self.tile_ests), default=0)
+        return geometry._prefix_need(depth, self.depth_incl or 0, self.bags.shape[1])
+
+    def tile(self, block, prefix, lo, hi, points, policy):
         """Rank and estimate every bag's rows of queries lo..hi, pre-smooth
         them or keep their neighborhoods, and fold them; returns seconds
-        spent per key."""
+        spent per key.  With the tile's ranked ``prefix`` the bags' tables
+        are thinned from it, else partitioned."""
         q, (count, m) = hi - lo, self.bags.shape
         qids = np.arange(lo, hi, dtype=np.int64)
         stored = self.hoods is not None
         keys = self.raw_keys + ([] if stored else self.pre_keys)
         # Raw estimates and kept member estimates need the self-excluded
         # tables, pre-smoothing the inclusive ones.
-        ests = [est for est, _ in self.raw_keys] + (list(self.kept) if stored else [])
-        ests = list(dict.fromkeys(ests))
+        ests = self.tile_ests
         depth = max((est.k for est in ests), default=0)
         depth_incl = self.depth_incl or 0
         acc = AnchoredMean(len(keys) * q)
         spent = dict.fromkeys(self.raw_keys + self.pre_keys, 0.0)
         for b0, b1 in _segments(count, q, depth + depth_incl):
             bag_q = np.tile(qids, b1 - b0)
-            tables = bag_tables(_RowGroups(block, self.rows[b0:b1]), self.bags[b0:b1], bag_q,
-                                depth, depth_incl)
+            tables = bag_tables(_RowGroups(block, self.rows[b0:b1], prefix=prefix),
+                                self.bags[b0:b1], bag_q, depth, depth_incl)
             if stored:
                 # The bags' members among the queries, as (bag, position).
                 bi, bj = np.nonzero((self.bags[b0:b1] >= lo) & (self.bags[b0:b1] < hi))

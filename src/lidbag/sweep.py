@@ -247,7 +247,9 @@ def run_sweep(grid: SweepGrid, *, threads: int = 1, progress=None) -> SweepResul
     """Evaluate every grid cell; infeasible cells become skips, not errors.
 
     Deterministic for a fixed ``master_seed`` regardless of ``threads``:
-    all parallelism is a map over bags whose results merge in bag order.
+    all parallelism is :func:`~lidbag.smoothing.run_plan`'s map over query
+    tiles, each query's result depends on its own rows alone, and its bags
+    are folded in bag order.
     """
     result = SweepResult(grid)
     for name in grid.datasets:

@@ -22,7 +22,7 @@ from lidbag.estimators import (
     tle_values,
 )
 from lidbag.bagging import estimates_from_tables
-from lidbag.geometry import PointCloud, dist_block, neighbor_tables
+from lidbag.geometry import NeighborTables, PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import variant_estimates
 
 
@@ -110,6 +110,39 @@ class TestMleValues:
         assert bool(bdiv[0]) == bool(sdiv[0])
         if not bdiv[0]:
             assert scaled[0] == pytest.approx(base[0], rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 60), depth=st.integers(2, 40), n_equal=st.integers(0, 5),
+           n_dup=st.integers(0, 5), normalization=st.sampled_from(MLE_NORMALIZATIONS),
+           seed=st.integers(0, 2**31))
+    def test_one_log_per_table_matches_mle_values_per_k(self, rows, depth, n_equal, n_dup,
+                                                         normalization, seed):
+        # Sorted rows over many scales, some of equal distances (divergent)
+        # and some that start with a copy of the query (distance 0).
+        rng = np.random.default_rng(seed)
+        d = np.sort(rng.lognormal(size=(rows, depth)) * 10.0 ** rng.integers(-6, 6, (rows, 1)),
+                    axis=1)
+        d[rng.choice(rows, min(rows, n_equal), replace=False)] = d[0, -1]
+        dup = rng.choice(rows, min(rows, n_dup), replace=False)
+        d[dup, : int(rng.integers(1, depth + 1))] = 0.0
+        d.sort(axis=1)
+        idx = np.zeros((rows, depth), dtype=np.int64)
+        tables = NeighborTables(idx, d, idx, d)
+        ok = d[:, 0] > 0.0
+        for k in range(2, depth + 1):
+            cfg = EstimatorConfig("mle", k=k, clamp_max=math.inf, mle_normalization=normalization)
+            got = estimates_from_tables(cfg, tables, np.zeros((1, 3)))
+            want = mle_values(d[ok, :k], normalization)
+            assert got[0][ok].tobytes() == want[0].tobytes()
+            assert got[1][ok].tobytes() == want[1].tobytes()
+            assert np.all(got[0][~ok] == np.inf) and np.all(got[1][~ok])
+            # mle_values itself against the two logs of its formula.
+            log_sum = (k - 1) * np.log(d[ok, k - 1]) - np.sum(np.log(d[ok, : k - 1]), axis=1)
+            num = k - 1.0 if normalization == "k_minus_1" else float(k)
+            with np.errstate(divide="ignore"):
+                plain = np.where((d[ok, 0] == d[ok, k - 1]) | ~(log_sum > 0.0), np.inf,
+                                 num / log_sum)
+            assert want[0].tobytes() == plain.tobytes()
 
     def test_shrinking_inner_radii_lowers_estimate(self):
         d = np.array([0.3, 0.6, 1.0])

@@ -420,6 +420,21 @@ class TestBlockedKernel:
             rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
             sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
             self.assert_tables(sub, [t[lo:hi] for t in want], f"group {g}")
+        # The same groups thinned from a ranked prefix of the tile: as deep
+        # as a row keeps (most rows fall short and are partitioned), a
+        # random depth (on a lattice most edges cut through ties), twice the
+        # mean depth at which a row meets ``need`` members, and every row
+        # of the tile (no row falls short).
+        need = geometry._prefix_need(depth, depth if depth_incl is None else depth_incl, m)
+        for thin in (need, int(rng.integers(need, n + 1)), min(n, 2 * need * n // m), n):
+            prefix = geometry._ranked_tile(block, thin)
+            assert prefix[1].tobytes() == np.sort(block.T, axis=1)[:, :thin].tobytes()
+            got = neighbor_tables(geometry._RowGroups(block, groups, prefix=prefix), groups,
+                                  qids, depth, depth_incl)
+            for g in range(2):
+                rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
+                sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
+                self.assert_tables(sub, [t[lo:hi] for t in want], f"thinned at {thin}, group {g}")
         # Rows may instead name their own (group, query) pair, in any order.
         group = rng.integers(0, 2, size=int(rng.integers(0, 2 * (hi - lo) + 1)))
         col = rng.integers(0, hi - lo, size=group.size)

@@ -19,6 +19,7 @@ from lidbag.bagging import (
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
+from lidbag.sweep import DEFAULT_R_GRID
 from lidbag.estimators import METHODS, EstimatorConfig
 from lidbag import estimators, geometry, smoothing
 from lidbag.geometry import GeometryError, PointCloud, dist_block, neighbor_tables
@@ -75,6 +76,28 @@ def lattice_cloud(seed):
     return PointCloud.single_manifold(np.vstack([np.column_stack([xs.ravel(), ys.ravel()]), blob]), 2.0)
 
 
+#: Ways to force the thinning rule (:func:`smoothing._thin_depth`) in the
+#: engine tests: never thin, thin from a prefix as deep as a row keeps (most
+#: rows fall short and are partitioned), twice the mean depth at which a row
+#: meets its members, or every reference point.
+THIN_RULES = {
+    "partition": lambda u, m, need: 0,
+    "shallow": lambda u, m, need: need,
+    "law": lambda u, m, need: min(u, 2 * need * u // m),
+    "all": lambda u, m, need: u,
+}
+
+
+def with_baseline(cloud, variant, est, bag_cfg=None, s_cfg=None, **kw):
+    """``variant_estimates`` run in one plan with a ``baseline`` cell, whose
+    full-cloud table lets every ensemble thin from the ranked tiles."""
+    k_s = est.k if s_cfg is None else s_cfg.k_s
+    out = {}
+    run_plan(cloud, [PlanCell(variant, est, k_s, bag_cfg), PlanCell("baseline", est, k_s)],
+             lambda cell, values, flags, ms: out.setdefault(cell.variant, (values, flags)), **kw)
+    return out[variant]
+
+
 class TestEngineMatchesReference:
     cloud = lattice_cloud(4)
     est = EstimatorConfig(method="mle", k=4, clamp_max=30.0)
@@ -86,7 +109,10 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("policy", ["clamp", "skip"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_bitwise_equal_on_both_sides_of_rb_one(self, variant, policy, threads):
+    @pytest.mark.parametrize("rule", THIN_RULES)
+    def test_bitwise_equal_on_both_sides_of_rb_one(self, variant, policy, threads, rule,
+                                                   monkeypatch):
+        monkeypatch.setattr(smoothing, "_thin_depth", THIN_RULES[rule])
         # B=4: rate 0.1 gives r*B = 0.4 (the bags' union is a part of the
         # cloud), rate 0.5 gives r*B = 2 (the union is nearly all of it).
         configs = [None]
@@ -95,11 +121,12 @@ class TestEngineMatchesReference:
         for bag_cfg in configs:
             for k_s in (None, 9):
                 s_cfg = None if k_s is None else SmoothingConfig(k_s)
-                got = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg,
-                                        policy=policy, threads=threads)
                 want = reference(self.cloud, variant, self.est, bag_cfg, k_s, policy)
-                assert got[0].tobytes() == want[0].tobytes(), (bag_cfg, k_s)
-                assert got[1].tobytes() == want[1].tobytes(), (bag_cfg, k_s)
+                for run in (variant_estimates, with_baseline):
+                    got = run(self.cloud, variant, self.est, bag_cfg, s_cfg,
+                              policy=policy, threads=threads)
+                    assert got[0].tobytes() == want[0].tobytes(), (bag_cfg, k_s, run)
+                    assert got[1].tobytes() == want[1].tobytes(), (bag_cfg, k_s, run)
 
     @pytest.mark.parametrize("method", ["mada", "tle"])
     def test_other_estimators(self, method):
@@ -259,9 +286,10 @@ class TestTileBudgets:
            method=st.sampled_from(METHODS), variant=st.sampled_from(VARIANTS),
            rate=st.sampled_from((0.1, 0.3, 0.7)), B=st.integers(1, 6),
            block=st.integers(1, 4096), union=st.integers(1, 8192), tle=st.integers(1, 512),
-           hood=st.sampled_from((0, 2**24)), seed=st.integers(0, 2**16))
+           hood=st.sampled_from((0, 2**24)), rule=st.sampled_from(sorted(THIN_RULES)),
+           seed=st.integers(0, 2**16))
     def test_budgets_change_no_bit(self, kind, n, method, variant, rate, B, block, union, tle,
-                                   hood, seed):
+                                   hood, rule, seed):
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=3)
         bag_cfg = BaggingConfig(B, rate, seed) if variant.startswith("bagged") else None
@@ -278,12 +306,50 @@ class TestTileBudgets:
             mp.setattr(geometry, "_UNION_CELLS", union)
             mp.setattr(estimators, "_TLE_CELLS", tle)
             mp.setattr(smoothing, "_HOOD_BYTES", hood)
-            got = (variant_estimates(cloud, variant, est, bag_cfg, s_cfg, threads=2),
+            mp.setattr(smoothing, "_thin_depth", THIN_RULES[rule])
+            got = (with_baseline(cloud, variant, est, bag_cfg, s_cfg, threads=2),
                    neighbor_tables(d, bag, ids, 3, 5))
         for a, b in zip(got[0], want[0]):
             assert a.tobytes() == b.tobytes()
         for field in ("incl_idx", "incl_dist", "excl_idx", "excl_dist"):
             assert getattr(got[1], field).tobytes() == getattr(want[1], field).tobytes()
+
+
+class TestThinningRule:
+    """Which ensembles thin their tables from a tile's ranked prefix."""
+
+    def test_choice_on_the_benchmark_shapes(self):
+        # sweep_kr: n = 2500, k and k_s up to 72 (need = 73) at the nine
+        # default rates; the four widest bags thin.
+        sizes = [math.ceil(2500 * r) for r in DEFAULT_R_GRID]
+        assert sizes == [105, 147, 205, 285, 397, 554, 772, 1076, 1500]
+        assert [smoothing._thin_depth(2500, m, 73) for m in sizes] == [0] * 5 + [497, 349, 242, 164]
+        # sweep_bags (k = 10, bags of 125) and library_n8000 (bags of 400 at
+        # n = 8000) partition.
+        assert smoothing._thin_depth(2500, 125, 11) == 0
+        assert smoothing._thin_depth(8000, 400, 11) == 0
+
+    @pytest.mark.parametrize("u, m, need", [(2500, 554, 73), (2500, 1500, 73), (2500, 1250, 11),
+                                            (8000, 4000, 11), (300, 299, 2)])
+    def test_depth_holds_need_members_by_the_hypergeometric_law(self, u, m, need):
+        depth = smoothing._thin_depth(u, m, need)
+        assert need <= depth <= m
+        members = np.random.default_rng(0).hypergeometric(m, u - m, depth, size=200_000)
+        assert np.mean(members < need) < 1e-3
+
+    @pytest.mark.parametrize("variant, ranks", [("bagged", False), ("bagged_pre", False),
+                                                ("bagged_post", True), ("baseline", True)])
+    def test_only_plans_with_a_full_cloud_table_rank_their_tiles(self, variant, ranks,
+                                                                  monkeypatch):
+        cloud = generate(GeneratorSpec("M12_Norm", n=1100, seed=2))
+        calls = []
+        real = geometry._ranked_tile
+        monkeypatch.setattr(geometry, "_ranked_tile",
+                            lambda block, depth: calls.append(depth) or real(block, depth))
+        bag_cfg = BaggingConfig(3, 0.6, 1) if variant.startswith("bagged") else None
+        variant_estimates(cloud, variant, EstimatorConfig("mle", k=6), bag_cfg)
+        tiles = len(geometry._query_tiles(1100, 1100))
+        assert len(calls) == (tiles if ranks else 0)
 
 
 class TestSmoothingConfig:

@@ -3,9 +3,9 @@
     python3 tools/bench_pairs.py --parent HEAD --pr 6 --workloads sweep_kr,sweep_bags \
         --seeds 600-609
 
-Run from the root of the repository.  The parent ref is checked out into
-``.bench_build/`` (a git worktree, removed again on exit).  For every
-workload and seed the script runs
+Run from the root of the repository.  The parent ref's committed files are
+unpacked into ``.bench_build/`` (``git archive``, removed again on exit).
+For every workload and seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
@@ -14,12 +14,25 @@ alternates which side of a pair runs first.  It writes ``BENCH_<pr>.json``
 at the repository root, with one entry per workload:
 
 - ``metrics``: for each end-to-end metric of ``BENCHMARK.json``, the median
-  and quartiles of both sides, the number of pairs the change won (by the
-  metric's ``better`` direction), the median gap and whether it exceeds the
-  parent's interquartile range;
+  and quartiles of both sides, the number of pairs the change won and tied
+  (by the metric's ``better`` direction), the median gap (positive when the
+  change is better) and whether it exceeds the parent's interquartile
+  range, and two verdicts:
+
+  - ``gain_resolved``: the change won at least nine tenths of the pairs
+    (ties count for neither side) and the median gap exceeds the parent's
+    interquartile range;
+  - ``within_bound``: the change's median is worse than the parent's by no
+    more than the metric's relative ``bound``; ``"unresolved"`` when either
+    side's interquartile range, relative to its median, is wider than the
+    bound, unless every run of the change beat every run of the parent;
 - ``correct`` and ``failed``: whether every run of a side reported
   ``correct: true``, and the failed operations summed over its runs;
 - ``runs``: every pair's raw metrics.
+
+With ``--traced W``, each side also runs workload W once with ``--trace 1``
+at the first seed, and ``traced`` keeps both result lines, whose per-layer
+metrics show where a change's time went.
 
 The file also records the machine (CPUs, CPU model, Python, numpy and scipy
 versions, as ``perfbench/run.py`` reports them) and both commits.
@@ -28,11 +41,14 @@ versions, as ``perfbench/run.py`` reports them) and both commits.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
@@ -51,11 +67,12 @@ def _seeds(text: str) -> list[int]:
     return out
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(checkout: str, workload: str, seed: int, seconds: float,
+         trace: int = 0) -> tuple[dict, dict]:
     """One benchmark run: (result line, machine facts)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -79,13 +96,32 @@ def _compare(declared: list[dict], pairs: list[dict]) -> dict:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        sign = 1 if lower else -1  # a positive gap favours the change
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        ties = sum(p == c for p, c in zip(parent, change))
         before, after = _summary(parent), _summary(change)
-        gap = (before["median"] - after["median"]) if lower else (after["median"] - before["median"])
+        gap = sign * (before["median"] - after["median"])
+        spread = max(side["iqr"] / abs(side["median"]) for side in (before, after))
+        if (max(change) < min(parent)) if lower else (min(change) > max(parent)):
+            within = True
+        elif spread > metric["bound"]:
+            within = "unresolved"
+        else:
+            within = -gap / abs(before["median"]) <= metric["bound"]
         out[name] = {"unit": metric["unit"], "better": metric["better"], "parent": before,
-                     "change": after, "change_wins": wins, "pairs": len(pairs),
-                     "median_gap": gap, "gap_exceeds_parent_iqr": gap > before["iqr"]}
+                     "change": after, "change_wins": wins, "ties": ties, "pairs": len(pairs),
+                     "median_gap": gap, "gap_exceeds_parent_iqr": gap > before["iqr"],
+                     "gain_resolved": 10 * wins >= 9 * len(pairs) and gap > before["iqr"],
+                     "within_bound": within}
     return out
+
+
+def _write(report: dict, path: str) -> None:
+    """Written after every workload, so an interrupted run keeps what it measured."""
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {os.path.relpath(path, ROOT)}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -95,6 +131,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, help="e.g. 600-609 or 1,4,7")
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--traced", default="",
+                    help="comma-separated workloads to run once more per side with --trace 1, "
+                         "at the first seed")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)["end_to_end"]
@@ -102,9 +141,11 @@ def main(argv=None) -> int:
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
 
     parent_commit = _git("rev-parse", args.parent)
-    if os.path.exists(BUILD):
-        _git("worktree", "remove", "--force", BUILD)
-    _git("worktree", "add", "--detach", BUILD, parent_commit)
+    shutil.rmtree(BUILD, ignore_errors=True)
+    os.makedirs(BUILD)
+    archive = subprocess.run(["git", "archive", "--format=tar", parent_commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    tarfile.open(fileobj=io.BytesIO(archive)).extractall(BUILD, filter="data")
     try:
         report = {
             "command": "python3 perfbench/run.py --workload W --seed S "
@@ -116,6 +157,7 @@ def main(argv=None) -> int:
                                                         "--untracked-files=no"))},
             "machine": {},
             "workloads": {},
+            "traced": {},
         }
         for workload in workloads:
             pairs = []
@@ -140,13 +182,16 @@ def main(argv=None) -> int:
                            for side in ("parent", "change")},
                 "runs": pairs,
             }
-            # Written after every workload, so an interrupted run keeps what it measured.
-            with open(path, "w") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {os.path.relpath(path, ROOT)}", flush=True)
+            _write(report, path)
+        for workload in filter(None, args.traced.split(",")):
+            report["traced"][workload] = {"seed": seeds[0], "command": report["command"].replace(
+                "--trace 0", "--trace 1")}
+            for side in ("parent", "change"):
+                report["traced"][workload][side], _ = _run(
+                    BUILD if side == "parent" else ROOT, workload, seeds[0], args.seconds, 1)
+            _write(report, path)
     finally:
-        _git("worktree", "remove", "--force", BUILD)
+        shutil.rmtree(BUILD, ignore_errors=True)
     return 0
 
 
