@@ -92,7 +92,8 @@ def clamp_values(values, divergent, clamp_max: float):
     return np.where(over, clamp_max, values), divergent | over
 
 
-def mle_values(dists: np.ndarray, normalization: str = "k_minus_1", logs=None):
+def mle_values(dists: np.ndarray, normalization: str = "k_minus_1",
+               logs: np.ndarray | None = None):
     """Vectorized MLE over rows of sorted neighbor distances.
 
     For one row (r_1 <= ... <= r_k) the estimate is

@@ -21,7 +21,7 @@ and ranks the prefix by one stable sort over id-ordered columns, which
 orders by (distance, id).
 
 A :class:`_RowGroups` may also carry the tile's ranked prefix
-(:func:`_ranked_tile`): every query's first D rows of the tile, ranked once
+(:class:`_RankedTile`): every query's first D rows of the tile, ranked once
 by (distance, row).  Its groups then thin their rows from it instead: a
 group's members keep their order in it, so when the tile's rows ascend with
 the ids, the first ``need`` members of a query's prefix are that group's
@@ -179,7 +179,7 @@ class _RowGroups:
     :func:`neighbor_tables` gathers the stand-in chunk by chunk, so no
     (rows, m) array is made.  ``dist_block(p, p)`` is exactly symmetric, so
     a tile's rows may be the references and its columns the queries.
-    ``prefix``, the tile's :func:`_ranked_tile`, lets groups whose rows
+    ``prefix``, the tile's :class:`_RankedTile`, lets groups whose rows
     ascend with their ids (without ``pairs``) thin their rows from it.
     """
 
@@ -328,7 +328,7 @@ def neighbor_tables(
         excl_idx, excl_dist = incl_idx, incl_dist
 
     thin = (source.prefix is not None and source.pairs is None
-            and need <= source.prefix[0].shape[1] and np.all(rows[:, 1:] > rows[:, :-1]))
+            and need <= source.prefix.depth and np.all(rows[:, 1:] > rows[:, :-1]))
     for lo, hi, pids, pd in (_thinned if thin else _partitioned)(source, rows, ids, need):
         incl_idx[lo:hi] = pids[:, :depth_incl]
         incl_dist[lo:hi] = pd[:, :depth_incl]
@@ -377,7 +377,7 @@ def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int):
     by (distance, id) there, ties included, so no row is sorted again.  A
     row with fewer than ``need`` members in the prefix is partitioned over
     its group's columns instead."""
-    block, (pos, dist) = source.block, source.prefix
+    block, (pos, dist) = source.block, source.prefix.ranks
     u, q = block.shape
     m, depth = rows.shape[1], pos.shape[1]
     step = max(1, _BLOCK_CELLS // depth)
@@ -418,17 +418,25 @@ def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int):
             yield g * q + a, g * q + b, pids, pd
 
 
-def _ranked_tile(block: np.ndarray, depth: int):
-    """Every query (column) of a (u, q) distance tile ranked to ``depth``:
-    (q, depth) row positions and distances in (distance, row) order, the
-    one ranking of a tile that :func:`neighbor_tables` thins from."""
-    u, q = block.shape
-    every = np.arange(u)[None]
-    pos = np.empty((q, depth), dtype=np.int64)
-    dist = np.empty((q, depth))
-    for lo, hi, t, _ in _chunks(_RowGroups(block, every), every, every):
-        pos[lo:hi], dist[lo:hi] = _ranked_prefix(t, depth)
-    return pos, dist
+class _RankedTile:
+    """A (u, q) distance tile's queries ranked to ``depth``, the one ranking
+    of a tile that :func:`neighbor_tables` thins from.  ``ranks`` is
+    computed on first use, so inside the first table that reads it."""
+
+    def __init__(self, block: np.ndarray, depth: int):
+        self.block = block
+        self.depth = depth
+
+    @functools.cached_property
+    def ranks(self):
+        """(q, depth) row positions and distances in (distance, row) order."""
+        u, q = self.block.shape
+        every = np.arange(u)[None]
+        pos = np.empty((q, self.depth), dtype=np.int64)
+        dist = np.empty((q, self.depth))
+        for lo, hi, t, _ in _chunks(_RowGroups(self.block, every), every, every):
+            pos[lo:hi], dist[lo:hi] = _ranked_prefix(t, self.depth)
+        return pos, dist
 
 
 def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):

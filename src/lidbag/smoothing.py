@@ -195,7 +195,7 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       prefixes nest, so any smaller k is a column slice).
     * Each tile is ranked once.  With a full-cloud table, every query of the
       tile is ranked over the whole cloud by (distance, id)
-      (:func:`~lidbag.geometry._ranked_tile`) to a depth D: that table's
+      (:class:`~lidbag.geometry._RankedTile`) to a depth D: that table's
       prefix, and deep enough for the ensembles whose bags
       :func:`_thin_depth` thins, the wide ones.  Such a bag's tables keep
       the bag's members of each query's ranking, in order, without sorting
@@ -319,7 +319,7 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     def one_tile(span):
         lo, hi = span
         block = dist_block(refs, points[lo:hi])
-        prefix = geometry._ranked_tile(block, prefix_depth) if prefix_depth else None
+        prefix = geometry._RankedTile(block, prefix_depth) if prefix_depth else None
         spent = full_tile(block, prefix, lo, hi) if full else {}
         for e in ensembles:
             spent.update(e.tile(block, prefix if e.thin else None, lo, hi, points, policy))

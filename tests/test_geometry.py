@@ -427,8 +427,8 @@ class TestBlockedKernel:
         # of the tile (no row falls short).
         need = geometry._prefix_need(depth, depth if depth_incl is None else depth_incl, m)
         for thin in (need, int(rng.integers(need, n + 1)), min(n, 2 * need * n // m), n):
-            prefix = geometry._ranked_tile(block, thin)
-            assert prefix[1].tobytes() == np.sort(block.T, axis=1)[:, :thin].tobytes()
+            prefix = geometry._RankedTile(block, thin)
+            assert prefix.ranks[1].tobytes() == np.sort(block.T, axis=1)[:, :thin].tobytes()
             got = neighbor_tables(geometry._RowGroups(block, groups, prefix=prefix), groups,
                                   qids, depth, depth_incl)
             for g in range(2):

@@ -1,5 +1,6 @@
 """Neighborhood smoothing and the six named estimation pipelines."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -342,10 +343,15 @@ class TestThinningRule:
     def test_only_plans_with_a_full_cloud_table_rank_their_tiles(self, variant, ranks,
                                                                   monkeypatch):
         cloud = generate(GeneratorSpec("M12_Norm", n=1100, seed=2))
-        calls = []
-        real = geometry._ranked_tile
-        monkeypatch.setattr(geometry, "_ranked_tile",
-                            lambda block, depth: calls.append(depth) or real(block, depth))
+        calls, real = [], geometry._RankedTile
+
+        class Recording(real):
+            @functools.cached_property
+            def ranks(self):
+                calls.append(self.depth)
+                return real.ranks.func(self)
+
+        monkeypatch.setattr(geometry, "_RankedTile", Recording)
         bag_cfg = BaggingConfig(3, 0.6, 1) if variant.startswith("bagged") else None
         variant_estimates(cloud, variant, EstimatorConfig("mle", k=6), bag_cfg)
         tiles = len(geometry._query_tiles(1100, 1100))
