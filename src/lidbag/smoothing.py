@@ -197,7 +197,8 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       tile is ranked over the whole cloud by (distance, id)
       (:class:`~lidbag.geometry._RankedTile`) to a depth D: that table's
       prefix, and deep enough for the ensembles whose bags
-      :func:`_thin_depth` thins, the wide ones.  Such a bag's tables keep
+      :func:`_thin_depth` thins: wide bags, and enough of them to pay for
+      the deeper ranking.  Such a bag's tables keep
       the bag's members of each query's ranking, in order, without sorting
       again (a row that meets too few members is partitioned); the others
       partition their m columns.  Without a full-cloud table nothing is
@@ -298,7 +299,7 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     # 0.79-0.83 s partitioned (three runs each).
     prefix_depth = geometry._prefix_need(full_depth, full_incl, n) if full else 0
     for e in ensembles:
-        e.thin = _thin_depth(u, e.bags.shape[1], e.need) if full else 0
+        e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0]) if full else 0
         prefix_depth = max(prefix_depth, e.thin)
 
     spent = {}
@@ -352,9 +353,9 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
 _HOOD_BYTES = 2**24
 
 
-def _thin_depth(u: int, m: int, need: int) -> int:
-    """Depth D of a tile's ranked prefix from which bags of m of its u
-    reference points thin their ``need`` nearest members, or 0 when
+def _thin_depth(u: int, m: int, need: int, bags: int) -> int:
+    """Depth D of a tile's ranked prefix from which ``bags`` bags of m of
+    its u reference points thin their ``need`` nearest members, or 0 when
     partitioning each bag's m columns is faster.
 
     A bag's members among a query's first D ranks are Hypergeometric(u, m,
@@ -364,24 +365,34 @@ def _thin_depth(u: int, m: int, need: int) -> int:
     ``need``: about need / p + z * sqrt(need * (1 - p)) / p.  A row that
     falls short anyway is partitioned.
 
-    A thinned row reads about D prefix cells and a partitioned one its m
-    columns, and the prefix itself grows with D; thinning is chosen when
-    D <= m.  Measured per table row on M12_Norm, u = 2500, need = 73, ten
-    bags of one (u, q) tile (2-vCPU VM, one thread, best of five), as
-    partition / thin microseconds and the prefix's cost per query beyond
-    depth 73: m = 285, D = 992: 9.7 / 6.4, +98; m = 397, D = 704: 10.6 /
-    5.6, +62; m = 554, D = 497: 12.4 / 4.4, +40; m = 1500, D = 164: 20.5 /
-    2.6, +5.  Ten bags save less than the deeper prefix costs below D = m
-    and more above it; in whole default sweeps (n = 2500, B = 10),
-    thinning also m = 397 or m = 285 gained nothing measurable.  At
-    need = 11, the shape of the B-sweep (u = 2500, m = 125, D = 672) and of
-    a 5% bag at n = 8000 (m = 400, D = 672; 1.5-1.9 s partitioned against
-    2.0-2.4 s thinned for ``bagged_pre_post``) stay partitioned.
+    Per query, thinning saves each bag's row the partition of m columns
+    and the sort of its ``need`` nearest, and reads about D prefix cells
+    instead; the prefix itself ranks D - need cells more.  In units of one
+    such prefix cell, a partitioned row costs m / 12.5 + 0.75 * need and a
+    thinned one D / 20, and thinning is chosen when D <= m and the bags'
+    saving exceeds D - need.  The constants are least-squares fits to per
+    row times on M12_Norm, u = 2500, ten bags of one (u, q) tile (2-vCPU
+    VM, one thread, best of five) at need = 11, 31 and 73 and m = 125 to
+    2000: at need = 73, m = 554, D = 497, a row took 5.0 us partitioned and
+    1.6 us thinned and the deeper prefix 18 us per query, so thinning pays
+    from 5.3 bags (the rule says 5.7); m = 772 from 2.5 (2.8), m = 1500
+    from 0.4 (0.55).  The fits put the crossover too high at need = 11 (m = 554,
+    D = 138: from 1.8 bags, the rule says 2.8), so the rule errs towards
+    partitioning.  Whole plans agree: a ``baseline`` plus ``bagged_post``
+    plan (mle, k = k_s = 72, n = 2500, median of five) took 116 ms thinned
+    against 76 ms partitioned at m = 550, B = 1, and 186 against 196 ms at
+    B = 10.  The prefix is shared by the plan's thinning ensembles and its
+    full-cloud table, but each ensemble is weighed alone.  The default
+    k x r sweep (B = 10) thins its four widest bags (m = 554 to 1500);
+    the shapes of the B-sweep (u = 2500, m = 125, D = 672 > m at need = 11)
+    and of a 5% bag at n = 8000 (m = 400, D = 672; 1.5-1.9 s partitioned
+    against 2.0-2.4 s thinned for ``bagged_pre_post``) partition.
     """
     p = m / u
     spread = _THIN_Z * math.sqrt(1.0 - p)
     depth = math.ceil(((spread + math.sqrt(spread * spread + 4 * need)) / 2) ** 2 / p)
-    return depth if depth <= m else 0
+    saving = bags * (m / 12.5 + 0.75 * need - depth / 20)
+    return depth if depth <= m and saving > depth - need else 0
 
 
 #: Standard deviations by which the mean member count of a thinned prefix

@@ -82,10 +82,10 @@ def lattice_cloud(seed):
 #: rows fall short and are partitioned), twice the mean depth at which a row
 #: meets its members, or every reference point.
 THIN_RULES = {
-    "partition": lambda u, m, need: 0,
-    "shallow": lambda u, m, need: need,
-    "law": lambda u, m, need: min(u, 2 * need * u // m),
-    "all": lambda u, m, need: u,
+    "partition": lambda u, m, need, bags: 0,
+    "shallow": lambda u, m, need, bags: need,
+    "law": lambda u, m, need, bags: min(u, 2 * need * u // m),
+    "all": lambda u, m, need, bags: u,
 }
 
 
@@ -308,32 +308,43 @@ class TestTileBudgets:
             mp.setattr(estimators, "_TLE_CELLS", tle)
             mp.setattr(smoothing, "_HOOD_BYTES", hood)
             mp.setattr(smoothing, "_thin_depth", THIN_RULES[rule])
-            got = (with_baseline(cloud, variant, est, bag_cfg, s_cfg, threads=2),
-                   neighbor_tables(d, bag, ids, 3, 5))
-        for a, b in zip(got[0], want[0]):
-            assert a.tobytes() == b.tobytes()
+            # Alone, a bagged plan ranks over the bags' union (a part of the
+            # cloud at rate 0.1); with a baseline cell it ranks whole tiles
+            # and the forced rule decides which ensembles thin.
+            got = [run(cloud, variant, est, bag_cfg, s_cfg, threads=2)
+                   for run in (variant_estimates, with_baseline)]
+            table = neighbor_tables(d, bag, ids, 3, 5)
+        for run in got:
+            for a, b in zip(run, want[0]):
+                assert a.tobytes() == b.tobytes()
         for field in ("incl_idx", "incl_dist", "excl_idx", "excl_dist"):
-            assert getattr(got[1], field).tobytes() == getattr(want[1], field).tobytes()
+            assert getattr(table, field).tobytes() == getattr(want[1], field).tobytes()
 
 
 class TestThinningRule:
     """Which ensembles thin their tables from a tile's ranked prefix."""
 
     def test_choice_on_the_benchmark_shapes(self):
-        # sweep_kr: n = 2500, k and k_s up to 72 (need = 73) at the nine
-        # default rates; the four widest bags thin.
+        # sweep_kr: n = 2500, B = 10, k and k_s up to 72 (need = 73) at the
+        # nine default rates; the four widest bags thin.
         sizes = [math.ceil(2500 * r) for r in DEFAULT_R_GRID]
         assert sizes == [105, 147, 205, 285, 397, 554, 772, 1076, 1500]
-        assert [smoothing._thin_depth(2500, m, 73) for m in sizes] == [0] * 5 + [497, 349, 242, 164]
-        # sweep_bags (k = 10, bags of 125) and library_n8000 (bags of 400 at
-        # n = 8000) partition.
-        assert smoothing._thin_depth(2500, 125, 11) == 0
-        assert smoothing._thin_depth(8000, 400, 11) == 0
+        assert ([smoothing._thin_depth(2500, m, 73, 10) for m in sizes]
+                == [0] * 5 + [497, 349, 242, 164])
+        # sweep_bags (k = 10, bags of 125, up to 400 of them) and
+        # library_n8000 (ten bags of 400 at n = 8000) partition.
+        assert smoothing._thin_depth(2500, 125, 11, 400) == 0
+        assert smoothing._thin_depth(8000, 400, 11, 10) == 0
+
+    def test_few_bags_do_not_pay_for_a_deeper_prefix(self):
+        # At m = 554 the prefix pays from six bags; at m = 1500 from one.
+        assert [smoothing._thin_depth(2500, 554, 73, B) for B in (1, 5, 6)] == [0, 0, 497]
+        assert smoothing._thin_depth(2500, 1500, 73, 1) == 164
 
     @pytest.mark.parametrize("u, m, need", [(2500, 554, 73), (2500, 1500, 73), (2500, 1250, 11),
                                             (8000, 4000, 11), (300, 299, 2)])
     def test_depth_holds_need_members_by_the_hypergeometric_law(self, u, m, need):
-        depth = smoothing._thin_depth(u, m, need)
+        depth = smoothing._thin_depth(u, m, need, 400)
         assert need <= depth <= m
         members = np.random.default_rng(0).hypergeometric(m, u - m, depth, size=200_000)
         assert np.mean(members < need) < 1e-3

@@ -5,7 +5,9 @@
 
 Run from the root of the repository.  The parent ref's committed files are
 unpacked into ``.bench_build/`` (``git archive``, removed again on exit).
-For every workload and seed the script runs
+Unlike a ``git worktree``, the copy registers nothing in the repository's
+``.git``, so a build directory deleted by hand or left by a killed run
+cannot block the next run.  For every workload and seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
