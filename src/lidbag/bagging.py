@@ -196,7 +196,7 @@ def bag_tables(
     of a distance tile from the ensemble's union to a range of queries (the
     tables then stack the bags, query range within bag, and ``query_ids``
     repeats the range once per bag) or the (bag, query) pairs it names, and
-    that may carry the tile's ranked prefix for the bags to thin their rows
+    that may carry the tile's ranked prefix for the bags to read their rows
     from.  The self-excluded tables keep ``depth_excl`` neighbors, at most
     m - 1; the inclusive (smoothing) tables keep ``depth_incl`` (default
     ``depth_excl``), at most the bag size m, and both come from one

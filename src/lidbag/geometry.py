@@ -22,13 +22,17 @@ orders by (distance, id).
 
 A :class:`_RowGroups` may also carry the tile's ranked prefix
 (:class:`_RankedTile`): every query's first D rows of the tile, ranked once
-by (distance, row).  Its groups then thin their rows from it instead: a
+by (distance, row).  Its groups then read their rows from it instead: a
 group's members keep their order in it, so when the tile's rows ascend with
 the ids, the first ``need`` members of a query's prefix are that group's
-exact (distance, id) prefix, ties included, found by a membership lookup
-and a count per row with no sort.  A row with fewer members in its first D
-is partitioned over its group's columns as above.  Both producers feed the
-same cut into inclusive and self-excluded tables.
+exact (distance, id) prefix, ties included.  A group at least as wide as
+the prefix is deep thins it: a membership lookup over the query's D cells
+and a count per row, with no sort.  A narrower group selects from it: the
+prefix's inverse gives every row of the tile its rank in each query's
+order, and the group sorts its m members' ranks, small integers, and keeps
+the first ``need``.  A row with fewer than ``need`` members in its first D
+is partitioned over its group's columns as above.  All three producers
+feed the same cut into inclusive and self-excluded tables.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ class _RowGroups:
     (rows, m) array is made.  ``dist_block(p, p)`` is exactly symmetric, so
     a tile's rows may be the references and its columns the queries.
     ``prefix``, the tile's :class:`_RankedTile`, lets groups whose rows
-    ascend with their ids (without ``pairs``) thin their rows from it.
+    ascend with their ids (without ``pairs``) read their rows from it.
     """
 
     def __init__(self, block, rows, pairs=None, prefix=None):
@@ -283,7 +287,9 @@ def neighbor_tables(
     ``excl_*`` is the prefix shifted by one on rows that start with the
     query, and only rows that start with a copy search for the query.
     A :class:`_RowGroups` that carries its tile's ranked prefix gives the
-    same tables from it by thinning (see the module docstring).
+    same tables from it, by thinning or by selection (see the module
+    docstring), for groups whose rows ascend with their ids and that give
+    each row of the tile one id.
     """
     if isinstance(dcols, _RowGroups):
         source = dcols
@@ -327,9 +333,18 @@ def neighbor_tables(
     else:
         excl_idx, excl_dist = incl_idx, incl_dist
 
-    thin = (source.prefix is not None and source.pairs is None
-            and need <= source.prefix.depth and np.all(rows[:, 1:] > rows[:, :-1]))
-    for lo, hi, pids, pd in (_thinned if thin else _partitioned)(source, rows, ids, need):
+    produce, prefix = _partitioned(source, rows, ids, need), source.prefix
+    if (prefix is not None and source.pairs is None and need <= prefix.depth
+            and np.all(rows[:, 1:] > rows[:, :-1])):
+        # The prefix serves groups that give each row of the tile one id.
+        id_of = np.empty(source.block.shape[0], dtype=np.int64)
+        id_of[rows] = ids
+        if np.array_equal(id_of[rows], ids):
+            # Read whichever is shorter per row: the prefix's D cells, or
+            # the m ranks of a group's members.
+            producer = _thinned if prefix.depth <= m else _selected
+            produce = producer(source, rows, ids, need, id_of)
+    for lo, hi, pids, pd in produce:
         incl_idx[lo:hi] = pids[:, :depth_incl]
         incl_dist[lo:hi] = pd[:, :depth_incl]
         if excl_idx is not incl_idx:
@@ -369,74 +384,145 @@ def _partitioned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: in
         yield lo, hi, row_ids[pos] if row_ids.ndim == 1 else _take_rows(row_ids, pos), pd
 
 
-def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int):
+def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
+             id_of: np.ndarray):
     """The stand-in's ranked prefixes, as :func:`_partitioned` yields them,
     thinned from ``source.prefix``: every row keeps the first ``need``
     entries of its query's tile-wide (distance, row) order that belong to
-    its group.  A group whose rows ascend with its ids orders its members
-    by (distance, id) there, ties included, so no row is sorted again.  A
-    row with fewer than ``need`` members in the prefix is partitioned over
-    its group's columns instead."""
-    block, (pos, dist) = source.block, source.prefix.ranks
-    u, q = block.shape
-    m, depth = rows.shape[1], pos.shape[1]
+    its group, found by a membership lookup over the prefix's D cells and a
+    count per row.  A group whose rows ascend with its ids orders its
+    members by (distance, id) there, ties included, so no row is sorted
+    again.  A row with fewer than ``need`` members in the prefix is
+    partitioned over its group's columns instead.  ``id_of`` maps the
+    tile's rows to their ids."""
+    u, q = source.block.shape
+    m, depth = rows.shape[1], source.prefix.depth
     step = max(1, _BLOCK_CELLS // depth)
     first = np.arange(need)
+    pos, dist = source.prefix.ranks
     for g in range(rows.shape[0]):
         if m == u:
             # Every row of the tile is a member: the prefix is the table.
             for a in range(0, q, step):
                 b = min(q, a + step)
-                yield g * q + a, g * q + b, ids[g][pos[a:b, :need]], dist[a:b, :need]
+                yield g * q + a, g * q + b, id_of[pos[a:b, :need]], dist[a:b, :need]
             continue
         member = np.zeros(u, dtype=bool)
         member[rows[g]] = True
-        id_of = np.empty(u, dtype=np.int64)
-        id_of[rows[g]] = ids[g]
         for a in range(0, q, step):
             b = min(q, a + step)
-            p = pos[a:b]
-            keep = member[p]
+            keep = member[pos[a:b]]
             # Flat positions of every row's members, row after row; each
             # row keeps its first ``need``.
             at = np.flatnonzero(keep)
             count = np.count_nonzero(keep, axis=1)
             ok = count >= need
-            take = at[(np.cumsum(count) - count)[ok, None] + first]
-            if ok.all():
-                pids = id_of[p.reshape(-1)[take]]
-                pd = dist[a:b].reshape(-1)[take]
-            else:
-                pids = np.empty((b - a, need), dtype=np.int64)
-                pd = np.empty((b - a, need))
-                pids[ok] = id_of[p.reshape(-1)[take]]
-                pd[ok] = dist[a:b].reshape(-1)[take]
-                short = np.flatnonzero(~ok)
-                t = np.ascontiguousarray(block[rows[g][:, None], a + short].T)
-                fpos, pd[short] = _ranked_prefix(t, need)
-                pids[short] = ids[g][fpos]
-            yield g * q + a, g * q + b, pids, pd
+            take = at[(np.cumsum(count) - count)[ok, None] + first] + a * depth
+            yield (g * q + a, g * q + b, *_from_prefix(
+                source, rows, ids, id_of, np.full(b - a, g), np.arange(a, b), take, ok, need))
+
+
+def _selected(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
+              id_of: np.ndarray):
+    """The stand-in's ranked prefixes, as :func:`_thinned` yields them,
+    selected by rank: every row keeps the ``need`` members of its group
+    whose ranks in its query's tile-wide order
+    (:attr:`_RankedTile.inverse`) are smallest, by a row gather of the
+    group's m ranks, a sort of those small integers, and a gather of the
+    first ``need`` from the prefix.  That reads m ranks per row where
+    :func:`_thinned` reads the prefix's D cells, so it serves the groups
+    narrower than the prefix is deep.  The prefix is already in
+    (distance, row) order, so ties need no re-ranking.  A row whose
+    ``need``-th rank lies beyond the prefix is partitioned over its group's
+    columns instead.
+
+    A chunk holds as many ranks as ``_BLOCK_CELLS`` distances take bytes:
+    whole groups of q rows when one fits, so that the rows of many narrow
+    groups are sorted and gathered together, else a range of one group's
+    queries."""
+    prefix = source.prefix
+    inverse, depth = prefix.inverse, prefix.depth
+    (u, q), (groups, m) = inverse.shape, rows.shape
+    span = max(1, _BLOCK_CELLS * 8 // (inverse.itemsize * m))
+    per, step = (span // q, q) if span >= q else (1, span)
+    rank = np.empty((per * min(step, q), m), dtype=inverse.dtype)
+    for g0 in range(0, groups, per):
+        g1 = min(groups, g0 + per)
+        for a in range(0, q, step):
+            b = min(q, a + step)
+            c = b - a
+            r = rank[: (g1 - g0) * c]
+            for i, g in enumerate(range(g0, g1)):
+                np.copyto(r[i * c : (i + 1) * c], inverse[rows[g], a:b].T)
+            r.sort(axis=1)
+            top = r[:, :need]
+            query = np.tile(np.arange(a, b), g1 - g0)
+            ok = top[:, -1] < depth
+            take = (top + (query * depth)[:, None])[ok]
+            yield (g0 * q + a, (g1 - 1) * q + b, *_from_prefix(
+                source, rows, ids, id_of, np.repeat(np.arange(g0, g1), c), query, take, ok, need))
+
+
+def _from_prefix(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, id_of: np.ndarray,
+                 group: np.ndarray, query: np.ndarray, take: np.ndarray, ok: np.ndarray,
+                 need: int):
+    """Ranked prefixes (ids, distances) of stand-in rows, each reading one
+    ``group`` and one ``query`` of the tile: rows ``ok`` read the flat
+    positions ``take`` of the prefix, and the others are partitioned over
+    their group's columns (``rows``, whose ids are ``ids``).  ``id_of`` maps
+    the tile's rows to their ids."""
+    pos, dist = (x.reshape(-1) for x in source.prefix.ranks)
+    if ok.all():
+        return id_of[pos[take]], dist[take]
+    pids = np.empty((ok.shape[0], need), dtype=np.int64)
+    pd = np.empty((ok.shape[0], need))
+    pids[ok], pd[ok] = id_of[pos[take]], dist[take]
+    short = np.flatnonzero(~ok)
+    g = group[short]
+    fpos, pd[short] = _ranked_prefix(source.block[rows[g], query[short, None]], need)
+    pids[short] = _take_rows(ids[g], fpos)
+    return pids, pd
 
 
 class _RankedTile:
     """A (u, q) distance tile's queries ranked to ``depth``, the one ranking
-    of a tile that :func:`neighbor_tables` thins from.  ``ranks`` is
-    computed on first use, so inside the first table that reads it."""
+    of a tile that :func:`neighbor_tables` thins or selects from.  Both
+    views are computed on first use, so inside the first table that reads
+    them, and kept without a lock: a tile belongs to the one worker that
+    computed it."""
 
     def __init__(self, block: np.ndarray, depth: int):
         self.block = block
         self.depth = depth
+        self._ranks = self._inverse = None
 
-    @functools.cached_property
+    @property
     def ranks(self):
         """(q, depth) row positions and distances in (distance, row) order."""
-        u, q = self.block.shape
-        every = np.arange(u)[None]
-        pos = np.empty((q, self.depth), dtype=np.int64)
-        dist = np.empty((q, self.depth))
-        for lo, hi, t, _ in _chunks(_RowGroups(self.block, every), every, every):
-            pos[lo:hi], dist[lo:hi] = _ranked_prefix(t, self.depth)
-        return pos, dist
+        if self._ranks is None:
+            u, q = self.block.shape
+            every = np.arange(u)[None]
+            pos = np.empty((q, self.depth), dtype=np.int64)
+            dist = np.empty((q, self.depth))
+            for lo, hi, t, _ in _chunks(_RowGroups(self.block, every), every, every):
+                pos[lo:hi], dist[lo:hi] = _ranked_prefix(t, self.depth)
+            self._ranks = pos, dist
+        return self._ranks
+
+    @property
+    def inverse(self):
+        """(u, q) rank of every tile row in every query's order: its place
+        in the prefix, or ``depth`` + row beyond it (distinct ranks, all
+        past the prefix), in the narrowest unsigned type that holds them."""
+        if self._inverse is None:
+            pos = self.ranks[0]
+            u, q = self.block.shape
+            dtype = np.min_scalar_type(self.depth + u - 1)
+            inverse = np.empty((u, q), dtype=dtype)
+            inverse[:] = np.arange(self.depth, self.depth + u, dtype=dtype)[:, None]
+            inverse.reshape(-1)[pos * q + np.arange(q)[:, None]] = np.arange(self.depth, dtype=dtype)
+            self._inverse = inverse
+        return self._inverse
 
 
 def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):
@@ -489,21 +575,26 @@ def _ranked_prefix(tile: np.ndarray, need: int):
     if need == m:
         pos = np.argsort(tile, axis=1, kind="stable")
         return pos, _take_rows(tile, pos)
-    part = np.argpartition(tile, need, axis=1)
-    pos = np.sort(part[:, :need], axis=1)
-    nxt = _take_rows(tile, part[:, need : need + 1])[:, 0]
-    pd = _take_rows(tile, pos)
+    # The partition's first ``need`` values are the row's smallest; their
+    # maximum is the prefix edge, and position ``need`` holds the next order
+    # statistic.  When it equals the edge a tie straddles the prefix: which
+    # of the tied columns the partition kept is arbitrary, so the row is
+    # re-ranked by a full stable sort, which picks the smaller ids.  On any
+    # other row exactly ``need`` entries lie at or below the edge, and a
+    # scan finds them in ascending column order.
+    part = np.partition(tile, need, axis=1)
+    edge = part[:, :need].max(axis=1)
+    tied = np.flatnonzero(part[:, need] == edge)
+    sub, edge = (tile, edge) if not tied.size else (np.delete(tile, tied, 0), np.delete(edge, tied))
+    at = np.flatnonzero(sub <= edge[:, None]).reshape(-1, need)
+    pd = sub.reshape(-1)[at]
     rank = np.argsort(pd, axis=1, kind="stable")
-    pos = _take_rows(pos, rank)
+    pos = _take_rows(at, rank) - np.arange(0, sub.size, m)[:, None]
     pd = _take_rows(pd, rank)
-    # Which of the tied columns the partition kept is arbitrary; the full
-    # stable sort picks the smaller ids.
-    tied = np.nonzero(nxt == pd[:, -1])[0]
     if tied.size:
-        sub = tile[tied]
-        full = np.argsort(sub, axis=1, kind="stable")[:, :need]
-        pos[tied] = full
-        pd[tied] = _take_rows(sub, full)
+        full = np.argsort(tile[tied], axis=1, kind="stable")[:, :need]
+        pos = np.insert(pos, tied - np.arange(tied.size), full, axis=0)
+        pd = np.insert(pd, tied - np.arange(tied.size), _take_rows(tile[tied], full), axis=0)
     return pos, pd
 
 

@@ -193,16 +193,17 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     * One deep full-cloud table serves every ``baseline`` and ``smoothed``
       estimate and every post-smoothing neighborhood (sorted neighbor
       prefixes nest, so any smaller k is a column slice).
-    * Each tile is ranked once.  With a full-cloud table, every query of the
-      tile is ranked over the whole cloud by (distance, id)
-      (:class:`~lidbag.geometry._RankedTile`) to a depth D: that table's
-      prefix, and deep enough for the ensembles whose bags
-      :func:`_thin_depth` thins: wide bags, and enough of them to pay for
-      the deeper ranking.  Such a bag's tables keep
-      the bag's members of each query's ranking, in order, without sorting
-      again (a row that meets too few members is partitioned); the others
-      partition their m columns.  Without a full-cloud table nothing is
-      ranked over the union, and every ensemble partitions.
+    * Each tile is ranked at most once: every query of the tile over all
+      of U by (distance, id) (:class:`~lidbag.geometry._RankedTile`), to a
+      depth D that serves the full-cloud table (its prefix) and the
+      ensembles whose bags read their tables from the ranking, when
+      :func:`_thin_depth` finds that their saving pays for it: wide bags
+      thin it (each keeps its members of a query's ranking, in order), and
+      many narrow bags select from it (each sorts its members' ranks in
+      it); neither sorts a distance again, and a row that meets too few
+      members is partitioned.  The other ensembles partition their m
+      columns.  A plan without a full-cloud table ranks its tiles only for
+      such ensembles, at the cost of a ranking of all u columns per query.
     * Every table serves all its MLE k values from one ``np.log`` of its
       self-excluded prefix.
     * Bagged cells with the same rate and seed share one ensemble: its bags
@@ -291,15 +292,13 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         e.hoods = np.empty((B, n, e.depth_incl), dtype=np.min_scalar_type(m - 1))
         budget -= size
 
-    # A plan with a full-cloud table ranks every tile once, as deep as that
-    # table and the ensembles the cost rule thins need; the other ensembles
-    # partition.  Without one, a prefix would cost every query a ranking of
-    # all u columns that only thinning uses: a bagged MLE call at n = 8000
-    # (u = 3221, m = 400, k = 10) took 0.90-1.00 s thinned against
-    # 0.79-0.83 s partitioned (three runs each).
-    prefix_depth = geometry._prefix_need(full_depth, full_incl, n) if full else 0
+    # A tile is ranked once, as deep as the plan's full-cloud table (if any)
+    # and the ensembles that the cost rule lets read their tables from the
+    # ranking need; the other ensembles partition.
+    ranked = geometry._prefix_need(full_depth, full_incl, n) if full else 0
+    prefix_depth = ranked
     for e in ensembles:
-        e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0]) if full else 0
+        e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0], ranked)
         prefix_depth = max(prefix_depth, e.thin)
 
     spent = {}
@@ -353,46 +352,65 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
 _HOOD_BYTES = 2**24
 
 
-def _thin_depth(u: int, m: int, need: int, bags: int) -> int:
+def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
     """Depth D of a tile's ranked prefix from which ``bags`` bags of m of
-    its u reference points thin their ``need`` nearest members, or 0 when
-    partitioning each bag's m columns is faster.
+    its u reference points take their ``need`` nearest members, or 0 when
+    partitioning each bag's m columns is faster.  ``ranked`` is the depth
+    to which the plan ranks its tiles anyway (its full-cloud table's), 0
+    when it ranks none.
 
     A bag's members among a query's first D ranks are Hypergeometric(u, m,
     D) (the query's own rank is one more member), with mean D * p, p = m /
     u.  D is the smallest depth whose mean lies ``_THIN_Z`` standard
     deviations (without the finite-population factor, so wider) above
-    ``need``: about need / p + z * sqrt(need * (1 - p)) / p.  A row that
-    falls short anyway is partitioned.
+    ``need``: about need / p + z * sqrt(need * (1 - p)) / p, at most u.  A
+    row that falls short anyway is partitioned.
 
-    Per query, thinning saves each bag's row the partition of m columns
-    and the sort of its ``need`` nearest, and reads about D prefix cells
-    instead; the prefix itself ranks D - need cells more.  In units of one
-    such prefix cell, a partitioned row costs m / 12.5 + 0.75 * need and a
-    thinned one D / 20, and thinning is chosen when D <= m and the bags'
-    saving exceeds D - need.  The constants are least-squares fits to per
-    row times on M12_Norm, u = 2500, ten bags of one (u, q) tile (2-vCPU
-    VM, one thread, best of five) at need = 11, 31 and 73 and m = 125 to
-    2000: at need = 73, m = 554, D = 497, a row took 5.0 us partitioned and
-    1.6 us thinned and the deeper prefix 18 us per query, so thinning pays
-    from 5.3 bags (the rule says 5.7); m = 772 from 2.5 (2.8), m = 1500
-    from 0.4 (0.55).  The fits put the crossover too high at need = 11 (m = 554,
-    D = 138: from 1.8 bags, the rule says 2.8), so the rule errs towards
-    partitioning.  Whole plans agree: a ``baseline`` plus ``bagged_post``
-    plan (mle, k = k_s = 72, n = 2500, median of five) took 116 ms thinned
-    against 76 ms partitioned at m = 550, B = 1, and 186 against 196 ms at
-    B = 10.  The prefix is shared by the plan's thinning ensembles and its
-    full-cloud table, but each ensemble is weighed alone.  The default
-    k x r sweep (B = 10) thins its four widest bags (m = 554 to 1500);
-    the shapes of the B-sweep (u = 2500, m = 125, D = 672 > m at need = 11)
-    and of a 5% bag at n = 8000 (m = 400, D = 672; 1.5-1.9 s partitioned
-    against 2.0-2.4 s thinned for ``bagged_pre_post``) partition.
+    Per query, and in units of one prefix cell (the time a ranking takes
+    per rank it goes deeper, about 0.08 us on a 2-vCPU VM at one thread):
+
+    * a partitioned row costs m / 12.5 + 0.75 * need;
+    * a row read from the prefix costs D / 20 when D <= m (it is thinned
+      from the prefix's D cells), else m / 25 + need / 12 (it is selected
+      by a sort of its m members' ranks), plus D / 11 per query for the
+      inverse ranks;
+    * the prefix costs D - ranked more than the plan ranks anyway, or,
+      when it ranks none, u / 14 + D for a ranking of all u columns.
+
+    D is chosen when the bags' saving exceeds the prefix's cost.  The
+    partition and thinning constants are least-squares fits to per-row
+    times on M12_Norm, u = 2500, ten bags of one (u, q) tile (best of
+    five) at need = 11, 31 and 73 and m = 125 to 2000: at need = 73, m =
+    554, D = 497, a row took 5.0 us partitioned and 1.6 us thinned and the
+    deeper prefix 18 us per query, so thinning pays from 5.3 bags (the rule
+    says 5.7); m = 772 from 2.5 (2.8), m = 1500 from 0.4 (0.55).  The
+    fits put the crossover too high at need = 11 (m = 554, D = 138: from
+    1.8 bags, the rule says 2.8), so the rule errs towards partitioning.
+    A ``baseline`` plus ``bagged_post`` plan (mle, k = k_s = 72, n = 2500,
+    median of five) took 116 ms thinned against 76 ms partitioned at m =
+    550, B = 1, and 186 against 196 ms at B = 10.  The selection, ranking
+    and inverse constants are fits to per-row and per-query times of the
+    same kind at u = 2500, 3221 and 8000, m = 105 to 2000 and D = 11 to
+    1500 (the measured saving of a selected row over a partitioned one,
+    taken from the partition formula): at m = 125, need = 11 a row took
+    2.1 us partitioned and 0.8 us selected, and a u = 2500 ranking to D =
+    672 about 60 us per query, so selection pays from about 50 bags (the
+    rule says 74).  The prefix is shared by the plan's ensembles and its
+    full-cloud table, but each ensemble is weighed alone.  The default k x
+    r sweep (B = 10) thins its four widest bags (m = 554 to 1500) and
+    partitions the others (m = 397, D = 704 would select at a saving of
+    646 against a cost of 695); the B-sweep's 400 bags of m = 125 (u =
+    2500, D = 672) select; ten 5% bags at n = 8000 partition, over their
+    union (u ≈ 3200, D ≈ 260: a saving of 273 against 488) and next to a
+    full-cloud table (u = 8000, D = 672: 233 against 722).
     """
     p = m / u
     spread = _THIN_Z * math.sqrt(1.0 - p)
-    depth = math.ceil(((spread + math.sqrt(spread * spread + 4 * need)) / 2) ** 2 / p)
-    saving = bags * (m / 12.5 + 0.75 * need - depth / 20)
-    return depth if depth <= m and saving > depth - need else 0
+    depth = min(u, math.ceil(((spread + math.sqrt(spread * spread + 4 * need)) / 2) ** 2 / p))
+    row, inverse = (depth / 20, 0.0) if depth <= m else (m / 25 + need / 12, depth / 11)
+    saving = bags * (m / 12.5 + 0.75 * need - row)
+    cost = inverse + (depth - ranked if ranked else u / 14 + depth)
+    return depth if saving > cost else 0
 
 
 #: Standard deviations by which the mean member count of a thinned prefix
@@ -450,7 +468,7 @@ class _Ensemble:
         # Positions in the bag of every query's in-bag neighborhood, when
         # the plan's budget lets this ensemble keep them.
         self.hoods = None
-        # Depth of the tile prefix this ensemble's tables thin from, 0 when
+        # Depth of the tile prefix this ensemble's tables read from, 0 when
         # they partition (:func:`_thin_depth`).
         self.thin = 0
 
@@ -495,7 +513,7 @@ class _Ensemble:
         """Rank and estimate every bag's rows of queries lo..hi, pre-smooth
         them or keep their neighborhoods, and fold them; returns seconds
         spent per key.  With the tile's ranked ``prefix`` the bags' tables
-        are thinned from it, else partitioned."""
+        are read from it, else partitioned."""
         q, (count, m) = hi - lo, self.bags.shape
         qids = np.arange(lo, hi, dtype=np.int64)
         stored = self.hoods is not None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidbag import geometry
+from lidbag import geometry, smoothing
 from lidbag.datasets import DATASET_NAMES, GeneratorSpec, generate
 from lidbag.geometry import (
     CapacityError,
@@ -420,21 +420,26 @@ class TestBlockedKernel:
             rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
             sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
             self.assert_tables(sub, [t[lo:hi] for t in want], f"group {g}")
-        # The same groups thinned from a ranked prefix of the tile: as deep
-        # as a row keeps (most rows fall short and are partitioned), a
-        # random depth (on a lattice most edges cut through ties), twice the
-        # mean depth at which a row meets ``need`` members, and every row
-        # of the tile (no row falls short).
+        # The same groups read from a ranked prefix of the tile, thinned
+        # from its D cells when D <= m and selected by their members' ranks
+        # when D > m: D as deep as a row keeps (most rows fall short and are
+        # partitioned), a random depth (on a lattice most edges cut through
+        # ties), the depth of the thinning rule's law, one past m (the
+        # selection, with most rows short when ``need`` is deep), and every
+        # row of the tile (no row falls short).
         need = geometry._prefix_need(depth, depth if depth_incl is None else depth_incl, m)
-        for thin in (need, int(rng.integers(need, n + 1)), min(n, 2 * need * n // m), n):
+        law = smoothing._thin_depth(n, m, need, 2**40, need)
+        for thin in (need, int(rng.integers(need, n + 1)), law, min(n, m + 1), n):
             prefix = geometry._RankedTile(block, thin)
-            assert prefix.ranks[1].tobytes() == np.sort(block.T, axis=1)[:, :thin].tobytes()
+            pos, dist = prefix.ranks
+            assert dist.tobytes() == np.sort(block.T, axis=1)[:, :thin].tobytes()
+            self.assert_inverse(prefix.inverse, pos, thin)
             got = neighbor_tables(geometry._RowGroups(block, groups, prefix=prefix), groups,
                                   qids, depth, depth_incl)
             for g in range(2):
                 rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
                 sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
-                self.assert_tables(sub, [t[lo:hi] for t in want], f"thinned at {thin}, group {g}")
+                self.assert_tables(sub, [t[lo:hi] for t in want], f"prefix of {thin}, group {g}")
         # Rows may instead name their own (group, query) pair, in any order.
         group = rng.integers(0, 2, size=int(rng.integers(0, 2 * (hi - lo) + 1)))
         col = rng.integers(0, hi - lo, size=group.size)
@@ -445,6 +450,68 @@ class TestBlockedKernel:
             sub = NeighborTables(*(getattr(got, f)[group == g] for f in TABLE_FIELDS))
             self.assert_tables(sub, [t[lo:hi][col[group == g]] for t in want],
                                f"pairs of group {g}")
+
+    @pytest.mark.parametrize("u, thin, dtype", [(200, 56, np.uint8), (200, 57, np.uint16),
+                                                 (65000, 536, np.uint16),
+                                                 (65000, 537, np.uint32)])
+    def test_inverse_ranks_take_the_narrowest_type(self, u, thin, dtype):
+        # Ranks reach thin + u - 1: 255 and 65535 fit one and two bytes.
+        # Tile rows lie on a line, four queries near its start and one at
+        # its end.  Every group has m = 40 < thin members, so the groups
+        # select.  The first two are the 20 rows nearest the start and 20
+        # further out: at need = 15 the start queries select every row
+        # from the prefix, at need = 30 most of their rows fall short and
+        # are partitioned.  The third is the 14 rows nearest the end, row 0
+        # and 25 rows of the first half: at need = 15 the end query's 15th
+        # member is row 0, the first row past the prefix, at rank ``thin``
+        # exactly, so its row falls short.
+        rng = np.random.default_rng(u + thin)
+        pts = np.arange(u, dtype=np.float64)[:, None]
+        queries = np.array([[0.0], [3.5], [10.0], [20.25], [u - 0.5]])
+        block = dist_block(pts, queries)
+        groups = [np.concatenate([np.arange(20), rng.choice(np.arange(20, u), 20, replace=False)])
+                  for _ in range(2)]
+        groups.append(np.concatenate([[0], rng.choice(np.arange(1, u // 2), 25, replace=False),
+                                      np.arange(u - 14, u)]))
+        groups = np.sort(groups, axis=1)
+        prefix = geometry._RankedTile(block, thin)
+        assert prefix.inverse.dtype == dtype
+        assert prefix.inverse[0, 4] == thin
+        self.assert_inverse(prefix.inverse, prefix.ranks[0], thin)
+        for need in (15, 30):
+            # A table of depth need - 1 ranks need entries per row.
+            got = neighbor_tables(geometry._RowGroups(block, groups, prefix=prefix), groups,
+                                  None, need - 1)
+            for g in range(3):
+                want = lexsort_tables(block[groups[g]].T, groups[g], None, need - 1, need - 1)
+                sub = NeighborTables(*(getattr(got, f)[5 * g : 5 * (g + 1)]
+                                       for f in TABLE_FIELDS))
+                self.assert_tables(sub, want, f"need {need}, group {g}")
+
+    def test_a_prefix_serves_only_groups_with_one_id_per_row(self):
+        # Two groups read the same rows of the tile under different ids: no
+        # one map from the tile's rows to ids serves both, so they
+        # partition their columns whatever the prefix's depth.
+        pts = np.random.default_rng(5).normal(size=(300, 2))
+        block = dist_block(pts, pts[:40])
+        rows = np.stack([np.arange(0, 300, 3)] * 2)
+        ids = np.stack([rows[0], rows[0] + 1000])
+        want = neighbor_tables(geometry._RowGroups(block, rows), ids, None, 5)
+        for thin in (50, 300):
+            prefix = geometry._RankedTile(block, thin)
+            got = neighbor_tables(geometry._RowGroups(block, rows, prefix=prefix), ids, None, 5)
+            self.assert_tables(got, [getattr(want, f) for f in TABLE_FIELDS], f"prefix of {thin}")
+
+    @staticmethod
+    def assert_inverse(inverse, pos, thin):
+        """``inverse`` ranks every tile row in every query's order: the
+        prefix's rows by their place in it, every other row past it."""
+        u, q = inverse.shape
+        assert inverse.dtype == np.min_scalar_type(thin + u - 1)
+        assert np.array_equal(np.argsort(inverse, axis=0)[:thin].T, pos)
+        assert np.array_equal(np.sort(inverse, axis=0)[:thin], np.tile(np.arange(thin)[:, None], q))
+        past = inverse >= thin
+        assert np.array_equal(inverse[past], (thin + np.arange(u)[:, None] + 0 * inverse)[past])
 
     @staticmethod
     def assert_tables(got, want, source):

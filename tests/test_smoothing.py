@@ -77,21 +77,23 @@ def lattice_cloud(seed):
     return PointCloud.single_manifold(np.vstack([np.column_stack([xs.ravel(), ys.ravel()]), blob]), 2.0)
 
 
-#: Ways to force the thinning rule (:func:`smoothing._thin_depth`) in the
-#: engine tests: never thin, thin from a prefix as deep as a row keeps (most
-#: rows fall short and are partitioned), twice the mean depth at which a row
-#: meets its members, or every reference point.
+#: Ways to force the rule (:func:`smoothing._thin_depth`) in the engine
+#: tests: never read from a tile's ranked prefix, read from a prefix as deep
+#: as a row keeps (most rows fall short and are partitioned), twice the mean
+#: depth at which a row meets its members, or every reference point; bags
+#: thin a prefix no deeper than m and select from a deeper one, with or
+#: without a full-cloud table.
 THIN_RULES = {
-    "partition": lambda u, m, need, bags: 0,
-    "shallow": lambda u, m, need, bags: need,
-    "law": lambda u, m, need, bags: min(u, 2 * need * u // m),
-    "all": lambda u, m, need, bags: u,
+    "partition": lambda u, m, need, bags, ranked: 0,
+    "shallow": lambda u, m, need, bags, ranked: need,
+    "law": lambda u, m, need, bags, ranked: min(u, 2 * need * u // m),
+    "all": lambda u, m, need, bags, ranked: u,
 }
 
 
 def with_baseline(cloud, variant, est, bag_cfg=None, s_cfg=None, **kw):
     """``variant_estimates`` run in one plan with a ``baseline`` cell, whose
-    full-cloud table lets every ensemble thin from the ranked tiles."""
+    full-cloud table ranks every tile over the whole cloud."""
     k_s = est.k if s_cfg is None else s_cfg.k_s
     out = {}
     run_plan(cloud, [PlanCell(variant, est, k_s, bag_cfg), PlanCell("baseline", est, k_s)],
@@ -257,11 +259,14 @@ class TestStreamedPath:
     def test_thread_count_identity(self, variant, hood_bytes, monkeypatch):
         # Tile workers write disjoint slices of shared result arrays; more
         # workers than cores and a short switch interval would expose a lost
-        # or misplaced write as changed bytes.
+        # or misplaced write as changed bytes.  200 bags of 55 select their
+        # tables from each tile's ranking, with or without a full-cloud
+        # table.
         monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
         s_cfg = SmoothingConfig(9)
         interval = sys.getswitchinterval()
-        for bag_cfg in self.configs(variant):
+        many = [BaggingConfig(bags=200, rate=0.05, seed=1)] if variant.startswith("bagged") else []
+        for bag_cfg in self.configs(variant) + many:
             one = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=1)
             sys.setswitchinterval(1e-5)
             try:
@@ -288,12 +293,17 @@ class TestTileBudgets:
            rate=st.sampled_from((0.1, 0.3, 0.7)), B=st.integers(1, 6),
            block=st.integers(1, 4096), union=st.integers(1, 8192), tle=st.integers(1, 512),
            hood=st.sampled_from((0, 2**24)), rule=st.sampled_from(sorted(THIN_RULES)),
-           seed=st.integers(0, 2**16))
+           many=st.booleans(), seed=st.integers(0, 2**16))
     def test_budgets_change_no_bit(self, kind, n, method, variant, rate, B, block, union, tle,
-                                   hood, rule, seed):
+                                   hood, rule, many, seed):
+        bagged = variant.startswith("bagged")
+        if bagged and many:
+            # 50 bags of 10 points: alone, the plan ranks its tiles and the
+            # rule selects the bags' tables from the ranking.
+            n, rate, B = 100, 0.1, 50
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=3)
-        bag_cfg = BaggingConfig(B, rate, seed) if variant.startswith("bagged") else None
+        bag_cfg = BaggingConfig(B, rate, seed) if bagged else None
         if bag_cfg is not None and bag_cfg.bag_size(n) < 5:
             bag_cfg = BaggingConfig(B, 0.7, seed)
         s_cfg = SmoothingConfig(4)
@@ -309,8 +319,9 @@ class TestTileBudgets:
             mp.setattr(smoothing, "_HOOD_BYTES", hood)
             mp.setattr(smoothing, "_thin_depth", THIN_RULES[rule])
             # Alone, a bagged plan ranks over the bags' union (a part of the
-            # cloud at rate 0.1); with a baseline cell it ranks whole tiles
-            # and the forced rule decides which ensembles thin.
+            # cloud at rate 0.1); with a baseline cell it ranks whole tiles.
+            # Either way the forced rule decides which ensembles read their
+            # tables from the ranking.
             got = [run(cloud, variant, est, bag_cfg, s_cfg, threads=2)
                    for run in (variant_estimates, with_baseline)]
             table = neighbor_tables(d, bag, ids, 3, 5)
@@ -322,48 +333,68 @@ class TestTileBudgets:
 
 
 class TestThinningRule:
-    """Which ensembles thin their tables from a tile's ranked prefix."""
+    """Which ensembles read their tables from a tile's ranked prefix."""
 
     def test_choice_on_the_benchmark_shapes(self):
-        # sweep_kr: n = 2500, B = 10, k and k_s up to 72 (need = 73) at the
-        # nine default rates; the four widest bags thin.
+        # sweep_kr: n = 2500, B = 10, k and k_s up to 72 (need = 73, and the
+        # full-cloud table ranks every tile to 73) at the nine default
+        # rates; the four widest bags thin.
         sizes = [math.ceil(2500 * r) for r in DEFAULT_R_GRID]
         assert sizes == [105, 147, 205, 285, 397, 554, 772, 1076, 1500]
-        assert ([smoothing._thin_depth(2500, m, 73, 10) for m in sizes]
+        assert ([smoothing._thin_depth(2500, m, 73, 10, 73) for m in sizes]
                 == [0] * 5 + [497, 349, 242, 164])
-        # sweep_bags (k = 10, bags of 125, up to 400 of them) and
-        # library_n8000 (ten bags of 400 at n = 8000) partition.
-        assert smoothing._thin_depth(2500, 125, 11, 400) == 0
-        assert smoothing._thin_depth(8000, 400, 11, 10) == 0
+        # sweep_bags: k = 10, up to 400 bags of 125, no full-cloud table;
+        # their union is the whole cloud, ranked to D = 672 > m, and the
+        # bags select from it.
+        u = np.unique(draw_bags(2500, BaggingConfig(400, 0.05, 3))).size
+        assert u == 2500
+        assert smoothing._thin_depth(u, 125, 11, 400, 0) == 672
+        # library_n8000: ten bags of 400 at n = 8000 partition, over their
+        # union (bagged) and next to a full-cloud table (bagged_pre_post).
+        u = np.unique(draw_bags(8000, BaggingConfig(10, 0.05, 3))).size
+        assert 3100 < u < 3300
+        assert smoothing._thin_depth(u, 400, 11, 10, 0) == 0
+        assert smoothing._thin_depth(8000, 400, 11, 10, 11) == 0
 
     def test_few_bags_do_not_pay_for_a_deeper_prefix(self):
         # At m = 554 the prefix pays from six bags; at m = 1500 from one.
-        assert [smoothing._thin_depth(2500, 554, 73, B) for B in (1, 5, 6)] == [0, 0, 497]
-        assert smoothing._thin_depth(2500, 1500, 73, 1) == 164
+        assert [smoothing._thin_depth(2500, 554, 73, B, 73) for B in (1, 5, 6)] == [0, 0, 497]
+        assert smoothing._thin_depth(2500, 1500, 73, 1, 73) == 164
+        # Without a full-cloud table the prefix is a whole ranking: bags of
+        # 125 select from it from 74 of them.
+        assert [smoothing._thin_depth(2500, 125, 11, B, 0) for B in (73, 74)] == [0, 672]
 
     @pytest.mark.parametrize("u, m, need", [(2500, 554, 73), (2500, 1500, 73), (2500, 1250, 11),
-                                            (8000, 4000, 11), (300, 299, 2)])
+                                            (8000, 4000, 11), (300, 299, 2), (2500, 125, 11),
+                                            (8000, 400, 11)])
     def test_depth_holds_need_members_by_the_hypergeometric_law(self, u, m, need):
-        depth = smoothing._thin_depth(u, m, need, 400)
-        assert need <= depth <= m
+        depth = smoothing._thin_depth(u, m, need, 400, need)
+        assert need <= depth <= u
         members = np.random.default_rng(0).hypergeometric(m, u - m, depth, size=200_000)
         assert np.mean(members < need) < 1e-3
 
-    @pytest.mark.parametrize("variant, ranks", [("bagged", False), ("bagged_pre", False),
-                                                ("bagged_post", True), ("baseline", True)])
-    def test_only_plans_with_a_full_cloud_table_rank_their_tiles(self, variant, ranks,
-                                                                  monkeypatch):
+    @pytest.mark.parametrize("variant, bag_cfg, ranks", [
+        # Bag-union plans: 200 bags of 55 select from a prefix, 3 do not.
+        ("bagged", BaggingConfig(200, 0.05, 1), True),
+        ("bagged", BaggingConfig(3, 0.05, 1), False),
+        ("bagged_pre", BaggingConfig(200, 0.05, 1), True),
+        # A full-cloud table ranks every tile.
+        ("bagged_post", BaggingConfig(3, 0.05, 1), True),
+        ("baseline", None, True),
+    ])
+    def test_a_plan_ranks_each_tile_once_or_not_at_all(self, variant, bag_cfg, ranks,
+                                                        monkeypatch):
         cloud = generate(GeneratorSpec("M12_Norm", n=1100, seed=2))
         calls, real = [], geometry._RankedTile
 
         class Recording(real):
-            @functools.cached_property
+            @property
             def ranks(self):
-                calls.append(self.depth)
-                return real.ranks.func(self)
+                if self._ranks is None:
+                    calls.append(self.depth)
+                return real.ranks.fget(self)
 
         monkeypatch.setattr(geometry, "_RankedTile", Recording)
-        bag_cfg = BaggingConfig(3, 0.6, 1) if variant.startswith("bagged") else None
         variant_estimates(cloud, variant, EstimatorConfig("mle", k=6), bag_cfg)
         tiles = len(geometry._query_tiles(1100, 1100))
         assert len(calls) == (tiles if ranks else 0)
