@@ -520,7 +520,8 @@ class _RankedTile:
             dtype = np.min_scalar_type(self.depth + u - 1)
             inverse = np.empty((u, q), dtype=dtype)
             inverse[:] = np.arange(self.depth, self.depth + u, dtype=dtype)[:, None]
-            inverse.reshape(-1)[pos * q + np.arange(q)[:, None]] = np.arange(self.depth, dtype=dtype)
+            at = pos * q + np.arange(q)[:, None]
+            inverse.reshape(-1)[at] = np.arange(self.depth, dtype=dtype)
             self._inverse = inverse
         return self._inverse
 
@@ -585,16 +586,20 @@ def _ranked_prefix(tile: np.ndarray, need: int):
     part = np.partition(tile, need, axis=1)
     edge = part[:, :need].max(axis=1)
     tied = np.flatnonzero(part[:, need] == edge)
-    sub, edge = (tile, edge) if not tied.size else (np.delete(tile, tied, 0), np.delete(edge, tied))
+    sub = tile
+    if tied.size:
+        sub, edge = np.delete(tile, tied, 0), np.delete(edge, tied)
     at = np.flatnonzero(sub <= edge[:, None]).reshape(-1, need)
     pd = sub.reshape(-1)[at]
     rank = np.argsort(pd, axis=1, kind="stable")
     pos = _take_rows(at, rank) - np.arange(0, sub.size, m)[:, None]
     pd = _take_rows(pd, rank)
     if tied.size:
-        full = np.argsort(tile[tied], axis=1, kind="stable")[:, :need]
-        pos = np.insert(pos, tied - np.arange(tied.size), full, axis=0)
-        pd = np.insert(pd, tied - np.arange(tied.size), _take_rows(tile[tied], full), axis=0)
+        t = tile[tied]
+        full = np.argsort(t, axis=1, kind="stable")[:, :need]
+        at = tied - np.arange(tied.size)
+        pos = np.insert(pos, at, full, axis=0)
+        pd = np.insert(pd, at, _take_rows(t, full), axis=0)
     return pos, pd
 
 

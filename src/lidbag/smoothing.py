@@ -203,7 +203,8 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       it); neither sorts a distance again, and a row that meets too few
       members is partitioned.  The other ensembles partition their m
       columns.  A plan without a full-cloud table ranks its tiles only for
-      such ensembles, at the cost of a ranking of all u columns per query.
+      narrow bags that select, at the cost of a ranking of all u columns
+      per query.
     * Every table serves all its MLE k values from one ``np.log`` of its
       self-excluded prefix.
     * Bagged cells with the same rate and seed share one ensemble: its bags
@@ -377,7 +378,16 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
     * the prefix costs D - ranked more than the plan ranks anyway, or,
       when it ranks none, u / 14 + D for a ranking of all u columns.
 
-    D is chosen when the bags' saving exceeds the prefix's cost.  The
+    D is chosen when the bags' saving exceeds the prefix's cost, except
+    that a plan without a full-cloud table ranks only for bags that select
+    (D > m).  Thinning wide bags from a ranking of their union does pay:
+    ``bagged`` at n = 2500, r = 0.5, B = 10 (D = 51) took 164 ms against
+    394 ms partitioned.  But it costs little more than the baseline, whose
+    ranking of the whole cloud it repeats: over 25 runs of the runtime
+    crossover (``sweep.benchmark_runtime`` at r * B = 5, acceptance
+    criterion C9) the bagged variant took 0.83 to 1.52 times the
+    baseline's time, so the criterion, which must find it slower, would
+    fail about one run in ten.  Such plans partition, as before.  The
     partition and thinning constants are least-squares fits to per-row
     times on M12_Norm, u = 2500, ten bags of one (u, q) tile (best of
     five) at need = 11, 31 and 73 and m = 125 to 2000: at need = 73, m =
@@ -395,18 +405,25 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
     taken from the partition formula): at m = 125, need = 11 a row took
     2.1 us partitioned and 0.8 us selected, and a u = 2500 ranking to D =
     672 about 60 us per query, so selection pays from about 50 bags (the
-    rule says 74).  The prefix is shared by the plan's ensembles and its
-    full-cloud table, but each ensemble is weighed alone.  The default k x
-    r sweep (B = 10) thins its four widest bags (m = 554 to 1500) and
-    partitions the others (m = 397, D = 704 would select at a saving of
-    646 against a cost of 695); the B-sweep's 400 bags of m = 125 (u =
-    2500, D = 672) select; ten 5% bags at n = 8000 partition, over their
-    union (u ≈ 3200, D ≈ 260: a saving of 273 against 488) and next to a
-    full-cloud table (u = 8000, D = 672: 233 against 722).
+    rule says 74).  Whole ``bagged`` plans agree (M12_Norm, n = 2500, mle
+    k = 10, median of five): 60 bags of 125 took 459 ms partitioned against
+    528 ms selected, 100 bags 702 against 661 ms; and ten 5% bags at n =
+    8000 took 0.79-0.83 s partitioned against 0.90-1.00 s thinned from a
+    ranking of their union.  The prefix is shared by the plan's ensembles
+    and its full-cloud table, but each ensemble is weighed alone.  The
+    default k x r sweep (B = 10) thins its four widest bags (m = 554 to
+    1500) and partitions the others (m = 397, D = 704 would select at a
+    saving of 646 against a cost of 695); the B-sweep's 400 bags of m =
+    125 (u = 2500, D = 672) select; ten 5% bags at n = 8000 partition,
+    over their union (u ≈ 3200, D ≈ 260 <= m, where the costs agree: a
+    saving of 273 against 488) and next to a full-cloud table (u = 8000,
+    D = 672: 233 against 722).
     """
     p = m / u
     spread = _THIN_Z * math.sqrt(1.0 - p)
     depth = min(u, math.ceil(((spread + math.sqrt(spread * spread + 4 * need)) / 2) ** 2 / p))
+    if depth <= m and not ranked:
+        return 0
     row, inverse = (depth / 20, 0.0) if depth <= m else (m / 25 + need / 12, depth / 11)
     saving = bags * (m / 12.5 + 0.75 * need - row)
     cost = inverse + (depth - ranked if ranked else u / 14 + depth)

@@ -411,10 +411,10 @@ def benchmark_runtime(
     and ranks n rows of n; the bagged variant computes the distances from
     every point to the union U of its bags (n * |U| <= n^2) and ranks B * n
     rows of m, r * B * n^2 cells: the cost model in which bagging wins when
-    r*B < 1.  Where the engine reads wide or many bags from one ranking of
-    U (:func:`~lidbag.smoothing.run_plan`), the bagged variant costs that
-    ranking plus B cheaper passes instead, still more than the baseline's
-    once U is most of the cloud.  Neither holds an n^2 block: distances are
+    r*B < 1.  Where the engine selects many narrow bags from one ranking
+    of U (:func:`~lidbag.smoothing.run_plan`), the bagged variant costs
+    that ranking plus B cheaper passes instead, still more than the
+    baseline's once U is most of the cloud.  Neither holds an n^2 block: distances are
     computed one query tile at a time as the neighbor tables consume them.
     Each measurement discards one warmup run and keeps the median of
     ``repeats``.

@@ -355,6 +355,11 @@ class TestThinningRule:
         assert 3100 < u < 3300
         assert smoothing._thin_depth(u, 400, 11, 10, 0) == 0
         assert smoothing._thin_depth(8000, 400, 11, 10, 11) == 0
+        # The runtime crossover at r * B = 5 (ten bags of 1250, u = 2500):
+        # wide bags thin next to a full-cloud table, but over their union
+        # alone they partition.
+        assert smoothing._thin_depth(2500, 1250, 11, 10, 11) == 51
+        assert smoothing._thin_depth(2500, 1250, 11, 10, 0) == 0
 
     def test_few_bags_do_not_pay_for_a_deeper_prefix(self):
         # At m = 554 the prefix pays from six bags; at m = 1500 from one.
