@@ -442,7 +442,7 @@ def _selected(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
     queries."""
     prefix = source.prefix
     inverse, depth = prefix.inverse, prefix.depth
-    (u, q), (groups, m) = inverse.shape, rows.shape
+    q, (groups, m) = inverse.shape[1], rows.shape
     span = max(1, _BLOCK_CELLS * 8 // (inverse.itemsize * m))
     per, step = (span // q, q) if span >= q else (1, span)
     rank = np.empty((per * min(step, q), m), dtype=inverse.dtype)
