@@ -16,6 +16,13 @@ serves as an exact oracle:
 
 These experiments corroborate the formulas numerically; they prove
 nothing, and they say nothing about LID estimators themselves.
+
+The trials are split into seeded blocks of about ``_CHUNK_CELLS`` draws,
+one random stream per block and draw kind, so a result depends only on
+its arguments.  Each block is drawn in row chunks of about ``_ROW_CELLS``
+cells: a stream read in slices yields the same values, and every
+statistic is computed row by row, so the chunk size bounds memory (a few
+MiB per call) without changing a bit of any result.
 """
 
 from __future__ import annotations
@@ -26,28 +33,57 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-_CHUNK_CELLS = 4_000_000  # uniform-draw cells per vectorized block
+# Trials per seeded block are _CHUNK_CELLS // n: the block boundaries are
+# part of every stream's seed, so changing this changes every result.
+_CHUNK_CELLS = 4_000_000
+# Cells drawn at once within a block; bounds memory only, results are the
+# same for any value.
+_ROW_CELLS = 1 << 16
 
 
 class TheoryError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _validate(n: int, m: int, trials: int, label: str = "m"):
+def _validate(n: int, m: int, trials: int, min_trials: int = 1):
     if n < 1:
         raise TheoryError(f"need n >= 1, got {n}")
     if not 1 <= m <= n:
-        raise TheoryError(f"need 1 <= {label} <= n, got {label}={m} with n={n}")
-    if trials < 1:
-        raise TheoryError(f"need trials >= 1, got {trials}")
+        raise TheoryError(f"need 1 <= m <= n, got m={m} with n={n}")
+    if trials < min_trials:
+        raise TheoryError(f"need trials >= {min_trials}, got {trials}")
 
 
-def _bag_rows(rng, block: int, n: int, m: int) -> np.ndarray:
-    """``block`` independent size-m subsets of range(n), one per row."""
-    u = rng.random((block, n))
-    if m < n:
-        return np.argpartition(u, m - 1, axis=1)[:, :m]
-    return np.broadcast_to(np.arange(n), (block, n)).copy()
+def _row_chunks(n: int, trials: int, seed: int, keys):
+    """Walk the trials' seeded blocks in row chunks.
+
+    Yields ``(rows, count, gens)`` for consecutive row slices of at most
+    ``_ROW_CELLS // n`` rows (at least one) that never straddle a block.
+    ``gens`` holds one generator per spawn-key prefix in ``keys``, seeded by
+    the prefix and the block's first trial and shared by the block's chunks,
+    so each chunk continues the streams where the previous one stopped.
+    """
+    block = max(1, min(trials, _CHUNK_CELLS // n))
+    step = max(1, _ROW_CELLS // n)
+    for done in range(0, trials, block):
+        end = min(done + block, trials)
+        gens = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, done)))
+                for key in keys]
+        for lo in range(done, end, step):
+            hi = min(lo + step, end)
+            yield slice(lo, hi), hi - lo, gens
+
+
+def _bag_rows(rng, rows: int, n: int, m: int) -> np.ndarray:
+    """``rows`` independent size-m subsets of range(n), one per row."""
+    if m == n:
+        return np.broadcast_to(np.arange(n), (rows, n))
+    return np.argpartition(rng.random((rows, n)), m - 1, axis=1)[:, :m]
+
+
+def _mean_at(x: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Per-row mean of ``x`` over the columns in ``sel``."""
+    return np.take_along_axis(x, sel, axis=1).mean(axis=1)
 
 
 def _overlap_counts(sel1: np.ndarray, sel2: np.ndarray, n: int) -> np.ndarray:
@@ -91,15 +127,9 @@ def run_overlap(n: int, m: int, trials: int, seed: int = 0) -> OverlapExperiment
     """
     _validate(n, m, trials)
     hist = np.zeros(m + 1, dtype=np.int64)
-    block = max(1, min(trials, _CHUNK_CELLS // max(n, 1)))
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        rng1 = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, done)))
-        rng2 = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, done)))
+    for _, b, (rng1, rng2) in _row_chunks(n, trials, seed, [(0,), (1,)]):
         h = _overlap_counts(_bag_rows(rng1, b, n, m), _bag_rows(rng2, b, n, m), n)
         hist += np.bincount(h, minlength=m + 1)
-        done += b
 
     support = np.arange(m + 1)
     pmf = stats.hypergeom(n, m, m).pmf(support)
@@ -195,20 +225,11 @@ class VarianceExperiment:
 def _bag_means(n: int, m: int, n_bags: int, trials: int, seed: int) -> np.ndarray:
     """(trials, n_bags) matrix of bag means over per-trial standard normals."""
     means = np.empty((trials, n_bags))
-    block = max(1, min(trials, _CHUNK_CELLS // max(n, 1)))
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        x = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0, done))
-        ).standard_normal((b, n))
-        for j in range(n_bags):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1, j, done))
-            )
-            sel = _bag_rows(rng, b, n, m)
-            means[done : done + b, j] = np.take_along_axis(x, sel, axis=1).mean(axis=1)
-        done += b
+    keys = [(0,)] + [(1, j) for j in range(n_bags)]
+    for rows, b, (rng_x, *rng_bags) in _row_chunks(n, trials, seed, keys):
+        x = rng_x.standard_normal((b, n))
+        for j, rng in enumerate(rng_bags):
+            means[rows, j] = _mean_at(x, _bag_rows(rng, b, n, m))
     return means
 
 
@@ -223,9 +244,7 @@ def run_variance(
     if not 0.0 < r <= 1.0:
         raise TheoryError(f"need r in (0, 1], got {r}")
     m = min(n, math.ceil(n * r))
-    _validate(n, m, trials)
-    if trials < 2:
-        raise TheoryError(f"variance estimation needs trials >= 2, got {trials}")
+    _validate(n, m, trials, min_trials=2)
     if B < 1:
         raise TheoryError(f"need B >= 1, got {B}")
     n_bags = max(B, 2)
@@ -311,30 +330,17 @@ def run_conditional_covariance(
     if not 0.0 < r <= 1.0:
         raise TheoryError(f"need r in (0, 1], got {r}")
     m = min(n, math.ceil(n * r))
-    _validate(n, m, trials)
+    _validate(n, m, trials, min_trials=2)
     t1 = np.empty(trials)
     t2 = np.empty(trials)
     hs = np.empty(trials, dtype=np.int64)
-    block = max(1, min(trials, _CHUNK_CELLS // max(n, 1)))
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        x = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0, done))
-        ).standard_normal((b, n))
-        sel1 = _bag_rows(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, done))),
-            b, n, m,
-        )
-        sel2 = _bag_rows(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, done))),
-            b, n, m,
-        )
-        sl = slice(done, done + b)
-        t1[sl] = np.take_along_axis(x, sel1, axis=1).mean(axis=1)
-        t2[sl] = np.take_along_axis(x, sel2, axis=1).mean(axis=1)
-        hs[sl] = _overlap_counts(sel1, sel2, n)
-        done += b
+    for rows, b, (rng_x, rng1, rng2) in _row_chunks(n, trials, seed, [(0,), (1,), (2,)]):
+        x = rng_x.standard_normal((b, n))
+        sel1 = _bag_rows(rng1, b, n, m)
+        sel2 = _bag_rows(rng2, b, n, m)
+        t1[rows] = _mean_at(x, sel1)
+        t2[rows] = _mean_at(x, sel2)
+        hs[rows] = _overlap_counts(sel1, sel2, n)
 
     sigma_sq = 1.0
     bins, skipped = [], []

@@ -480,6 +480,16 @@ class TestCli:
         assert (tmp_path / "c" / "conditional.csv").exists()
         capsys.readouterr()
 
+    def test_theory_conditional_rejects_one_trial(self, tmp_path, capsys):
+        # one trial has no sample covariance: an error, not "overall Cov nan"
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--experiment", "conditional", "--n", "40", "--r", "0.5",
+                  "--trials", "1", "--out", str(tmp_path)])
+        assert str(exc.value.code).startswith("lidbag theory: need trials >= 2")
+        assert not (tmp_path / "conditional.csv").exists()
+        assert not (tmp_path / "summary.txt").exists()
+        assert capsys.readouterr().out == ""
+
     def test_bench_verb(self, tmp_path, capsys):
         rc = main(["bench", "--n-values", "260", "--r", "0.2", "--bags", "2",
                    "--k", "5", "--repeats", "1", "--out", str(tmp_path)])

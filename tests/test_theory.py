@@ -1,10 +1,13 @@
 """Monte Carlo corroboration of the overlap/variance/covariance formulas."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lidbag import theory
 from lidbag.theory import (
     ConditionalCovariance,
     OverlapExperiment,
@@ -44,11 +47,6 @@ class TestOverlap:
         low = max(0, 2 * 10 - 25)
         assert out.histogram[:low].sum() == 0
         assert out.pmf.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_determinism_and_chunk_independence(self):
-        a = run_overlap(n=40, m=8, trials=3_000, seed=9)
-        b = run_overlap(n=40, m=8, trials=3_000, seed=9)
-        np.testing.assert_array_equal(a.histogram, b.histogram)
 
     def test_pvalue_healthy_on_null(self):
         # the test statistic is computed under its own null: p should not be
@@ -149,3 +147,83 @@ class TestConditionalCovariance:
     def test_validation(self):
         with pytest.raises(TheoryError):
             run_conditional_covariance(n=10, r=1.5)
+        # one trial has no sample covariance: rejected, not reported as nan
+        with pytest.raises(TheoryError, match="trials >= 2"):
+            run_conditional_covariance(n=10, r=0.5, trials=1)
+
+
+def _bits(value):
+    """A record reduced to comparable bytes: nan equals nan, -0.0 is not 0.0."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+# (experiment, chunk cells or None for the module's own): the shrunk
+# blocks of 37 rows let a cheap call span three of them (37, 37, 26 trials);
+# the module's own block of 4000 rows holds all 301 trials at n = 1000.
+_CHUNK_CASES = {
+    "overlap": (lambda: run_overlap(n=60, m=13, trials=100, seed=5), 60 * 37),
+    "overlap-full": (lambda: run_overlap(n=60, m=60, trials=100, seed=5), 60 * 37),
+    "variance": (lambda: run_variance(n=60, r=0.2, B=3, trials=100, seed=5), 60 * 37),
+    "variance-full": (lambda: run_variance(n=60, r=1.0, B=3, trials=100, seed=5), 60 * 37),
+    "conditional": (lambda: run_conditional_covariance(n=60, r=0.4, trials=100, seed=5,
+                                                       min_bin=3), 60 * 37),
+    "conditional-full": (lambda: run_conditional_covariance(n=60, r=1.0, trials=100,
+                                                            seed=5), 60 * 37),
+    "variance-default-blocks": (lambda: run_variance(n=1000, r=0.1, B=2, trials=301,
+                                                     seed=5), None),
+    "conditional-default-blocks": (lambda: run_conditional_covariance(n=1000, r=0.1,
+                                                                      trials=301, seed=5),
+                                   None),
+}
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
+    def test_row_chunks_change_no_bit(self, case, monkeypatch):
+        # A block drawn one row at a time, in chunks of a prime number of
+        # cells (2003: 33 rows of 60, ragged against a 37-row block; 2 rows
+        # of 1000, ragged against 301 trials), or whole (a chunk larger than
+        # any block, as drawn before row chunking) must give the same record
+        # as the default chunking, to the bit.
+        run, chunk_cells = _CHUNK_CASES[case]
+        if chunk_cells is not None:
+            monkeypatch.setattr(theory, "_CHUNK_CELLS", chunk_cells)
+        expected = _bits(run())
+        assert expected == _bits(run())  # deterministic
+        for row_cells in (1, 2003, 10 * theory._CHUNK_CELLS):
+            monkeypatch.setattr(theory, "_ROW_CELLS", row_cells)
+            assert _bits(run()) == expected, row_cells
+
+    def test_row_chunks_tile_the_blocks(self, monkeypatch):
+        monkeypatch.setattr(theory, "_CHUNK_CELLS", 60 * 37)
+        monkeypatch.setattr(theory, "_ROW_CELLS", 2003)  # 33 rows of 60
+        chunks = list(theory._row_chunks(60, 100, 0, [(0,), (1,)]))
+        spans = [(rows.start, rows.stop) for rows, _, _ in chunks]
+        assert spans == [(0, 33), (33, 37), (37, 70), (70, 74), (74, 100)]
+        assert [b for _, b, _ in chunks] == [33, 4, 33, 4, 26]
+        # one set of generators per block, continued by its later chunks
+        gens = [g for _, _, g in chunks]
+        assert gens[0] is gens[1] and gens[2] is gens[3]
+        assert gens[1] is not gens[2] and gens[3] is not gens[4]
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_variance(1000, 0.1, 10, 5000),
+        lambda: run_conditional_covariance(1000, 0.1, 20_000),
+    ], ids=["variance", "conditional"])
+    def test_peak_memory_is_a_few_row_chunks(self, run):
+        # Whole blocks of 4000 x 1000 draws peaked above 100 MiB here.
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
