@@ -68,6 +68,8 @@ def _thread_count(text: str) -> int:
 
 
 def _out_dir(args) -> Path:
+    """Create ``--out``; verbs call this only once they have a result to write,
+    so a rejected run leaves no empty directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -86,12 +88,12 @@ def _resolve_datasets(arg: str) -> list[str]:
 
 
 def _cmd_generate(args) -> int:
-    out = _out_dir(args)
     names = _resolve_datasets(args.dataset)
     failures = 0
     for name in names:
         spec = GeneratorSpec(name, n=args.n, seed=args.seed)
         cloud = generate(spec)
+        out = _out_dir(args)
         if args.format in ("csv", "both"):
             save_csv(cloud, out / f"{name}.csv")
         if args.format in ("binary", "both"):
@@ -110,7 +112,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    out = _out_dir(args)
     if args.data:
         cloud = load_csv(args.data)
         label = Path(args.data).stem
@@ -128,7 +129,7 @@ def _cmd_estimate(args) -> int:
         cloud, args.variant, est, bag_cfg, s_cfg,
         policy=args.policy, threads=args.threads,
     )
-    path = out / "estimates.csv"
+    path = _out_dir(args) / "estimates.csv"
     write_csv(path, ("query", "estimate", "divergent"), zip(range(cloud.n), values, flags))
     dec = decompose(values, cloud)
     print(f"{label}: {args.variant} {args.estimator} k={args.k}"
@@ -184,9 +185,9 @@ def _grid_from_args(args) -> SweepGrid:
 
 def _cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
-    out = _out_dir(args)
     progress = None if args.quiet else lambda msg: print(f"[sweep] {msg}", flush=True)
     result = run_sweep(grid, threads=args.threads, progress=progress)
+    out = _out_dir(args)
     write_sweep_csv(result, out / "results.csv", include_timing=args.timing_in_results)
     write_timing_csv(result, out / "timing.csv")
     write_skips_csv(result, out / "skips.csv")
@@ -205,30 +206,26 @@ def _write_lines(path: Path, lines) -> None:
 
 
 def _cmd_theory(args) -> int:
-    out = _out_dir(args)
     if args.experiment == "overlap":
         exp = run_overlap(args.n, args.m, args.trials, args.seed)
-        write_csv(out / "overlap.csv", ("h", "observed", "expected_pmf"),
-                  zip(range(len(exp.pmf)), exp.histogram, exp.pmf))
+        cols = ("h", "observed", "expected_pmf")
+        rows = zip(range(len(exp.pmf)), exp.histogram, exp.pmf)
         lines = exp.summary_lines()
     elif args.experiment == "variance":
-        rows = []
-        lines = []
-        for B in args.b_list or [args.bags]:
-            exp = run_variance(args.n, args.r, B, args.trials, args.seed)
-            rows.append(exp)
-            lines.extend(exp.summary_lines())
-            lines.append("")
-        write_csv(out / "variance.csv",
-                  ("n", "r", "m", "B", "trials", "var_single", "var_bagged", "cov", "rho",
-                   "closed_form", "closed_form_analytic", "sandwich_ok"),
-                  [(e.n, e.r, e.m, e.B, e.trials, e.var_single, e.var_bagged, e.cov, e.rho,
-                    e.closed_form(), e.closed_form_analytic, e.sandwich_ok) for e in rows])
+        exps = [run_variance(args.n, args.r, B, args.trials, args.seed)
+                for B in args.b_list or [args.bags]]
+        cols = ("n", "r", "m", "B", "trials", "var_single", "var_bagged", "cov", "rho",
+                "closed_form", "closed_form_analytic", "sandwich_ok")
+        rows = [(e.n, e.r, e.m, e.B, e.trials, e.var_single, e.var_bagged, e.cov, e.rho,
+                 e.closed_form(), e.closed_form_analytic, e.sandwich_ok) for e in exps]
+        lines = [line for e in exps for line in (*e.summary_lines(), "")]
     else:  # conditional
         exp = run_conditional_covariance(args.n, args.r, args.trials, args.seed)
         cols = ("h", "count", "gamma_hat", "se", "gamma_analytic")
-        write_csv(out / "conditional.csv", cols, map(attrgetter(*cols), exp.bins))
+        rows = map(attrgetter(*cols), exp.bins)
         lines = exp.summary_lines()
+    out = _out_dir(args)
+    write_csv(out / f"{args.experiment}.csv", cols, rows)
     _write_lines(out / "summary.txt", lines)
     for line in lines:
         print(line)
@@ -260,11 +257,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    out = _out_dir(args)
     points = benchmark_runtime(
         args.n_values, args.bags, args.r, args.estimator,
         k=args.k, seed=args.seed, repeats=args.repeats,
     )
+    out = _out_dir(args)
     cols = ("n", "r", "B", "k", "estimator", "t_base_ms", "t_bag_ms", "rb",
             "predicted_bag_faster", "bag_faster", "agrees")
     write_csv(out / "bench.csv", cols, map(attrgetter(*cols), points))

@@ -23,6 +23,10 @@ its arguments.  Each block is drawn in row chunks of about ``_ROW_CELLS``
 cells: a stream read in slices yields the same values, and every
 statistic is computed row by row, so the chunk size bounds memory (a few
 MiB per call) without changing a bit of any result.
+
+``scipy.stats`` is imported inside :func:`run_overlap`, its only user: it
+costs ~34 MB and ~0.5 s, which ``import lidbag`` and every sweep would
+otherwise pay.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 # Trials per seeded block are _CHUNK_CELLS // n: the block boundaries are
 # part of every stream's seed, so changing this changes every result.
@@ -126,6 +129,8 @@ def run_overlap(n: int, m: int, trials: int, seed: int = 0) -> OverlapExperiment
     chi-square test (adjacent bins merged until each expects >= 5 counts).
     """
     _validate(n, m, trials)
+    from scipy import stats
+
     hist = np.zeros(m + 1, dtype=np.int64)
     for _, b, (rng1, rng2) in _row_chunks(n, trials, seed, [(0,), (1,)]):
         h = _overlap_counts(_bag_rows(rng1, b, n, m), _bag_rows(rng2, b, n, m), n)
@@ -137,14 +142,16 @@ def run_overlap(n: int, m: int, trials: int, seed: int = 0) -> OverlapExperiment
     p = m / n
     var_h = m * p * (1.0 - p) * ((n - m) / (n - 1)) if n > 1 else 0.0
     mean_se = float(math.sqrt(var_h / trials))
-    stat, dof, pvalue = _chi_square(hist, pmf * trials)
+    stat, dof = _chi_square(hist, pmf * trials)
+    pvalue = float(stats.chi2.sf(stat, dof)) if dof else 1.0
     return OverlapExperiment(
         n, m, trials, seed, hist, pmf, mean_overlap, m * m / n, mean_se, stat, dof, pvalue
     )
 
 
 def _chi_square(observed: np.ndarray, expected: np.ndarray):
-    """Chi-square GOF with adjacent bins merged until expected >= 5."""
+    """Chi-square GOF statistic and degrees of freedom, with adjacent bins
+    merged until expected >= 5."""
     obs_bins, exp_bins = [], []
     o_acc = e_acc = 0.0
     for o, e in zip(observed, expected):
@@ -166,9 +173,8 @@ def _chi_square(observed: np.ndarray, expected: np.ndarray):
     exp *= obs.sum() / exp.sum()  # absorb pmf truncation round-off
     dof = len(obs) - 1
     if dof < 1:
-        return 0.0, 0, 1.0
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    return stat, dof, float(stats.chi2.sf(stat, dof))
+        return 0.0, 0
+    return float(((obs - exp) ** 2 / exp).sum()), dof
 
 
 @dataclass(frozen=True)

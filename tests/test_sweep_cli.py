@@ -377,6 +377,7 @@ class TestCli:
             main(["estimate", "--data", str(path), "--variant", "baseline",
                   "--k", "4", "--out", str(tmp_path / "est")])
         assert str(path) in str(exc.value)
+        assert not (tmp_path / "est").exists()
         capsys.readouterr()
 
     def test_estimate_builtin_dataset_baseline(self, tmp_path, capsys):
@@ -489,6 +490,22 @@ class TestCli:
         assert not (tmp_path / "conditional.csv").exists()
         assert not (tmp_path / "summary.txt").exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--experiment", "conditional", "--n", "40", "--r", "0.5", "--trials", "1"],
+        ["generate", "--dataset", "nosuch"],
+        ["estimate", "--dataset", "M7_Roll", "--n", "100", "--r", "0.01", "--k", "4"],
+        ["report", "--results", "no_such_results.csv"],
+        ["bench", "--n-values", "100", "--r", "0.02", "--bags", "2", "--k", "5",
+         "--repeats", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_rejected_run_creates_no_output_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code not in (0, None)
+        assert not out.exists()
+        capsys.readouterr()
 
     def test_bench_verb(self, tmp_path, capsys):
         rc = main(["bench", "--n-values", "260", "--r", "0.2", "--bags", "2",
