@@ -25,7 +25,7 @@ statistic is computed row by row, so the chunk size bounds memory (a few
 MiB per call) without changing a bit of any result.
 
 ``scipy.stats`` is imported inside :func:`run_overlap`, its only user: it
-costs ~34 MB and ~0.5 s, which ``import lidbag`` and every sweep would
+costs ~34 MB and ~0.6 s, which ``import lidbag`` and every sweep would
 otherwise pay.
 """
 
