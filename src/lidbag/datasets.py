@@ -15,13 +15,13 @@ one entry per violated constraint, with the offending point count.
 
 from __future__ import annotations
 
-import io
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import GeometryError, PointCloud
 
 VTOL = 1e-9  # tolerance for re-derived floating-point surface relations
 
@@ -513,8 +513,8 @@ def _fmt(v: float) -> str:
 
 
 def load_csv(path, gt_lid=None) -> PointCloud:
-    """Read a file written by :func:`save_csv`; malformed input raises DatasetError."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a file written by :func:`save_csv`, BOM or not; malformed input raises DatasetError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             first = fh.readline()
             if first.startswith("# gt_lid:"):
@@ -525,11 +525,15 @@ def load_csv(path, gt_lid=None) -> PointCloud:
             cols = header.strip().split(",")
             if cols[-1] != "label" or not cols[0].startswith("x"):
                 raise DatasetError(f"{path}: expected header x0..x{{dim-1}},label")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file without rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except DatasetError:
             raise
         except ValueError as exc:  # also UnicodeDecodeError
             raise DatasetError(f"{path}: malformed CSV: {exc}") from exc
+    if not data.size:
+        raise DatasetError(f"{path}: no data rows")
     if data.shape[1] != len(cols):
         raise DatasetError(f"{path}: rows have {data.shape[1]} columns, header has {len(cols)}")
     if gt_lid is None:
@@ -537,7 +541,15 @@ def load_csv(path, gt_lid=None) -> PointCloud:
     labels = data[:, -1]
     if not np.all(labels == np.rint(labels)):
         raise DatasetError(f"{path}: manifold labels must be integers")
-    return PointCloud(data[:, :-1], labels.astype(np.int64), np.asarray(gt_lid))
+    return _cloud(path, data[:, :-1], labels.astype(np.int64), np.asarray(gt_lid))
+
+
+def _cloud(path, points, labels, gt_lid) -> PointCloud:
+    """The cloud a file holds; a rejected one raises DatasetError naming it."""
+    try:
+        return PointCloud(points, labels, gt_lid)
+    except GeometryError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def save_binary(cloud: PointCloud, path) -> None:
@@ -551,7 +563,7 @@ def save_binary(cloud: PointCloud, path) -> None:
 
 
 def load_binary(path) -> PointCloud:
-    """Read a file written by :func:`save_binary`; a short file raises DatasetError."""
+    """Read a file written by :func:`save_binary`; a short or rejected file raises DatasetError."""
 
     def read(fh, size: int, what: str) -> bytes:
         chunk = fh.read(size)
@@ -570,4 +582,4 @@ def load_binary(path) -> PointCloud:
         gt = np.frombuffer(read(fh, 8 * L, "gt_lid"), dtype="<f8")
         labels = np.frombuffer(read(fh, 4 * n, "labels"), dtype="<i4").astype(np.int64)
         points = np.frombuffer(read(fh, 8 * n * dim, "points"), dtype="<f8").reshape(n, dim)
-    return PointCloud(points, labels, gt)
+    return _cloud(path, points, labels, gt)

@@ -20,7 +20,9 @@ every smoothed value they touch, keeping the pipeline total.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -226,22 +228,35 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       is ranked.
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
-    cell's attributable kernel, smoothing and aggregation time (the shared
-    distance and table work is excluded).  All parallelism is a map over
-    query tiles, and every per-query result depends on that query's rows
-    alone (:class:`~lidbag.bagging.AnchoredMean` adds bags query by query),
-    so the output does not depend on ``threads``, which must be at least 1.
+    time the plan's clock charged to the cell: the kernels whose estimates
+    it reads, its gathers and its share of aggregation, not the shared
+    distance and table work.  All parallelism is a map over query tiles,
+    and every per-query result depends on that query's rows alone
+    (:class:`~lidbag.bagging.AnchoredMean` adds bags query by query), so
+    the output does not depend on ``threads``, which must be at least 1.
     ``progress`` receives one line per ensemble.
     """
     if threads < 1:
         raise SmoothingError(f"threads must be >= 1, got {threads}")
     points, n = cloud.points, cloud.n
     ids = np.arange(n, dtype=np.int64)
+    seconds, lock = {}, threading.Lock()
+
+    @contextlib.contextmanager
+    def clock(keys, share=False):
+        # Adds the block's time to every key, or an equal share to each.
+        t0 = time.perf_counter()
+        yield
+        t = (time.perf_counter() - t0) / (len(keys) if share else 1)
+        with lock:
+            for key in keys:
+                seconds[key] = seconds.get(key, 0.0) + t
+
     groups: dict[tuple, list[PlanCell]] = {}
     for cell in cells:
         if cell.bags is not None:
             groups.setdefault((cell.bags.rate, cell.bags.seed), []).append(cell)
-    ensembles = [_Ensemble(n, group) for group in groups.values()]
+    ensembles = [_Ensemble(n, group, clock) for group in groups.values()]
     if progress:
         for e in ensembles:
             progress(f"r={e.cells[0].bags.rate:.4g} (m={e.bags.shape[1]}), {e.bags.shape[0]} bags")
@@ -267,6 +282,7 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     full_depth = max((est.k for est in ests), default=full_incl)
 
     def full_tile(block, prefix, lo, hi):
+        # Its own function, so a tile's full-cloud tables are freed before the ensembles rank.
         source, qids = _RowGroups(block, ids, prefix=prefix), ids[lo:hi]
         if ests:
             tables = bag_tables(source, ids, qids, full_depth, full_incl or None)
@@ -274,13 +290,9 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             tables = neighbor_tables(source, ids, None, full_incl)
         if full_ks:
             hood[lo:hi] = tables.incl_idx
-        spent = {}
-        for est in ests:
-            t0 = time.perf_counter()
-            values, flags = raw[est]
-            values[lo:hi], flags[lo:hi] = estimates_from_tables(est, tables, points, qids)
-            spent[est] = time.perf_counter() - t0
-        return spent
+        for est, (values, flags) in raw.items():
+            with clock([est]):
+                values[lo:hi], flags[lo:hi] = estimates_from_tables(est, tables, points, qids)
 
     # Pre-smoothed ensembles keep their neighborhoods, widest bags first
     # (their member pass would cost the most), until one does not fit.
@@ -302,7 +314,6 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0], ranked)
         prefix_depth = max(prefix_depth, e.thin)
 
-    spent = {}
     pre = [e for e in ensembles if e.pre_keys and e.hoods is None]
     if pre:
         members = np.unique(np.concatenate([e.bags.ravel() for e in pre]))
@@ -313,36 +324,37 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             # tile, so it is laid out query-major (the transpose of an
             # exactly symmetric block).
             block = dist_block(points[tile_ids], refs).T
-            return _sum_times([e.members(block, tile_ids, points) for e in pre])
+            for e in pre:
+                e.members(block, tile_ids, points)
 
-        spent = _sum_times(_ordered_map(member_tile, _query_tiles(members.shape[0], u), threads))
+        _ordered_map(member_tile, _query_tiles(members.shape[0], u), threads)
 
     def one_tile(span):
         lo, hi = span
         block = dist_block(refs, points[lo:hi])
         prefix = geometry._RankedTile(block, prefix_depth) if prefix_depth else None
-        spent = full_tile(block, prefix, lo, hi) if full else {}
+        if full:
+            full_tile(block, prefix, lo, hi)
         for e in ensembles:
-            spent.update(e.tile(block, prefix if e.thin else None, lo, hi, points, policy))
-        return spent
+            e.tile(block, prefix if e.thin else None, lo, hi, points, policy)
 
     tiles = _query_tiles(n, u)
-    spent = _sum_times([spent] + _ordered_map(one_tile, tiles, threads))
+    _ordered_map(one_tile, tiles, threads)
     kept = [e for e in ensembles if e.hoods is not None]
     if kept:
-        spent = _sum_times([spent] + _ordered_map(
-            lambda span: _sum_times([e.pre_tile(*span, policy) for e in kept]), tiles, threads))
+        _ordered_map(lambda span: [e.pre_tile(*span, policy) for e in kept], tiles, threads)
+
+    def finish(cell, key, values, flags):
+        # Every cell's emit step: its post-smoothing, then its clock time.
+        if cell.variant == "smoothed" or cell.variant in _POST:
+            with clock([cell]):
+                values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
+        emit(cell, values, flags, (seconds.get(key, 0.0) + seconds.pop(cell, 0.0)) * 1e3)
 
     for cell in unbagged:
-        values, flags = raw[cell.est]
-        t = spent[cell.est]
-        if cell.variant == "smoothed":
-            t0 = time.perf_counter()
-            values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
-            t += time.perf_counter() - t0
-        emit(cell, values, flags, t * 1e3)
+        finish(cell, cell.est, *raw[cell.est])
     for e in ensembles:
-        e.emit(emit, hood, spent)
+        e.emit(finish)
 
 
 #: Bytes of in-bag neighborhoods a plan may keep for pre-smoothing (16 MiB);
@@ -436,15 +448,6 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
 _THIN_Z = 4.0
 
 
-def _sum_times(parts):
-    """Sum dicts of seconds key by key."""
-    total = {}
-    for part in parts:
-        for key, t in part.items():
-            total[key] = total.get(key, 0.0) + t
-    return total
-
-
 def _segments(count: int, rows_each: int, width: int):
     """Consecutive ranges of ``count`` items, ``rows_each`` table rows of
     ``width`` columns per item, that hold at most one tile budget of cells
@@ -466,8 +469,11 @@ class _Ensemble:
     positions among the rows of each distance tile.
     """
 
-    def __init__(self, n: int, cells):
+    def __init__(self, n: int, cells, clock):
         self.cells = cells
+        # The plan's clock, charging this ensemble's keys under its name.
+        self.name = name = (cells[0].bags.rate, cells[0].bags.seed)
+        self._timed = lambda keys, share=False: clock([(name, key) for key in keys], share)
         self.checkpoints = sorted({c.bags.bags for c in cells})
         self.bags = draw_bags(n, cells[0].bags, count=self.checkpoints[-1])
         self.rows = None
@@ -491,13 +497,11 @@ class _Ensemble:
 
     def members(self, block, tile_ids, points):
         """Keep the in-bag estimates of the bags' members among
-        ``tile_ids``, the ascending ids of ``block``'s columns; returns
-        seconds spent per pre-smoothed key."""
+        ``tile_ids``, the ascending ids of ``block``'s columns."""
         # Bags ascend, so each bag's members among the columns are a run.
         j0 = (self.bags < tile_ids[0]).sum(axis=1)
         counts, count = (self.bags <= tile_ids[-1]).sum(axis=1) - j0, self.bags.shape[0]
         depth = max(est.k for est in self.kept)
-        spent = dict.fromkeys(self.kept, 0.0)
         for b0, b1 in _segments(count, -(-int(counts.sum()) // count), depth):
             c = counts[b0:b1]
             bi = np.repeat(np.arange(b1 - b0), c)
@@ -506,11 +510,9 @@ class _Ensemble:
             source = _RowGroups(block, self.rows[b0:b1], (bi, np.searchsorted(tile_ids, qids)))
             tables = bag_tables(source, self.bags[b0:b1], qids, depth, 0)
             for est, (kept_values, kept_flags) in self.kept.items():
-                t0 = time.perf_counter()
-                kept_values[b0 + bi, bj], kept_flags[b0 + bi, bj] = estimates_from_tables(
-                    est, tables, points, qids)
-                spent[est] += time.perf_counter() - t0
-        return {(self, key): spent[key[0]] for key in self.pre_keys}
+                with self._timed([key for key in self.pre_keys if key[0] == est]):
+                    kept_values[b0 + bi, bj], kept_flags[b0 + bi, bj] = estimates_from_tables(
+                        est, tables, points, qids)
 
     @property
     def tile_ests(self):
@@ -528,12 +530,15 @@ class _Ensemble:
 
     def tile(self, block, prefix, lo, hi, points, policy):
         """Rank and estimate every bag's rows of queries lo..hi, pre-smooth
-        them or keep their neighborhoods, and fold them; returns seconds
-        spent per key.  With the tile's ranked ``prefix`` the bags' tables
-        are read from it, else partitioned."""
+        them or keep their neighborhoods, and fold them.  With the tile's
+        ranked ``prefix`` the bags' tables are read from it, else
+        partitioned."""
         q, (count, m) = hi - lo, self.bags.shape
         qids = np.arange(lo, hi, dtype=np.int64)
         stored = self.hoods is not None
+        # Kept neighborhoods read their members' estimates from this map and
+        # fold in :meth:`pre_tile`, others the member pass's and fold here.
+        readers = self.raw_keys + (self.pre_keys if stored else [])
         keys = self.raw_keys + ([] if stored else self.pre_keys)
         # Raw estimates and kept member estimates need the self-excluded
         # tables, pre-smoothing the inclusive ones.
@@ -541,7 +546,6 @@ class _Ensemble:
         depth = max((est.k for est in ests), default=0)
         depth_incl = self.depth_incl or 0
         acc = AnchoredMean(len(keys) * q)
-        spent = dict.fromkeys(self.raw_keys + self.pre_keys, 0.0)
         for b0, b1 in _segments(count, q, depth + depth_incl):
             bag_q = np.tile(qids, b1 - b0)
             tables = bag_tables(_RowGroups(block, self.rows[b0:b1], prefix=prefix),
@@ -552,63 +556,52 @@ class _Ensemble:
                 bq = self.bags[b0 + bi, bj] - lo
             raw = {}
             for est in ests:
-                t0 = time.perf_counter()
-                values, flags = estimates_from_tables(est, tables, points, bag_q)
-                raw[est] = values.reshape(b1 - b0, q), flags.reshape(b1 - b0, q)
-                if stored and est in self.kept:
-                    kept_values, kept_flags = self.kept[est]
-                    kept_values[b0 + bi, bj] = raw[est][0][bi, bq]
-                    kept_flags[b0 + bi, bj] = raw[est][1][bi, bq]
-                t = time.perf_counter() - t0
-                for key in spent:
-                    spent[key] += t * (key[0] == est)
+                with self._timed([key for key in readers if key[0] == est]):
+                    values, flags = estimates_from_tables(est, tables, points, bag_q)
+                    raw[est] = values.reshape(b1 - b0, q), flags.reshape(b1 - b0, q)
+                    if stored and est in self.kept:
+                        for kept, part in zip(self.kept[est], raw[est]):
+                            kept[b0 + bi, bj] = part[bi, bq]
             parts = [raw[est] for est, _ in self.raw_keys]
             if self.pre_keys:
-                # Each query's in-bag neighborhood, as positions in its bag:
-                # ``where`` maps a member's id to its position in each bag
-                # of the segment, in the narrowest type that holds m - 1.
-                t0 = time.perf_counter()
-                n, bag = points.shape[0], np.arange(b1 - b0)[:, None]
-                where = np.empty((b1 - b0) * n, dtype=np.min_scalar_type(m - 1))
-                where[self.bags[b0:b1] + bag * n] = np.arange(m)
-                hood = where[tables.incl_idx.reshape(b1 - b0, -1) + bag * n]
-                if stored:
-                    self.hoods[b0:b1, lo:hi] = hood.reshape(b1 - b0, q, -1)
-                else:
-                    # Positions in the segment's flattened kept estimates.
-                    hood = (hood + bag * m).reshape(b1 - b0, q, -1)
-                    for est, ks in self.pre_keys:
-                        values, flags = (a[b0:b1].reshape(-1) for a in self.kept[est])
-                        v, f = gather_mean(values, hood[:, :, :ks].reshape(-1, ks), flags)
-                        parts.append((v.reshape(b1 - b0, q), f.reshape(b1 - b0, q)))
-                t = (time.perf_counter() - t0) / len(self.pre_keys)
-                for key in self.pre_keys:
-                    spent[key] += t
+                with self._timed(self.pre_keys, share=True):
+                    # Each query's in-bag neighborhood, as positions in its bag:
+                    # ``where`` maps a member's id to its position in each bag
+                    # of the segment, in the narrowest type that holds m - 1.
+                    n, bag = points.shape[0], np.arange(b1 - b0)[:, None]
+                    where = np.empty((b1 - b0) * n, dtype=np.min_scalar_type(m - 1))
+                    where[self.bags[b0:b1] + bag * n] = np.arange(m)
+                    hood = where[tables.incl_idx.reshape(b1 - b0, q, -1) + bag[..., None] * n]
+                    if stored:
+                        self.hoods[b0:b1, lo:hi] = hood
+                    else:
+                        parts += self._pre_smooth(hood, b0)
             if keys:
-                t0 = time.perf_counter()
-                self._fold(acc, keys, parts, b0, lo, hi, policy)
-                t = (time.perf_counter() - t0) / len(keys)
-                for key in keys:
-                    spent[key] += t
-        return {(self, key): t for key, t in spent.items()}
+                with self._timed(keys, share=True):
+                    self._fold(acc, keys, parts, b0, lo, hi, policy)
 
     def pre_tile(self, lo, hi, policy):
         """Pre-smooth every bag's rows of queries lo..hi from the kept
         neighborhoods and fold them."""
-        q, (count, m) = hi - lo, self.bags.shape
+        q, count = hi - lo, self.bags.shape[0]
         acc = AnchoredMean(len(self.pre_keys) * q)
-        t0 = time.perf_counter()
-        for b0, b1 in _segments(count, q, self.depth_incl):
-            offsets = (np.arange(b0, b1) * m)[:, None, None]
-            parts = []
-            for est, ks in self.pre_keys:
-                values, flags = self.kept[est]
-                idx = (self.hoods[b0:b1, lo:hi, :ks] + offsets).reshape(-1, ks)
-                v, f = gather_mean(values.reshape(-1), idx, flags.reshape(-1))
-                parts.append((v.reshape(b1 - b0, q), f.reshape(b1 - b0, q)))
-            self._fold(acc, self.pre_keys, parts, b0, lo, hi, policy)
-        t = (time.perf_counter() - t0) / len(self.pre_keys)
-        return {(self, key): t for key in self.pre_keys}
+        with self._timed(self.pre_keys, share=True):
+            for b0, b1 in _segments(count, q, self.depth_incl):
+                parts = self._pre_smooth(self.hoods[b0:b1, lo:hi], b0)
+                self._fold(acc, self.pre_keys, parts, b0, lo, hi, policy)
+
+    def _pre_smooth(self, hood, b0):
+        """Means of the kept member estimates of bags b0.. over ``hood``,
+        their (bags, q, depth) in-bag neighborhoods as positions in each
+        bag: one (bags, q) (values, flags) pair per pre-smoothed key."""
+        bags, q = hood.shape[:2]
+        offsets = (np.arange(bags) * self.bags.shape[1])[:, None, None]
+        parts = []
+        for est, ks in self.pre_keys:
+            values, flags = (a[b0 : b0 + bags].reshape(-1) for a in self.kept[est])
+            v, f = gather_mean(values, (hood[:, :, :ks] + offsets).reshape(-1, ks), flags)
+            parts.append((v.reshape(bags, q), f.reshape(bags, q)))
+        return parts
 
     def _fold(self, acc, keys, parts, b0, lo, hi, policy):
         """Add bags b0.. to ``acc``, one (bags, q) ``parts`` entry per key
@@ -628,20 +621,13 @@ class _Ensemble:
         if start < end:
             acc.add(values[start - b0 :], flags[start - b0 :])
 
-    def emit(self, emit, hood, spent):
-        """Emit every cell at its checkpoint, post-smoothing over ``hood``."""
+    def emit(self, finish):
+        """Pass each cell's means at its checkpoint and its clock key to ``finish``."""
         for i, B in enumerate(self.checkpoints):
             for cell in self.cells:
-                if cell.bags.bags != B:
-                    continue
-                key = (cell.est, cell.k_s if cell.variant in _PRE else None)
-                values, flags = self.means[key][0][i], self.means[key][1][i]
-                t = spent[self, key]
-                if cell.variant in _POST:
-                    t0 = time.perf_counter()
-                    values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
-                    t += time.perf_counter() - t0
-                emit(cell, values, flags, t * 1e3)
+                if cell.bags.bags == B:
+                    key = (cell.est, cell.k_s if cell.variant in _PRE else None)
+                    finish(cell, (self.name, key), self.means[key][0][i], self.means[key][1][i])
 
 
 def _ordered_map(fn, items, threads: int):

@@ -204,6 +204,35 @@ class TestRoundTrips:
             p.write_text("\n".join(lines[:2] + [bad_row] + lines[3:]) + "\n")
             with pytest.raises(DatasetError, match="cloud.csv"):
                 load_csv(p)
+        # Rows that parse but that a PointCloud rejects: a label outside
+        # 1..L, a non-finite coordinate, and a single point.
+        nan_row = "nan" + lines[2][lines[2].index(","):]
+        for body, reason in (([lines[2][:-1] + "0"] + lines[3:], "labels must lie in 1..1"),
+                             ([nan_row] + lines[3:], "must be finite"),
+                             (lines[2:3], "need n >= 2")):
+            p.write_text("\n".join(lines[:2] + body) + "\n")
+            with pytest.raises(DatasetError, match=f"cloud.csv: .*{reason}"):
+                load_csv(p)
+
+    def test_header_only_csv_reports_no_rows_without_a_warning(self, tmp_path, recwarn):
+        cloud = generate(GeneratorSpec("M7_Roll", n=20, seed=0))
+        p = tmp_path / "cloud.csv"
+        save_csv(cloud, p)
+        p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(DatasetError, match="cloud.csv: no data rows"):
+            load_csv(p)
+        assert not recwarn.list
+
+    def test_csv_with_a_byte_order_mark_loads_like_one_without(self, tmp_path):
+        cloud = generate(GeneratorSpec("M7_Roll", n=20, seed=0))
+        p = tmp_path / "cloud.csv"
+        save_csv(cloud, p)
+        plain = load_csv(p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        back = load_csv(p)
+        assert back.points.tobytes() == plain.points.tobytes()
+        np.testing.assert_array_equal(back.manifold_label, plain.manifold_label)
+        np.testing.assert_array_equal(back.gt_lid, plain.gt_lid)
 
     def test_short_binary_file_raises_dataset_error(self, tmp_path):
         cloud = generate(GeneratorSpec("M12_Norm", n=64, seed=8))
@@ -213,6 +242,19 @@ class TestRoundTrips:
         for cut in (10, 30, len(blob) - 8):
             p.write_bytes(blob[:cut])
             with pytest.raises(DatasetError, match="truncated"):
+                load_binary(p)
+
+    def test_rejected_binary_cloud_raises_dataset_error_naming_the_file(self, tmp_path):
+        cloud = generate(GeneratorSpec("M12_Norm", n=64, seed=8))
+        p = tmp_path / "cloud.lidc"
+        save_binary(cloud, p)
+        blob = p.read_bytes()
+        labels = 24 + 8 * cloud.n_manifolds  # magic, header, gt_lid
+        points = labels + 4 * cloud.n
+        for at, value, reason in ((labels, np.int32(0).tobytes(), "labels must lie in 1..1"),
+                                  (points, np.float64(np.inf).tobytes(), "must be finite")):
+            p.write_bytes(blob[:at] + value + blob[at + len(value):])
+            with pytest.raises(DatasetError, match=f"cloud.lidc: .*{reason}"):
                 load_binary(p)
 
     def test_csv_and_binary_agree(self, tmp_path):

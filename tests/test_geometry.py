@@ -106,6 +106,20 @@ class TestDistances:
             blk = dist_block(pts, pts)
             assert blk.tobytes() == np.ascontiguousarray(blk.T).tobytes(), dim
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 20, 100])
+    def test_dist_block_is_the_sequential_float64_formula(self, rng, dim, scale):
+        # Every output bit rests on this: the squared differences summed
+        # dimension by dimension in float64, then one np.sqrt.  A scipy
+        # build that sums in another order fails here by name.
+        a = rng.normal(size=(30, dim)) * scale
+        b = rng.normal(size=(17, dim)) * scale
+        total = np.zeros((30, 17))
+        for j in range(dim):
+            diff = a[:, None, j] - b[None, :, j]
+            total += diff * diff
+        assert dist_block(a, b).tobytes() == np.sqrt(total).tobytes()
+
 
 class TestPointCloud:
     def test_basic_properties(self):

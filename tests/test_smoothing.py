@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from lidbag.bagging import (
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
-from lidbag.sweep import DEFAULT_R_GRID
+from lidbag.sweep import DEFAULT_R_GRID, SweepGrid, run_sweep
 from lidbag.estimators import METHODS, EstimatorConfig
 from lidbag import estimators, geometry, smoothing
 from lidbag.geometry import GeometryError, PointCloud, dist_block, neighbor_tables
@@ -281,6 +282,54 @@ class TestStreamedPath:
         for threads in (0, -5):
             with pytest.raises(SmoothingError, match=f"threads must be >= 1, got {threads}"):
                 variant_estimates(self.cloud, "bagged", self.est, bag_cfg, threads=threads)
+
+
+class TestClock:
+    """Per-cell milliseconds, charged by the tile workers to one shared clock."""
+
+    @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
+    def test_every_row_has_a_positive_time_under_thread_churn(self, hood_bytes, monkeypatch):
+        # Three workers and a short switch interval interleave the charges;
+        # a lost one would leave a cell at zero or NaN.
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
+        grid = SweepGrid(datasets=("M12_Norm",), estimators=("mle", "mada"), k_values=(4, 6),
+                         r_values=(0.1, 0.5), b_values=(2, 5), n=300)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = run_sweep(grid, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(result.rows) == grid.cell_count()
+        times = [row.wall_time_ms for row in result.rows]
+        assert all(math.isfinite(t) and t > 0 for t in times), times
+
+    @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
+    def test_cells_are_charged_the_kernels_whose_estimates_they_read(self, hood_bytes,
+                                                                     monkeypatch):
+        # On a fake clock the main map's kernel calls take 1000 s and the
+        # member pass's 1 s.  ``bagged`` reads the main map's estimates;
+        # ``bagged_pre`` reads them only when its neighborhoods are kept,
+        # and the member pass's otherwise.
+        now = [0.0]
+
+        def kernel(*args, _real=smoothing.estimates_from_tables):
+            now[0] += 1000.0 if sys._getframe(1).f_code.co_name == "tile" else 1.0
+            return _real(*args)
+
+        monkeypatch.setattr(smoothing, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(smoothing, "estimates_from_tables", kernel)
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
+        cloud = lattice_cloud(4)
+        est, bags = EstimatorConfig(method="mle", k=4), BaggingConfig(bags=3, rate=0.3, seed=1)
+        ms = {}
+        run_plan(cloud, [PlanCell(v, est, 5, bags) for v in ("bagged", "bagged_pre")],
+                 lambda cell, values, flags, t: ms.setdefault(cell.variant, t))
+        assert ms["bagged"] >= 1e6
+        if hood_bytes:
+            assert ms["bagged_pre"] >= 1e6
+        else:
+            assert 0 < ms["bagged_pre"] < 1e6
 
 
 class TestTileBudgets:

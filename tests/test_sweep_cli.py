@@ -380,6 +380,18 @@ class TestCli:
         assert not (tmp_path / "est").exists()
         capsys.readouterr()
 
+    def test_estimate_header_only_csv_says_so_and_nothing_else(self, tmp_path, capsys, recwarn):
+        main(["generate", "--dataset", "M13a_Scurve", "--n", "60",
+              "--format", "csv", "--out", str(tmp_path)])
+        path = tmp_path / "M13a_Scurve.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(path), "--variant", "baseline",
+                  "--k", "4", "--out", str(tmp_path / "est")])
+        assert f"{path}: no data rows" in str(exc.value)
+        assert capsys.readouterr().err == "" and not recwarn.list
+
     def test_estimate_builtin_dataset_baseline(self, tmp_path, capsys):
         # k=2 leaves some queries divergent, so the flag column holds both values.
         rc = main(["estimate", "--dataset", "M7_Roll", "--n", "100",
