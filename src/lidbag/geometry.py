@@ -12,7 +12,7 @@ its memory does not grow with the number of queries.  A chunk is copied
 from a materialised distance block or read from a :class:`_RowGroups`: the
 rows of one distance tile (from the union of several reference groups, such
 as the bags of an ensemble, to a range of queries) that belong to each
-group, or the (group, query) pairs it names.  Callers compute those tiles query range by query range
+group.  Callers compute those tiles query range by query range
 (:func:`_query_tiles`), so a table over n queries needs O(tile + n * depth)
 memory, never an (n, m) block.  In each chunk it finds every row's prefix
 with one partition, decides from the next order statistic whether a tie
@@ -175,25 +175,19 @@ class _RowGroups:
     ``block`` is a (u, q) distance tile from u points to q queries, and
     ``rows`` a (g, m) array of row positions in it, one row per group.  The
     stand-in is, group after group, ``block[rows[j]].T``: the distances from
-    every query to group j's points.  With ``pairs = (group, col)``, two
-    equal-length arrays, its row p is instead ``block[rows[group[p]],
-    col[p]]``: each row reads the one query and the one group it names, and
-    a ``block`` that is the transpose of a C-contiguous (q, u) tile serves
-    those rows fastest.
-    :func:`neighbor_tables` gathers the stand-in chunk by chunk, so no
-    (rows, m) array is made.  ``dist_block(p, p)`` is exactly symmetric, so
-    a tile's rows may be the references and its columns the queries.
-    ``prefix``, the tile's :class:`_RankedTile`, lets groups whose rows
-    ascend with their ids (without ``pairs``) read their rows from it.
+    every query to group j's points.  :func:`neighbor_tables` gathers the
+    stand-in chunk by chunk, so no (rows, m) array is made.
+    ``dist_block(p, p)`` is exactly symmetric, so a tile's rows may be the
+    references and its columns the queries.  ``prefix``, the tile's
+    :class:`_RankedTile`, lets groups whose rows ascend with their ids read
+    their rows from it.
     """
 
-    def __init__(self, block, rows, pairs=None, prefix=None):
+    def __init__(self, block, rows, prefix=None):
         self.block = block
         self.rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-        self.pairs = pairs
         self.prefix = prefix
-        nq = self.rows.shape[0] * block.shape[1] if pairs is None else pairs[0].shape[0]
-        self.shape = (nq, self.rows.shape[1])
+        self.shape = (self.rows.shape[0] * block.shape[1], self.rows.shape[1])
 
 
 #: Distances per query chunk in :func:`neighbor_tables`.  The chunk and its
@@ -334,8 +328,7 @@ def neighbor_tables(
         excl_idx, excl_dist = incl_idx, incl_dist
 
     produce, prefix = _partitioned(source, rows, ids, need), source.prefix
-    if (prefix is not None and source.pairs is None and need <= prefix.depth
-            and np.all(rows[:, 1:] > rows[:, :-1])):
+    if prefix is not None and need <= prefix.depth and np.all(rows[:, 1:] > rows[:, :-1]):
         # The prefix serves groups that give each row of the tile one id.
         id_of = np.empty(source.block.shape[0], dtype=np.int64)
         id_of[rows] = ids
@@ -365,6 +358,8 @@ def neighbor_tables(
                 push = np.argsort(self_mask, axis=1, kind="stable")[:, :depth]
                 excl_idx[lo + dup] = _take_rows(pids[dup], push)
                 excl_dist[lo + dup] = _take_rows(pd[dup], push)
+        # Freed before the producer makes the next chunk.
+        del pids, pd
 
     return NeighborTables(incl_idx, incl_dist, excl_idx, excl_dist)
 
@@ -381,7 +376,7 @@ def _partitioned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: in
     chunk, each row partitioned over its own group's columns."""
     for lo, hi, t, row_ids in _chunks(source, rows, ids):
         pos, pd = _ranked_prefix(t, need)
-        yield lo, hi, row_ids[pos] if row_ids.ndim == 1 else _take_rows(row_ids, pos), pd
+        yield lo, hi, row_ids[pos], pd
 
 
 def _thinned(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
@@ -436,14 +431,15 @@ def _selected(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
     ``need``-th rank lies beyond the prefix is partitioned over its group's
     columns instead.
 
-    A chunk holds as many ranks as ``_BLOCK_CELLS`` distances take bytes:
-    whole groups of q rows when one fits, so that the rows of many narrow
-    groups are sorted and gathered together, else a range of one group's
-    queries."""
+    A chunk holds as many ranks as ``_BLOCK_CELLS`` distances take bytes,
+    and rows of at most ``_BLOCK_CELLS`` prefix cells in all, as their ids
+    and distances are gathered: whole groups of q rows when one fits, so
+    that the rows of many narrow groups are sorted and gathered together,
+    else a range of one group's queries."""
     prefix = source.prefix
     inverse, depth = prefix.inverse, prefix.depth
     q, (groups, m) = inverse.shape[1], rows.shape
-    span = max(1, _BLOCK_CELLS * 8 // (inverse.itemsize * m))
+    span = max(1, min(_BLOCK_CELLS * 8 // (inverse.itemsize * m), _BLOCK_CELLS // need))
     per, step = (span // q, q) if span >= q else (1, span)
     rank = np.empty((per * min(step, q), m), dtype=inverse.dtype)
     for g0 in range(0, groups, per):
@@ -520,33 +516,24 @@ class _RankedTile:
             dtype = np.min_scalar_type(self.depth + u - 1)
             inverse = np.empty((u, q), dtype=dtype)
             inverse[:] = np.arange(self.depth, self.depth + u, dtype=dtype)[:, None]
-            at = pos * q + np.arange(q)[:, None]
-            inverse.reshape(-1)[at] = np.arange(self.depth, dtype=dtype)
+            # Scattered a chunk of queries at a time, so that the flat
+            # positions take a chunk's memory, not the prefix's.
+            flat, ranks = inverse.reshape(-1), np.arange(self.depth, dtype=dtype)
+            step = max(1, _BLOCK_CELLS // self.depth)
+            for a in range(0, q, step):
+                b = min(q, a + step)
+                flat[pos[a:b] * q + np.arange(a, b)[:, None]] = ranks
             self._inverse = inverse
         return self._inverse
 
 
 def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):
     """The stand-in of ``source`` chunk by chunk: (lo, hi, tile, ids) with
-    the stand-in's rows lo..hi in a C-contiguous tile and their reference
-    ids, (m,) when the chunk belongs to one group and (hi - lo, m) when
-    every row names its own.  ``rows`` and ``ids`` are the groups' row
-    positions and reference ids in ascending id order."""
+    the stand-in's rows lo..hi, all of one group, in a C-contiguous tile
+    and the group's (m,) reference ids.  ``rows`` and ``ids`` are the
+    groups' row positions and reference ids in ascending id order."""
     m, block = rows.shape[1], source.block
     chunk = max(1, _BLOCK_CELLS // m)
-    if source.pairs is not None:
-        # One flat take per chunk from the queries' rows of the transposed
-        # tile (a view when the tile is the transpose of a C-contiguous
-        # one): a pair's m entries lie in one row, not in m rows, which
-        # took a third of the time of a two-array fancy index of the tile.
-        group, col = source.pairs
-        nq, u, flat = group.shape[0], block.shape[0], block.T.reshape(-1)
-        step = max(1, -(-nq // max(1, nq // chunk)))
-        for lo in range(0, nq, step):
-            hi = min(nq, lo + step)
-            g = group[lo:hi]
-            yield lo, hi, np.take(flat, rows[g] + (col[lo:hi] * u)[:, None]), ids[g]
-        return
     # Equal chunks per group, as many as whole chunks of _BLOCK_CELLS // m
     # rows fit (at least one row, at least one chunk): a remainder is spread
     # over the chunks instead of taking a short chunk of its own.  A group

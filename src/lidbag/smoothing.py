@@ -40,8 +40,10 @@ from .geometry import (
 )
 from .estimators import EstimatorConfig
 from .bagging import (
+    DIVERGENCE_POLICIES,
     AnchoredMean,
     BaggingConfig,
+    BaggingError,
     LocalityCapacityError,
     bag_tables,
     draw_bags,
@@ -189,16 +191,17 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       reference set the plan ranks against (the whole cloud when a
       full-cloud table is needed, else the union of the ensembles' bags),
       and ranks every table's rows of the tile from it.  Distance work is
-      n * |U|, at most n^2 and at most the sum of the bags' n * m, and
-      memory is one tile plus O(n) per result and O(B * (n + m)) per
-      ensemble: no n x n or n x m block is ever built.
+      n * |U| per round, at most n^2 and at most the sum of the bags'
+      n * m, and memory is one tile plus O(n) per result, the B * m ids of
+      each ensemble's bags and one round's kept neighborhoods: no n x n or
+      n x m block is ever built.
     * One deep full-cloud table serves every ``baseline`` and ``smoothed``
       estimate and every post-smoothing neighborhood (sorted neighbor
       prefixes nest, so any smaller k is a column slice).
-    * Each tile is ranked at most once: every query of the tile over all
-      of U by (distance, id) (:class:`~lidbag.geometry._RankedTile`), to a
-      depth D that serves the full-cloud table (its prefix) and the
-      ensembles whose bags read their tables from the ranking, when
+    * Each tile is ranked at most once a round: every query of the tile
+      over all of U by (distance, id) (:class:`~lidbag.geometry._RankedTile`),
+      to a depth D that serves the full-cloud table (its prefix) and the
+      round's ensembles whose bags read their tables from the ranking, when
       :func:`_thin_depth` finds that their saving pays for it: wide bags
       thin it (each keeps its members of a query's ranking, in order), and
       many narrow bags select from it (each sorts its members' ranks in
@@ -216,16 +219,16 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       each cell takes the mean at its B, so a B grid costs max(B) bags, not
       sum(B).
     * Pre-smoothing reads every member's in-bag estimate, which later tiles
-      may compute.  Ensembles keep every query's in-bag neighborhood
-      (B * n * k_s positions of one or two bytes) while those fit
-      ``_HOOD_BYTES``, widest bags first and up to the first that does
-      not fit: they take their members' estimates from the main map and
-      gather in a second map.  Any other pre-smoothed ensemble first
-      computes its members' estimates in a map over tiles of the union M
-      of those ensembles' bags (|U| * |M| more distances, and each bag
-      ranks the rows of its own B * m members once more), keeps those
-      B * m values, and the main map gathers from them as soon as a tile
-      is ranked.
+      may compute, so an ensemble keeps its members' estimates (B * m
+      values) and every query's in-bag neighborhood (B * n * k_s positions
+      of one or two bytes) from the map over tiles, and a second map
+      gathers and folds.  The plan runs in rounds that keep at most
+      ``_HOOD_BYTES`` of them (:func:`_rounds`): round 1 also holds the
+      full-cloud table, the unbagged cells and every ensemble that does not
+      pre-smooth, and each further round runs parts of the pre-smoothed
+      ensembles, widest bags first, at the cost of one more map of n * |U|
+      distances.  Each tile's running means carry over from one round to
+      the next, so the rounds change no bit.
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
     time the plan's clock charged to the cell: the kernels whose estimates
@@ -238,6 +241,8 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     """
     if threads < 1:
         raise SmoothingError(f"threads must be >= 1, got {threads}")
+    if policy not in DIVERGENCE_POLICIES:
+        raise BaggingError(f"unknown divergence policy {policy!r}")
     points, n = cloud.points, cloud.n
     ids = np.arange(n, dtype=np.int64)
     seconds, lock = {}, threading.Lock()
@@ -294,55 +299,35 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             with clock([est]):
                 values[lo:hi], flags[lo:hi] = estimates_from_tables(est, tables, points, qids)
 
-    # Pre-smoothed ensembles keep their neighborhoods, widest bags first
-    # (their member pass would cost the most), until one does not fit.
-    budget = _HOOD_BYTES
-    for e in sorted((e for e in ensembles if e.pre_keys), key=lambda e: -e.bags.shape[1]):
-        B, m = e.bags.shape
-        size = B * n * e.depth_incl * np.min_scalar_type(m - 1).itemsize
-        if size > budget:
-            break
-        e.hoods = np.empty((B, n, e.depth_incl), dtype=np.min_scalar_type(m - 1))
-        budget -= size
-
-    # A tile is ranked once, as deep as the plan's full-cloud table (if any)
-    # and the ensembles that the cost rule lets read their tables from the
-    # ranking need; the other ensembles partition.
+    # A tile is ranked once per round, as deep as round 1's full-cloud table
+    # (if any) and the round's ensembles that the cost rule lets read their
+    # tables from the ranking need; the other ensembles partition.
     ranked = geometry._prefix_need(full_depth, full_incl, n) if full else 0
-    prefix_depth = ranked
     for e in ensembles:
         e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0], ranked)
-        prefix_depth = max(prefix_depth, e.thin)
-
-    pre = [e for e in ensembles if e.pre_keys and e.hoods is None]
-    if pre:
-        members = np.unique(np.concatenate([e.bags.ravel() for e in pre]))
-
-        def member_tile(span):
-            tile_ids = members[span[0] : span[1]]
-            # Members are the queries here: they read whole rows of the
-            # tile, so it is laid out query-major (the transpose of an
-            # exactly symmetric block).
-            block = dist_block(points[tile_ids], refs).T
-            for e in pre:
-                e.members(block, tile_ids, points)
-
-        _ordered_map(member_tile, _query_tiles(members.shape[0], u), threads)
-
-    def one_tile(span):
-        lo, hi = span
-        block = dist_block(refs, points[lo:hi])
-        prefix = geometry._RankedTile(block, prefix_depth) if prefix_depth else None
-        if full:
-            full_tile(block, prefix, lo, hi)
-        for e in ensembles:
-            e.tile(block, prefix if e.thin else None, lo, hi, points, policy)
 
     tiles = _query_tiles(n, u)
-    _ordered_map(one_tile, tiles, threads)
-    kept = [e for e in ensembles if e.hoods is not None]
-    if kept:
-        _ordered_map(lambda span: [e.pre_tile(*span, policy) for e in kept], tiles, threads)
+    for i, parts in enumerate(_rounds(ensembles, n)):
+        depth = max([ranked if i == 0 else 0] + [e.thin for e, _, _ in parts])
+        for e, b0, b1 in parts:
+            e.hold(b1 - b0, n)
+
+        def one_tile(span):
+            lo, hi = span
+            block = dist_block(refs, points[lo:hi])
+            prefix = geometry._RankedTile(block, depth) if depth else None
+            if i == 0 and full:
+                full_tile(block, prefix, lo, hi)
+            for e, b0, b1 in parts:
+                e.tile(block, prefix if e.thin else None, lo, hi, b0, b1, points, policy)
+
+        _ordered_map(one_tile, tiles, threads)
+        pre = [part for part in parts if part[0].pre_keys]
+        if pre:
+            _ordered_map(lambda span: [e.pre_tile(*span, b0, b1, policy) for e, b0, b1 in pre],
+                         tiles, threads)
+        for e, _, _ in parts:
+            e.hoods = e.kept = None
 
     def finish(cell, key, values, flags):
         # Every cell's emit step: its post-smoothing, then its clock time.
@@ -357,12 +342,40 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         e.emit(finish)
 
 
-#: Bytes of in-bag neighborhoods a plan may keep for pre-smoothing (16 MiB);
-#: an ensemble beyond it ranks its members' rows twice instead.  Keeping
-#: them spares the default M12_Norm sweep a member pass of about a fifth
-#: of its run time (0.95 of 4.5 s under a profiler), and that sweep keeps
-#: 14 MB of them; a B grid's ensembles of 400 bags do not fit.
+#: Bytes of in-bag neighborhoods one round of a plan keeps for
+#: pre-smoothing (16 MiB); the members' estimates of the same bags add 9
+#: bytes per member and estimator.  The default M12_Norm sweep keeps 14.4 MB
+#: of neighborhoods in its first round and 12.6 MB in its second; each
+#: further round costs one more pass of distance tiles over the cloud.
 _HOOD_BYTES = 2**24
+
+
+def _rounds(ensembles, n: int):
+    """The plan's rounds: lists of ensemble parts (ensemble, b0, b1), bags
+    b0..b1 of a pre-smoothed ensemble or all of any other.
+
+    A pre-smoothed ensemble is cut into parts of consecutive bags whose
+    kept neighborhoods fit ``_HOOD_BYTES`` (one bag at least, the whole
+    ensemble when it fits).  Parts fill rounds, widest bags first, and a
+    new round starts when the next part does not fit.  Round 1 also holds
+    every ensemble that does not pre-smooth.  Every part but an ensemble's
+    last holds as many bags as fit, so two parts of one ensemble never
+    share a round.
+    """
+    rounds = [[(e, 0, e.bags.shape[0]) for e in ensembles if not e.pre_keys]]
+    used = 0
+    for e in sorted((e for e in ensembles if e.pre_keys), key=lambda e: -e.bags.shape[1]):
+        count, m = e.bags.shape
+        size = n * e.depth_incl * np.min_scalar_type(m - 1).itemsize
+        per = max(1, _HOOD_BYTES // size)
+        for b0 in range(0, count, per):
+            b1 = min(count, b0 + per)
+            if used and used + (b1 - b0) * size > _HOOD_BYTES:
+                rounds.append([])
+                used = 0
+            rounds[-1].append((e, b0, b1))
+            used += (b1 - b0) * size
+    return rounds
 
 
 def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
@@ -448,15 +461,22 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
 _THIN_Z = 4.0
 
 
-def _segments(count: int, rows_each: int, width: int):
-    """Consecutive ranges of ``count`` items, ``rows_each`` table rows of
-    ``width`` columns per item, that hold at most one tile budget of cells
-    (at least one item per range, ranges of equal size).  A row counts as
-    at least 64 cells, for the estimator's and the fold's temporaries of
+def _segments(count: int, rows_each: int, depth: int, depth_incl: int):
+    """Consecutive ranges of ``count`` bags, ``rows_each`` table rows per
+    bag, whose stacked tables and temporaries take at most one distance
+    tile's bytes (at least one bag per range, ranges of equal size).
+
+    A row of ``depth`` self-excluded columns counts 8 bytes per column and
+    at least 64 columns, for the estimator's and the fold's temporaries of
     each row: without that floor a stack of shallow tables (k = 10) took
     2.4 times the memory (a traced peak of 24.2 against 10.1 MB for
-    ``bagged`` at n = 1000, B = 400, r = 0.25)."""
-    per = max(1, geometry._UNION_CELLS // max(1, rows_each * max(64, width)))
+    ``bagged`` at n = 1000, B = 400, r = 0.25).  Each of its
+    ``depth_incl`` inclusive columns counts 40 bytes more: the column's id
+    and distance, its member's offset and position in the bag, and the
+    estimate gathered from there for pre-smoothing.
+    """
+    row = 8 * max(64, depth) + 40 * depth_incl
+    per = max(1, 8 * geometry._UNION_CELLS // max(1, rows_each * row))
     per = -(-count // -(-count // per))
     return [(lo, min(count, lo + per)) for lo in range(0, count, per)]
 
@@ -466,7 +486,10 @@ class _Ensemble:
 
     Results are kept per key, one key per (estimator, in-bag k_s) with k_s
     None for raw estimates, and per checkpoint B.  ``rows`` holds the bags'
-    positions among the rows of each distance tile.
+    positions among the rows of each distance tile.  A round of the plan
+    runs one part of the ensemble, bags b0..b1 (:func:`_rounds`); each
+    tile's running means stay in ``acc`` until the ensemble's last bag is
+    folded.
     """
 
     def __init__(self, n: int, cells, clock):
@@ -477,139 +500,112 @@ class _Ensemble:
         self.checkpoints = sorted({c.bags.bags for c in cells})
         self.bags = draw_bags(n, cells[0].bags, count=self.checkpoints[-1])
         self.rows = None
-        keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None) for c in cells))
-        self.raw_keys = [key for key in keys if key[1] is None]
-        self.pre_keys = [key for key in keys if key[1] is not None]
-        self.depth_incl = max((ks for _, ks in self.pre_keys), default=None)
+        self.keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None)
+                                       for c in cells))
+        self.raw_keys = [key for key in self.keys if key[1] is None]
+        self.pre_keys = [key for key in self.keys if key[1] is not None]
+        # Every key reads the estimates of each bag's rows of a tile: raw
+        # keys the queries', pre-smoothed keys their in-bag neighbors'.
+        self.ests = list(dict.fromkeys(est for est, _ in self.keys))
+        self.depth = max(est.k for est in self.ests)
+        self.depth_incl = max((ks for _, ks in self.pre_keys), default=0)
         shape = (len(self.checkpoints), n)
-        self.means = {key: (np.empty(shape), np.empty(shape, dtype=bool)) for key in keys}
-        # Pre-smoothing gathers each bag's in-bag estimates of its members,
-        # kept by position in the bag.
-        B, m = self.bags.shape
-        self.kept = {est: (np.empty((B, m)), np.empty((B, m), dtype=bool))
-                     for est, _ in self.pre_keys}
-        # Positions in the bag of every query's in-bag neighborhood, when
-        # the plan's budget lets this ensemble keep them.
-        self.hoods = None
+        self.means = {key: (np.empty(shape), np.empty(shape, dtype=bool)) for key in self.keys}
+        self.acc = {}
+        # The current part's member estimates, by position in the bag, and
+        # the positions in the bag of every query's in-bag neighborhood.
+        self.kept = self.hoods = None
         # Depth of the tile prefix this ensemble's tables read from, 0 when
         # they partition (:func:`_thin_depth`).
         self.thin = 0
 
-    def members(self, block, tile_ids, points):
-        """Keep the in-bag estimates of the bags' members among
-        ``tile_ids``, the ascending ids of ``block``'s columns."""
-        # Bags ascend, so each bag's members among the columns are a run.
-        j0 = (self.bags < tile_ids[0]).sum(axis=1)
-        counts, count = (self.bags <= tile_ids[-1]).sum(axis=1) - j0, self.bags.shape[0]
-        depth = max(est.k for est in self.kept)
-        for b0, b1 in _segments(count, -(-int(counts.sum()) // count), depth):
-            c = counts[b0:b1]
-            bi = np.repeat(np.arange(b1 - b0), c)
-            bj = np.arange(c.sum()) + np.repeat(j0[b0:b1] - (np.cumsum(c) - c), c)
-            qids = self.bags[b0 + bi, bj]
-            source = _RowGroups(block, self.rows[b0:b1], (bi, np.searchsorted(tile_ids, qids)))
-            tables = bag_tables(source, self.bags[b0:b1], qids, depth, 0)
-            for est, (kept_values, kept_flags) in self.kept.items():
-                with self._timed([key for key in self.pre_keys if key[0] == est]):
-                    kept_values[b0 + bi, bj], kept_flags[b0 + bi, bj] = estimates_from_tables(
-                        est, tables, points, qids)
-
-    @property
-    def tile_ests(self):
-        """The estimators run on every bag's rows of a tile: the raw ones,
-        and the kept members' ones when the neighborhoods are kept."""
-        stored = self.hoods is not None
-        return list(dict.fromkeys(
-            [est for est, _ in self.raw_keys] + (list(self.kept) if stored else [])))
-
     @property
     def need(self):
         """Ranked entries per row of the bag tables of a tile."""
-        depth = max((est.k for est in self.tile_ests), default=0)
-        return geometry._prefix_need(depth, self.depth_incl or 0, self.bags.shape[1])
+        return geometry._prefix_need(self.depth, self.depth_incl, self.bags.shape[1])
 
-    def tile(self, block, prefix, lo, hi, points, policy):
-        """Rank and estimate every bag's rows of queries lo..hi, pre-smooth
-        them or keep their neighborhoods, and fold them.  With the tile's
-        ranked ``prefix`` the bags' tables are read from it, else
-        partitioned."""
-        q, (count, m) = hi - lo, self.bags.shape
+    def hold(self, bags: int, n: int):
+        """Allocate what a part of ``bags`` bags keeps for pre-smoothing."""
+        if self.pre_keys:
+            m = self.bags.shape[1]
+            self.kept = {est: (np.empty((bags, m)), np.empty((bags, m), dtype=bool))
+                         for est, _ in self.pre_keys}
+            self.hoods = np.empty((bags, n, self.depth_incl), dtype=np.min_scalar_type(m - 1))
+
+    def tile(self, block, prefix, lo, hi, b0, b1, points, policy):
+        """Rank and estimate bags b0..b1's rows of queries lo..hi, fold the
+        raw estimates, and keep the members' estimates and every query's
+        in-bag neighborhood for :meth:`pre_tile`.  With the tile's ranked
+        ``prefix`` the bags' tables are read from it, else partitioned."""
+        q, m = hi - lo, self.bags.shape[1]
         qids = np.arange(lo, hi, dtype=np.int64)
-        stored = self.hoods is not None
-        # Kept neighborhoods read their members' estimates from this map and
-        # fold in :meth:`pre_tile`, others the member pass's and fold here.
-        readers = self.raw_keys + (self.pre_keys if stored else [])
-        keys = self.raw_keys + ([] if stored else self.pre_keys)
-        # Raw estimates and kept member estimates need the self-excluded
-        # tables, pre-smoothing the inclusive ones.
-        ests = self.tile_ests
-        depth = max((est.k for est in ests), default=0)
-        depth_incl = self.depth_incl or 0
-        acc = AnchoredMean(len(keys) * q)
-        for b0, b1 in _segments(count, q, depth + depth_incl):
-            bag_q = np.tile(qids, b1 - b0)
-            tables = bag_tables(_RowGroups(block, self.rows[b0:b1], prefix=prefix),
-                                self.bags[b0:b1], bag_q, depth, depth_incl)
-            if stored:
-                # The bags' members among the queries, as (bag, position).
-                bi, bj = np.nonzero((self.bags[b0:b1] >= lo) & (self.bags[b0:b1] < hi))
-                bq = self.bags[b0 + bi, bj] - lo
+        for s0, s1 in _segments(b1 - b0, q, self.depth, self.depth_incl):
+            bags = self.bags[b0 + s0 : b0 + s1]
+            bag_q = np.tile(qids, s1 - s0)
+            # Estimates need the self-excluded tables, pre-smoothing the
+            # inclusive ones.
+            tables = bag_tables(_RowGroups(block, self.rows[b0 + s0 : b0 + s1], prefix=prefix),
+                                bags, bag_q, self.depth, self.depth_incl)
             raw = {}
-            for est in ests:
-                with self._timed([key for key in readers if key[0] == est]):
+            for est in self.ests:
+                with self._timed([key for key in self.keys if key[0] == est]):
                     values, flags = estimates_from_tables(est, tables, points, bag_q)
-                    raw[est] = values.reshape(b1 - b0, q), flags.reshape(b1 - b0, q)
-                    if stored and est in self.kept:
-                        for kept, part in zip(self.kept[est], raw[est]):
-                            kept[b0 + bi, bj] = part[bi, bq]
-            parts = [raw[est] for est, _ in self.raw_keys]
+                    raw[est] = values.reshape(s1 - s0, q), flags.reshape(s1 - s0, q)
             if self.pre_keys:
                 with self._timed(self.pre_keys, share=True):
+                    # The bags' members among the queries, as (bag, position).
+                    bi, bj = np.nonzero((bags >= lo) & (bags < hi))
+                    bq = bags[bi, bj] - lo
+                    for est, kept in self.kept.items():
+                        for a, part in zip(kept, raw[est]):
+                            a[s0 + bi, bj] = part[bi, bq]
                     # Each query's in-bag neighborhood, as positions in its bag:
                     # ``where`` maps a member's id to its position in each bag
                     # of the segment, in the narrowest type that holds m - 1.
-                    n, bag = points.shape[0], np.arange(b1 - b0)[:, None]
-                    where = np.empty((b1 - b0) * n, dtype=np.min_scalar_type(m - 1))
-                    where[self.bags[b0:b1] + bag * n] = np.arange(m)
-                    hood = where[tables.incl_idx.reshape(b1 - b0, q, -1) + bag[..., None] * n]
-                    if stored:
-                        self.hoods[b0:b1, lo:hi] = hood
-                    else:
-                        parts += self._pre_smooth(hood, b0)
-            if keys:
-                with self._timed(keys, share=True):
-                    self._fold(acc, keys, parts, b0, lo, hi, policy)
+                    n, bag = points.shape[0], np.arange(s1 - s0)[:, None]
+                    where = np.empty((s1 - s0) * n, dtype=self.hoods.dtype)
+                    where[bags + bag * n] = np.arange(m)
+                    self.hoods[s0:s1, lo:hi] = where[
+                        tables.incl_idx.reshape(s1 - s0, q, -1) + bag[..., None] * n]
+            # Freed before the next segment's tables are built.
+            del tables
+            if self.raw_keys:
+                with self._timed(self.raw_keys, share=True):
+                    parts = [raw[est] for est, _ in self.raw_keys]
+                    self._fold(self.raw_keys, parts, b0 + s0, lo, hi, policy)
 
-    def pre_tile(self, lo, hi, policy):
-        """Pre-smooth every bag's rows of queries lo..hi from the kept
+    def pre_tile(self, lo, hi, b0, b1, policy):
+        """Pre-smooth bags b0..b1's rows of queries lo..hi from the kept
         neighborhoods and fold them."""
-        q, count = hi - lo, self.bags.shape[0]
-        acc = AnchoredMean(len(self.pre_keys) * q)
         with self._timed(self.pre_keys, share=True):
-            for b0, b1 in _segments(count, q, self.depth_incl):
-                parts = self._pre_smooth(self.hoods[b0:b1, lo:hi], b0)
-                self._fold(acc, self.pre_keys, parts, b0, lo, hi, policy)
+            for s0, s1 in _segments(b1 - b0, hi - lo, 0, self.depth_incl):
+                parts = self._pre_smooth(self.hoods[s0:s1, lo:hi], s0)
+                self._fold(self.pre_keys, parts, b0 + s0, lo, hi, policy)
 
-    def _pre_smooth(self, hood, b0):
-        """Means of the kept member estimates of bags b0.. over ``hood``,
-        their (bags, q, depth) in-bag neighborhoods as positions in each
-        bag: one (bags, q) (values, flags) pair per pre-smoothed key."""
+    def _pre_smooth(self, hood, s0):
+        """Means of the kept member estimates of the part's bags s0.. over
+        ``hood``, their (bags, q, depth) in-bag neighborhoods as positions
+        in each bag: one (bags, q) (values, flags) pair per pre-smoothed
+        key."""
         bags, q = hood.shape[:2]
         offsets = (np.arange(bags) * self.bags.shape[1])[:, None, None]
         parts = []
         for est, ks in self.pre_keys:
-            values, flags = (a[b0 : b0 + bags].reshape(-1) for a in self.kept[est])
+            values, flags = (a[s0 : s0 + bags].reshape(-1) for a in self.kept[est])
             v, f = gather_mean(values, (hood[:, :, :ks] + offsets).reshape(-1, ks), flags)
             parts.append((v.reshape(bags, q), f.reshape(bags, q)))
         return parts
 
-    def _fold(self, acc, keys, parts, b0, lo, hi, policy):
-        """Add bags b0.. to ``acc``, one (bags, q) ``parts`` entry per key
-        side by side, and store each key's mean at every checkpoint reached."""
+    def _fold(self, keys, parts, b0, lo, hi, policy):
+        """Add bags b0.. to the tile's running means of ``keys``, one
+        (bags, q) ``parts`` entry per key side by side, and store each key's
+        mean at every checkpoint reached."""
         q = hi - lo
         values = np.concatenate([v for v, _ in parts], axis=1)
         flags = np.concatenate([f for _, f in parts], axis=1)
         start, end = b0, b0 + values.shape[0]
+        # Tiles are disjoint, so no two workers share a running mean.
+        acc = self.acc.pop((lo, keys[0]), None) or AnchoredMean(len(keys) * q)
         for i, B in enumerate(self.checkpoints):
             if start < B <= end:
                 acc.add(values[start - b0 : B - b0], flags[start - b0 : B - b0])
@@ -620,6 +616,8 @@ class _Ensemble:
                 start = B
         if start < end:
             acc.add(values[start - b0 :], flags[start - b0 :])
+        if end < self.bags.shape[0]:
+            self.acc[lo, keys[0]] = acc
 
     def emit(self, finish):
         """Pass each cell's means at its checkpoint and its clock key to ``finish``."""

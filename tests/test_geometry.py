@@ -454,16 +454,6 @@ class TestBlockedKernel:
                 rows = slice(g * (hi - lo), (g + 1) * (hi - lo))
                 sub = NeighborTables(*(getattr(got, f)[rows] for f in TABLE_FIELDS))
                 self.assert_tables(sub, [t[lo:hi] for t in want], f"prefix of {thin}, group {g}")
-        # Rows may instead name their own (group, query) pair, in any order.
-        group = rng.integers(0, 2, size=int(rng.integers(0, 2 * (hi - lo) + 1)))
-        col = rng.integers(0, hi - lo, size=group.size)
-        qids = None if query_ids is None else query_ids[lo:hi][col]
-        got = neighbor_tables(geometry._RowGroups(block, groups, (group, col)), groups, qids,
-                              depth, depth_incl)
-        for g in range(2):
-            sub = NeighborTables(*(getattr(got, f)[group == g] for f in TABLE_FIELDS))
-            self.assert_tables(sub, [t[lo:hi][col[group == g]] for t in want],
-                               f"pairs of group {g}")
 
     @pytest.mark.parametrize("u, thin, dtype", [(200, 56, np.uint8), (200, 57, np.uint16),
                                                  (65000, 536, np.uint16),

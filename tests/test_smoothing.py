@@ -15,6 +15,7 @@ from lidbag.bagging import (
     DIVERGENCE_POLICIES,
     AnchoredMean,
     BaggingConfig,
+    BaggingError,
     LocalityCapacityError,
     bag_tables,
     draw_bags,
@@ -178,10 +179,10 @@ class TestStreamedPath:
     @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_block_beyond_a_tile_at_any_rb(self, variant, hood_bytes, monkeypatch):
-        # At r * B >= 1 too: no n x n block, and each query's distances to the
-        # union of the bags are computed once, however many bags there are;
-        # pre-smoothing without kept neighborhoods first computes each
-        # member's once more, for the in-bag estimates it gathers.
+        # At r * B >= 1 too: no n x n block, and each round computes each
+        # query's distances to the union of the bags once, however many
+        # bags there are.  Without a budget for kept neighborhoods a
+        # pre-smoothed ensemble runs one bag a round.
         n = self.cloud.n
         shapes = self.spy(monkeypatch)
         monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
@@ -189,13 +190,11 @@ class TestStreamedPath:
             shapes.clear()
             variant_estimates(self.cloud, variant, self.est, bag_cfg, SmoothingConfig(9))
             assert max(a * b for a, b in shapes) <= max(geometry._UNION_CELLS, n), bag_cfg
-            members = 0
-            if variant in smoothing._PRE and hood_bytes == 0:
-                members = np.unique(draw_bags(n, bag_cfg)).size
+            rounds = bag_cfg.bags if variant in smoothing._PRE and hood_bytes == 0 else 1
             full = variant not in ("bagged", "bagged_pre")
             union = n if full else np.unique(draw_bags(n, bag_cfg)).size
             assert all(union in shape for shape in shapes), bag_cfg
-            assert sum(a * b for a, b in shapes) == (n + members) * union, bag_cfg
+            assert sum(a * b for a, b in shapes) == rounds * n * union, bag_cfg
 
     @pytest.mark.parametrize("variant, k_s", [
         ("bagged_pre", 110),  # k_s = m: 4 bags of 110 columns
@@ -215,10 +214,45 @@ class TestStreamedPath:
         assert sum(a * b for a, b in shapes) == n * union
 
     def test_pre_smoothing_memory_stays_within_the_budget(self, monkeypatch):
-        # Kept in-bag neighborhoods never exceed _HOOD_BYTES: 100 bags of
-        # n * k_s one-byte positions (12 MB) fit the default budget, 200 do
-        # not, and an ensemble beyond it keeps each bag's m member
-        # estimates instead, so the peak does not grow with B * n * k_s.
+        # A round keeps at most _HOOD_BYTES of in-bag neighborhoods (n * k_s
+        # one-byte positions per bag), or one bag's when one bag exceeds
+        # it, however many bags and ensembles the plan pre-smooths, and the
+        # member estimates of the same bags (m values and flags per bag).
+        held, live = [], []
+
+        class Recording(smoothing._Ensemble):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.append(self)
+
+            def pre_tile(self, *args):
+                kept = [e for e in live if e.hoods is not None]
+                members = [a for e in kept for pair in e.kept.values() for a in pair]
+                held.append((sum(e.hoods.nbytes for e in kept), sum(a.nbytes for a in members)))
+                return super().pre_tile(*args)
+
+        def most_held(budget, *bags):
+            monkeypatch.setattr(smoothing, "_HOOD_BYTES", budget)
+            held.clear()
+            live.clear()
+            cells = [PlanCell("bagged_pre", self.est, 110, BaggingConfig(b, 0.1, seed))
+                     for seed, b in enumerate(bags)]
+            run_plan(self.cloud, cells, lambda cell, values, flags, ms: None)
+            assert all(members * one == hoods * 110 * 9 for hoods, members in held)
+            return max(hoods for hoods, _ in held)
+
+        monkeypatch.setattr(smoothing, "_Ensemble", Recording)
+        one = 1100 * 110
+        assert most_held(2**24, 100) == 100 * one
+        assert most_held(2**24, 200) == (2**24 // one) * one
+        # The second ensemble does not fit next to the first; the third
+        # does not fit next to the first two.
+        assert most_held(2**24, 100, 100) == 100 * one
+        assert most_held(2**24, 100, 20, 20) == 120 * one
+        assert most_held(one - 1, 3) == one
+        assert most_held(0, 2, 3) == one
+
+        # So the traced peak does not grow with B * n * k_s.
         def peak(bags):
             tracemalloc.start()
             try:
@@ -228,46 +262,77 @@ class TestStreamedPath:
             finally:
                 tracemalloc.stop()
 
-        kept = peak(100)
-        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 0)
-        recomputed = [peak(100), peak(200)]
-        assert recomputed[1] - recomputed[0] < 2e6, recomputed
-        assert kept - recomputed[0] < 2**24 + 2e6, (kept, recomputed)
-        monkeypatch.undo()
-        assert peak(200) - recomputed[1] < 2e6
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 20 * one)
+        assert peak(120) - peak(40) < 1e6
 
-    def test_ensembles_sharing_member_tiles_match_kept_neighborhoods(self, monkeypatch):
-        # Pre-smoothed ensembles without kept neighborhoods share the tiles
-        # over their members; with tiles of two members most hold none of
-        # the one-bag ensemble's.
+    def test_stacked_pre_smoothing_tables_stay_within_a_few_tiles(self):
+        # Segments of stacked bag tables are sized by bytes: an inclusive
+        # column of pre-smoothing costs its id and distance and its gather
+        # temporaries, so at k_s = m = 110 a segment holds one bag of 480
+        # query rows.  The 40 bags keep 4.6 MiB of neighborhoods, and a
+        # tile's distances and its full ranking 12 MiB.
+        bag_cfg, s_cfg = BaggingConfig(40, 0.1, 1), SmoothingConfig(110)
+        tracemalloc.start()
+        try:
+            got = variant_estimates(self.cloud, "bagged_pre", self.est, bag_cfg, s_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        want = reference(self.cloud, "bagged_pre", self.est, bag_cfg, 110)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_an_ensemble_split_between_rounds_matches_one_round(self, threads, monkeypatch):
+        # B grid 2, 5 with room for three bags a round: the ensemble's
+        # parts are bags 0..3 and 3..5, split inside the checkpoint range
+        # (2, 5], so each tile's running means carry over from one round to
+        # the next.  Its raw (``bagged``) means fold in the same rounds.
         cloud = small_cloud("M12_Norm", 200, 3)
         est = EstimatorConfig(method="mle", k=4)
-        configs = [BaggingConfig(1, 0.05, 1), BaggingConfig(6, 0.4, 2)]
-        want = {c: variant_estimates(cloud, "bagged_pre", est, c, SmoothingConfig(5))
-                for c in configs}
-        monkeypatch.setattr(geometry, "_UNION_CELLS", 400)
-        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 0)
-        out = {}
-        run_plan(cloud, [PlanCell("bagged_pre", est, 5, c) for c in configs],
-                 lambda cell, values, flags, ms: out.setdefault(cell.bags, (values, flags)),
-                 threads=2)
-        for c in configs:
-            assert out[c][0].tobytes() == want[c][0].tobytes(), c
-            assert out[c][1].tobytes() == want[c][1].tobytes(), c
+        cells = [PlanCell(v, est, 5, BaggingConfig(B, 0.4, 2))
+                 for v in ("bagged", "bagged_pre", "bagged_pre_post") for B in (2, 5)]
 
-    @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
+        def run():
+            out, parts = {}, []
+            real = smoothing._Ensemble.pre_tile
+
+            def recording(e, lo, hi, b0, b1, policy):
+                parts.append((b0, b1))
+                return real(e, lo, hi, b0, b1, policy)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(smoothing._Ensemble, "pre_tile", recording)
+                run_plan(cloud, cells, lambda cell, values, flags, ms: out.setdefault(
+                    cell, (values.tobytes(), flags.tobytes())), threads=threads)
+            return out, sorted(set(parts))
+
+        whole, parts = run()
+        assert parts == [(0, 5)]
+        monkeypatch.setattr(geometry, "_UNION_CELLS", 4000)
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", 3 * 200 * 5)
+        split, parts = run()
+        assert parts == [(0, 3), (3, 5)]
+        assert split == whole
+
+    @pytest.mark.parametrize("rounds", [1, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_thread_count_identity(self, variant, hood_bytes, monkeypatch):
+    def test_thread_count_identity(self, variant, rounds, monkeypatch):
         # Tile workers write disjoint slices of shared result arrays; more
         # workers than cores and a short switch interval would expose a lost
         # or misplaced write as changed bytes.  200 bags of 55 select their
         # tables from each tile's ranking, with or without a full-cloud
-        # table.
-        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
+        # table.  A pre-smoothed ensemble runs in one round or, with room
+        # for a third of its bags a round, in up to three.
         s_cfg = SmoothingConfig(9)
         interval = sys.getswitchinterval()
         many = [BaggingConfig(bags=200, rate=0.05, seed=1)] if variant.startswith("bagged") else []
         for bag_cfg in self.configs(variant) + many:
+            if rounds > 1 and variant in smoothing._PRE:
+                m = bag_cfg.bag_size(self.cloud.n)
+                hood = self.cloud.n * 9 * np.min_scalar_type(m - 1).itemsize
+                monkeypatch.setattr(smoothing, "_HOOD_BYTES", -(-bag_cfg.bags // rounds) * hood)
             one = variant_estimates(self.cloud, variant, self.est, bag_cfg, s_cfg, threads=1)
             sys.setswitchinterval(1e-5)
             try:
@@ -276,6 +341,16 @@ class TestStreamedPath:
                 sys.setswitchinterval(interval)
             assert one[0].tobytes() == three[0].tobytes(), bag_cfg
             assert one[1].tobytes() == three[1].tobytes(), bag_cfg
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rejects_an_unknown_policy_before_any_work(self, variant, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("distances computed")
+
+        monkeypatch.setattr(smoothing, "dist_block", no_work)
+        bag_cfg = BaggingConfig(bags=2, rate=0.1, seed=1) if variant.startswith("bagged") else None
+        with pytest.raises(BaggingError, match="unknown divergence policy 'bogus'"):
+            variant_estimates(self.cloud, variant, self.est, bag_cfg, policy="bogus")
 
     def test_rejects_thread_count_below_one(self):
         bag_cfg = BaggingConfig(bags=2, rate=0.1, seed=1)
@@ -307,14 +382,14 @@ class TestClock:
     @pytest.mark.parametrize("hood_bytes", [smoothing._HOOD_BYTES, 0])
     def test_cells_are_charged_the_kernels_whose_estimates_they_read(self, hood_bytes,
                                                                      monkeypatch):
-        # On a fake clock the main map's kernel calls take 1000 s and the
-        # member pass's 1 s.  ``bagged`` reads the main map's estimates;
-        # ``bagged_pre`` reads them only when its neighborhoods are kept,
-        # and the member pass's otherwise.
+        # On a fake clock every kernel call takes 1000 s.  ``bagged`` reads
+        # the estimates of its queries and ``bagged_pre`` those of their
+        # in-bag neighbors, both from the map over tiles, in one round or,
+        # without a budget for kept neighborhoods, in one round per bag.
         now = [0.0]
 
         def kernel(*args, _real=smoothing.estimates_from_tables):
-            now[0] += 1000.0 if sys._getframe(1).f_code.co_name == "tile" else 1.0
+            now[0] += 1000.0
             return _real(*args)
 
         monkeypatch.setattr(smoothing, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
@@ -326,10 +401,7 @@ class TestClock:
         run_plan(cloud, [PlanCell(v, est, 5, bags) for v in ("bagged", "bagged_pre")],
                  lambda cell, values, flags, t: ms.setdefault(cell.variant, t))
         assert ms["bagged"] >= 1e6
-        if hood_bytes:
-            assert ms["bagged_pre"] >= 1e6
-        else:
-            assert 0 < ms["bagged_pre"] < 1e6
+        assert ms["bagged_pre"] >= 1e6
 
 
 class TestTileBudgets:
@@ -341,7 +413,7 @@ class TestTileBudgets:
            method=st.sampled_from(METHODS), variant=st.sampled_from(VARIANTS),
            rate=st.sampled_from((0.1, 0.3, 0.7)), B=st.integers(1, 6),
            block=st.integers(1, 4096), union=st.integers(1, 8192), tle=st.integers(1, 512),
-           hood=st.sampled_from((0, 2**24)), rule=st.sampled_from(sorted(THIN_RULES)),
+           hood=st.sampled_from((2**13, 2**24)), rule=st.sampled_from(sorted(THIN_RULES)),
            many=st.booleans(), seed=st.integers(0, 2**16))
     def test_budgets_change_no_bit(self, kind, n, method, variant, rate, B, block, union, tle,
                                    hood, rule, many, seed):
