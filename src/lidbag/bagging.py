@@ -12,7 +12,9 @@ bagged aggregate is the per-query mean over bags, kept by
 — so sampling at rate r = 1 reproduces the baseline estimator bit-for-bit —
 and (b) consumes bags in ordinal order, making results independent of
 worker scheduling.  The pipelines that combine these live in
-:mod:`lidbag.smoothing`.
+:mod:`lidbag.smoothing`, which runs the unbagged baseline as that identity
+states it: an ensemble of one bag holding the whole cloud, aggregated by
+the same :class:`AnchoredMean`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ their in-bag estimates, before aggregating), and both together.
 over one cloud and shares every piece of work the cells have in common;
 :func:`variant_estimates` is a one-cell plan and the sweep runner a
 many-cell one.  :func:`cell_error` is the single feasibility rule both
-apply.
+apply.  There is no separate full-cloud path: ``baseline`` is the
+ensemble of one bag holding the whole cloud (B = 1, r = 1, which the
+rate-1 identity makes bit-identical to the unbagged estimator), and
+``smoothed`` is that ensemble pre-smoothed.
 
 Divergent-flagged inputs participate at their clamped values and taint
 every smoothed value they touch, keeping the pipeline total.
@@ -185,66 +188,70 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
              progress=None) -> None:
     """Run feasible plan cells over one cloud, sharing all the work they allow.
 
+    * Every cell belongs to an ensemble of bags.  Bagged cells with the
+      same rate and seed share one.  The unbagged cells share the whole
+      cloud's ensemble: one bag of all n points at checkpoint B = 1, whose
+      raw means are ``baseline`` and whose in-bag (here: full-cloud)
+      pre-smoothed means are ``smoothed``.  It exists whenever the plan
+      has an unbagged cell or post-smooths, and it keeps its
+      neighborhoods, which serve every post-smoothing gather (sorted
+      neighbor prefixes nest, so any smaller k_s is a column slice).
     * The work is a map over query tiles.  Each tile computes, in one
       :func:`~lidbag.geometry.dist_block` call of at most a tile budget of
-      entries, the distances from its queries to the union U of every
-      reference set the plan ranks against (the whole cloud when a
-      full-cloud table is needed, else the union of the ensembles' bags),
+      entries, the distances from its queries to the union U of the
+      ensembles' bags (every point when the whole cloud is one of them),
       and ranks every table's rows of the tile from it.  Distance work is
       n * |U| per round, at most n^2 and at most the sum of the bags'
       n * m, and memory is one tile plus O(n) per result, the B * m ids of
       each ensemble's bags and one round's kept neighborhoods: no n x n or
       n x m block is ever built.
-    * One deep full-cloud table serves every ``baseline`` and ``smoothed``
-      estimate and every post-smoothing neighborhood (sorted neighbor
-      prefixes nest, so any smaller k is a column slice).
     * Each tile is ranked at most once a round: every query of the tile
       over all of U by (distance, id) (:class:`~lidbag.geometry._RankedTile`),
-      to a depth D that serves the full-cloud table (its prefix) and the
-      round's ensembles whose bags read their tables from the ranking, when
-      :func:`_thin_depth` finds that their saving pays for it: wide bags
-      thin it (each keeps its members of a query's ranking, in order), and
-      many narrow bags select from it (each sorts its members' ranks in
+      to a depth D that serves the whole cloud's tables (their prefix) and
+      the round's ensembles whose bags read their tables from the ranking,
+      when :func:`_thin_depth` finds that their saving pays for it: wide
+      bags thin it (each keeps its members of a query's ranking, in order),
+      and many narrow bags select from it (each sorts its members' ranks in
       it); neither sorts a distance again, and a row that meets too few
       members is partitioned.  The other ensembles partition their m
-      columns.  A plan without a full-cloud table ranks its tiles only for
+      columns.  A plan without the whole cloud ranks its tiles only for
       narrow bags that select, at the cost of a ranking of all u columns
       per query.
     * Every table serves all its MLE k values from one ``np.log`` of its
       self-excluded prefix.
-    * Bagged cells with the same rate and seed share one ensemble: its bags
-      are drawn once, and in each tile their tables are built as one stack,
-      each estimator runs once over the stack, and one table per bag serves
-      every cell.  The stack is folded into running means in bag order, and
-      each cell takes the mean at its B, so a B grid costs max(B) bags, not
-      sum(B).
+    * An ensemble's bags are drawn once, and in each tile their tables are
+      built as one stack, each estimator runs once over the stack, and one
+      table per bag serves every cell.  The stack is folded into running
+      means in bag order, and each cell takes the mean at its B, so a B
+      grid costs max(B) bags, not sum(B).
     * Pre-smoothing reads every member's in-bag estimate, which later tiles
       may compute, so an ensemble keeps its members' estimates (B * m
       values) and every query's in-bag neighborhood (B * n * k_s positions
       of one or two bytes) from the map over tiles, and a second map
       gathers and folds.  The plan runs in rounds that keep at most
-      ``_HOOD_BYTES`` of them (:func:`_rounds`): round 1 also holds the
-      full-cloud table, the unbagged cells and every ensemble that does not
-      pre-smooth, and each further round runs parts of the pre-smoothed
-      ensembles, widest bags first, at the cost of one more map of n * |U|
-      distances.  Each tile's running means carry over from one round to
-      the next, so the rounds change no bit.
+      ``_HOOD_BYTES`` of them (:func:`_rounds`): round 1 also holds every
+      ensemble that does not pre-smooth, and each further round runs parts
+      of the pre-smoothed ensembles, widest bags first, at the cost of one
+      more map of n * |U| distances.  The whole cloud, listed first and as
+      wide as any bag, always runs in round 1, and its cells are emitted
+      first.  Each tile's running means carry over from one round to the
+      next, so the rounds change no bit.
 
     ``emit(cell, values, flags, ms)`` receives each result; ``ms`` is the
     time the plan's clock charged to the cell: the kernels whose estimates
-    it reads, its gathers and its share of aggregation, not the shared
-    distance and table work.  All parallelism is a map over query tiles,
+    it reads, its gathers and its share of aggregation (for the unbagged
+    cells too: the fold of their one bag), not the shared distance and
+    table work.  All parallelism is a map over query tiles,
     and every per-query result depends on that query's rows alone
     (:class:`~lidbag.bagging.AnchoredMean` adds bags query by query), so
     the output does not depend on ``threads``, which must be at least 1.
-    ``progress`` receives one line per ensemble.
+    ``progress`` receives one line per bagged ensemble.
     """
     if threads < 1:
         raise SmoothingError(f"threads must be >= 1, got {threads}")
     if policy not in DIVERGENCE_POLICIES:
         raise BaggingError(f"unknown divergence policy {policy!r}")
     points, n = cloud.points, cloud.n
-    ids = np.arange(n, dtype=np.int64)
     seconds, lock = {}, threading.Lock()
 
     @contextlib.contextmanager
@@ -252,63 +259,45 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         # Adds the block's time to every key, or an equal share to each.
         t0 = time.perf_counter()
         yield
-        t = (time.perf_counter() - t0) / (len(keys) if share else 1)
+        t = (time.perf_counter() - t0) / (max(1, len(keys)) if share else 1)
         with lock:
             for key in keys:
                 seconds[key] = seconds.get(key, 0.0) + t
 
-    groups: dict[tuple, list[PlanCell]] = {}
+    groups: dict[tuple | None, list[PlanCell]] = {}
     for cell in cells:
-        if cell.bags is not None:
-            groups.setdefault((cell.bags.rate, cell.bags.seed), []).append(cell)
-    ensembles = [_Ensemble(n, group, clock) for group in groups.values()]
+        groups.setdefault(None if cell.bags is None else (cell.bags.rate, cell.bags.seed),
+                          []).append(cell)
+    unbagged, post = groups.pop(None, []), [c.k_s for c in cells if c.variant in _POST]
+    ensembles = [_Ensemble(n, draw_bags(n, group[0].bags, count=max(c.bags.bags for c in group)),
+                           group, clock, name) for name, group in groups.items()]
     if progress:
         for e in ensembles:
-            progress(f"r={e.cells[0].bags.rate:.4g} (m={e.bags.shape[1]}), {e.bags.shape[0]} bags")
-    unbagged = [c for c in cells if c.bags is None]
-    ests = list(dict.fromkeys(c.est for c in unbagged))
-    full_ks = [c.k_s for c in cells if c.variant == "smoothed" or c.variant in _POST]
-    hood = np.empty((n, max(full_ks)), dtype=np.int64) if full_ks else None
-    raw = {est: (np.empty(n), np.empty(n, dtype=bool)) for est in ests}
-
-    full = bool(ests or full_ks)
-    if full:
-        union = ids
-    elif ensembles:
-        union = np.unique(np.concatenate([e.bags.ravel() for e in ensembles]))
-    else:
+            progress(f"r={e.name[0]:.4g} (m={e.bags.shape[1]}), {e.bags.shape[0]} bags")
+    # The whole cloud is one more ensemble, of one bag: its raw means are
+    # the baseline, its pre-smoothed ones the smoothed variant, and its
+    # kept neighborhoods post-smooth.  It comes first, so it runs in round
+    # 1 and its cells are emitted first.
+    cloud_bag = None
+    if unbagged or post:
+        cloud_bag = _Ensemble(n, np.arange(n)[None], unbagged, clock, None, max(post, default=0))
+        ensembles.insert(0, cloud_bag)
+    if not ensembles:
         return
-    refs = points if full else points[union]
-    u = union.shape[0]
+    union = np.unique(np.concatenate([e.bags.ravel() for e in ensembles]))
+    refs, u = points[union], union.shape[0]
+    # A tile is ranked once per round, as deep as the round's ensembles
+    # that read their tables from the ranking need: the whole cloud's
+    # always, the others' when the cost rule says so; the rest partition.
+    ranked = cloud_bag.need if cloud_bag else 0
     for e in ensembles:
-        e.rows = e.bags if full else np.searchsorted(union, e.bags)
-
-    full_incl = hood.shape[1] if full_ks else 0
-    full_depth = max((est.k for est in ests), default=full_incl)
-
-    def full_tile(block, prefix, lo, hi):
-        # Its own function, so a tile's full-cloud tables are freed before the ensembles rank.
-        source, qids = _RowGroups(block, ids, prefix=prefix), ids[lo:hi]
-        if ests:
-            tables = bag_tables(source, ids, qids, full_depth, full_incl or None)
-        else:
-            tables = neighbor_tables(source, ids, None, full_incl)
-        if full_ks:
-            hood[lo:hi] = tables.incl_idx
-        for est, (values, flags) in raw.items():
-            with clock([est]):
-                values[lo:hi], flags[lo:hi] = estimates_from_tables(est, tables, points, qids)
-
-    # A tile is ranked once per round, as deep as round 1's full-cloud table
-    # (if any) and the round's ensembles that the cost rule lets read their
-    # tables from the ranking need; the other ensembles partition.
-    ranked = geometry._prefix_need(full_depth, full_incl, n) if full else 0
-    for e in ensembles:
-        e.thin = _thin_depth(u, e.bags.shape[1], e.need, e.bags.shape[0], ranked)
+        e.rows = np.searchsorted(union, e.bags)
+        e.thin = ranked if e is cloud_bag else _thin_depth(
+            u, e.bags.shape[1], e.need, e.bags.shape[0], ranked)
 
     tiles = _query_tiles(n, u)
-    for i, parts in enumerate(_rounds(ensembles, n)):
-        depth = max([ranked if i == 0 else 0] + [e.thin for e, _, _ in parts])
+    for parts in _rounds(ensembles, n):
+        depth = max(e.thin for e, _, _ in parts)
         for e, b0, b1 in parts:
             e.hold(b1 - b0, n)
 
@@ -316,8 +305,6 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             lo, hi = span
             block = dist_block(refs, points[lo:hi])
             prefix = geometry._RankedTile(block, depth) if depth else None
-            if i == 0 and full:
-                full_tile(block, prefix, lo, hi)
             for e, b0, b1 in parts:
                 e.tile(block, prefix if e.thin else None, lo, hi, b0, b1, points, policy)
 
@@ -327,26 +314,27 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
             _ordered_map(lambda span: [e.pre_tile(*span, b0, b1, policy) for e, b0, b1 in pre],
                          tiles, threads)
         for e, _, _ in parts:
-            e.hoods = e.kept = None
+            e.kept = None
+            if e is not cloud_bag:
+                e.hoods = None
 
     def finish(cell, key, values, flags):
         # Every cell's emit step: its post-smoothing, then its clock time.
-        if cell.variant == "smoothed" or cell.variant in _POST:
+        if cell.variant in _POST:
             with clock([cell]):
-                values, flags = gather_mean(values, hood[:, : cell.k_s], flags)
+                values, flags = gather_mean(values, cloud_bag.hoods[0, :, : cell.k_s], flags)
         emit(cell, values, flags, (seconds.get(key, 0.0) + seconds.pop(cell, 0.0)) * 1e3)
 
-    for cell in unbagged:
-        finish(cell, cell.est, *raw[cell.est])
     for e in ensembles:
         e.emit(finish)
 
 
 #: Bytes of in-bag neighborhoods one round of a plan keeps for
 #: pre-smoothing (16 MiB); the members' estimates of the same bags add 9
-#: bytes per member and estimator.  The default M12_Norm sweep keeps 14.4 MB
-#: of neighborhoods in its first round and 12.6 MB in its second; each
-#: further round costs one more pass of distance tiles over the cloud.
+#: bytes per member and estimator.  The default M12_Norm sweep keeps 14.8 MB
+#: of neighborhoods in its first round (0.36 MB of them the whole cloud's)
+#: and 12.6 MB in its second; each further round costs one more pass of
+#: distance tiles over the cloud.
 _HOOD_BYTES = 2**24
 
 
@@ -356,11 +344,13 @@ def _rounds(ensembles, n: int):
 
     A pre-smoothed ensemble is cut into parts of consecutive bags whose
     kept neighborhoods fit ``_HOOD_BYTES`` (one bag at least, the whole
-    ensemble when it fits).  Parts fill rounds, widest bags first, and a
-    new round starts when the next part does not fit.  Round 1 also holds
-    every ensemble that does not pre-smooth.  Every part but an ensemble's
-    last holds as many bags as fit, so two parts of one ensemble never
-    share a round.
+    ensemble when it fits).  Parts fill rounds, widest bags first (the
+    sort is stable, so the whole cloud, listed first, leads), and a new
+    round starts when the next part does not fit.  Round 1 also holds
+    every ensemble that does not pre-smooth, among them the whole cloud
+    when it keeps neighborhoods only for post-smoothing.  Every part but
+    an ensemble's last holds as many bags as fit, so two parts of one
+    ensemble never share a round.
     """
     rounds = [[(e, 0, e.bags.shape[0]) for e in ensembles if not e.pre_keys]]
     used = 0
@@ -382,8 +372,8 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
     """Depth D of a tile's ranked prefix from which ``bags`` bags of m of
     its u reference points take their ``need`` nearest members, or 0 when
     partitioning each bag's m columns is faster.  ``ranked`` is the depth
-    to which the plan ranks its tiles anyway (its full-cloud table's), 0
-    when it ranks none.
+    to which the plan ranks its tiles anyway (for the whole cloud's
+    tables), 0 when it ranks none.
 
     A bag's members among a query's first D ranks are Hypergeometric(u, m,
     D) (the query's own rank is one more member), with mean D * p, p = m /
@@ -404,7 +394,7 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
       when it ranks none, u / 14 + D for a ranking of all u columns.
 
     D is chosen when the bags' saving exceeds the prefix's cost, except
-    that a plan without a full-cloud table ranks only for bags that select
+    that a plan without the whole cloud ranks only for bags that select
     (D > m).  Thinning wide bags from a ranking of their union does pay:
     ``bagged`` at n = 2500, r = 0.5, B = 10 (D = 51) took 164 ms against
     394 ms partitioned.  But it costs little more than the baseline, whose
@@ -434,14 +424,14 @@ def _thin_depth(u: int, m: int, need: int, bags: int, ranked: int) -> int:
     k = 10, median of five): 60 bags of 125 took 459 ms partitioned against
     528 ms selected, 100 bags 702 against 661 ms; and ten 5% bags at n =
     8000 took 0.79-0.83 s partitioned against 0.90-1.00 s thinned from a
-    ranking of their union.  The prefix is shared by the plan's ensembles
-    and its full-cloud table, but each ensemble is weighed alone.  The
+    ranking of their union.  The prefix is shared by the plan's ensembles,
+    but each bagged ensemble is weighed alone.  The
     default k x r sweep (B = 10) thins its four widest bags (m = 554 to
     1500) and partitions the others (m = 397, D = 704 would select at a
     saving of 646 against a cost of 695); the B-sweep's 400 bags of m =
     125 (u = 2500, D = 672) select; ten 5% bags at n = 8000 partition,
     over their union (u ≈ 3200, D ≈ 260 <= m, where the costs agree: a
-    saving of 273 against 488) and next to a full-cloud table (u = 8000,
+    saving of 273 against 488) and next to the whole cloud (u = 8000,
     D = 672: 233 against 722).
     """
     p = m / u
@@ -481,34 +471,44 @@ def _segments(count: int, rows_each: int, depth: int, depth_incl: int):
     return [(lo, min(count, lo + per)) for lo in range(0, count, per)]
 
 
+def _reads(cell: PlanCell):
+    """The key and checkpoint B at which ``cell`` reads its ensemble's
+    means: the key's in-bag k_s is None unless the cell pre-smooths, and
+    ``smoothed`` pre-smooths inside the whole cloud's one bag."""
+    smooths = cell.variant == "smoothed" or cell.variant in _PRE
+    return (cell.est, cell.k_s if smooths else None), 1 if cell.bags is None else cell.bags.bags
+
+
 class _Ensemble:
-    """The bagged cells of one (rate, seed) ensemble and the state they share.
+    """The cells of one ensemble of bags and the state they share: the
+    bagged cells of one (rate, seed), named by it, or the unbagged cells as
+    the whole cloud's one bag ``np.arange(n)``, named None.
 
     Results are kept per key, one key per (estimator, in-bag k_s) with k_s
     None for raw estimates, and per checkpoint B.  ``rows`` holds the bags'
     positions among the rows of each distance tile.  A round of the plan
     runs one part of the ensemble, bags b0..b1 (:func:`_rounds`); each
     tile's running means stay in ``acc`` until the ensemble's last bag is
-    folded.
+    folded.  ``hoods`` keeps every query's in-bag neighborhood, as deep as
+    the deepest pre-smoothing k_s or ``depth_incl``, the whole cloud's
+    post-smoothing depth.
     """
 
-    def __init__(self, n: int, cells, clock):
-        self.cells = cells
+    def __init__(self, n: int, bags, cells, clock, name, depth_incl: int = 0):
+        self.bags, self.cells, self.name = bags, cells, name
         # The plan's clock, charging this ensemble's keys under its name.
-        self.name = name = (cells[0].bags.rate, cells[0].bags.seed)
         self._timed = lambda keys, share=False: clock([(name, key) for key in keys], share)
-        self.checkpoints = sorted({c.bags.bags for c in cells})
-        self.bags = draw_bags(n, cells[0].bags, count=self.checkpoints[-1])
+        reads = [_reads(c) for c in cells]
+        self.checkpoints = sorted({B for _, B in reads})
         self.rows = None
-        self.keys = list(dict.fromkeys((c.est, c.k_s if c.variant in _PRE else None)
-                                       for c in cells))
+        self.keys = list(dict.fromkeys(key for key, _ in reads))
         self.raw_keys = [key for key in self.keys if key[1] is None]
         self.pre_keys = [key for key in self.keys if key[1] is not None]
         # Every key reads the estimates of each bag's rows of a tile: raw
         # keys the queries', pre-smoothed keys their in-bag neighbors'.
         self.ests = list(dict.fromkeys(est for est, _ in self.keys))
-        self.depth = max(est.k for est in self.ests)
-        self.depth_incl = max((ks for _, ks in self.pre_keys), default=0)
+        self.depth = max((est.k for est in self.ests), default=0)
+        self.depth_incl = max([depth_incl] + [ks for _, ks in self.pre_keys])
         shape = (len(self.checkpoints), n)
         self.means = {key: (np.empty(shape), np.empty(shape, dtype=bool)) for key in self.keys}
         self.acc = {}
@@ -525,24 +525,25 @@ class _Ensemble:
         return geometry._prefix_need(self.depth, self.depth_incl, self.bags.shape[1])
 
     def hold(self, bags: int, n: int):
-        """Allocate what a part of ``bags`` bags keeps for pre-smoothing."""
-        if self.pre_keys:
-            m = self.bags.shape[1]
-            self.kept = {est: (np.empty((bags, m)), np.empty((bags, m), dtype=bool))
-                         for est, _ in self.pre_keys}
+        """Allocate what a part of ``bags`` bags keeps for smoothing."""
+        m = self.bags.shape[1]
+        self.kept = {est: (np.empty((bags, m)), np.empty((bags, m), dtype=bool))
+                     for est, _ in self.pre_keys}
+        if self.depth_incl:
             self.hoods = np.empty((bags, n, self.depth_incl), dtype=np.min_scalar_type(m - 1))
 
     def tile(self, block, prefix, lo, hi, b0, b1, points, policy):
         """Rank and estimate bags b0..b1's rows of queries lo..hi, fold the
         raw estimates, and keep the members' estimates and every query's
-        in-bag neighborhood for :meth:`pre_tile`.  With the tile's ranked
-        ``prefix`` the bags' tables are read from it, else partitioned."""
+        in-bag neighborhood for :meth:`pre_tile` (the whole cloud's also
+        for post-smoothing).  With the tile's ranked ``prefix`` the bags'
+        tables are read from it, else partitioned."""
         q, m = hi - lo, self.bags.shape[1]
         qids = np.arange(lo, hi, dtype=np.int64)
         for s0, s1 in _segments(b1 - b0, q, self.depth, self.depth_incl):
             bags = self.bags[b0 + s0 : b0 + s1]
             bag_q = np.tile(qids, s1 - s0)
-            # Estimates need the self-excluded tables, pre-smoothing the
+            # Estimates need the self-excluded tables, smoothing the
             # inclusive ones.
             tables = bag_tables(_RowGroups(block, self.rows[b0 + s0 : b0 + s1], prefix=prefix),
                                 bags, bag_q, self.depth, self.depth_incl)
@@ -551,7 +552,7 @@ class _Ensemble:
                 with self._timed([key for key in self.keys if key[0] == est]):
                     values, flags = estimates_from_tables(est, tables, points, bag_q)
                     raw[est] = values.reshape(s1 - s0, q), flags.reshape(s1 - s0, q)
-            if self.pre_keys:
+            if self.depth_incl:
                 with self._timed(self.pre_keys, share=True):
                     # The bags' members among the queries, as (bag, position).
                     bi, bj = np.nonzero((bags >= lo) & (bags < hi))
@@ -623,8 +624,8 @@ class _Ensemble:
         """Pass each cell's means at its checkpoint and its clock key to ``finish``."""
         for i, B in enumerate(self.checkpoints):
             for cell in self.cells:
-                if cell.bags.bags == B:
-                    key = (cell.est, cell.k_s if cell.variant in _PRE else None)
+                key, at = _reads(cell)
+                if at == B:
                     finish(cell, (self.name, key), self.means[key][0][i], self.means[key][1][i])
 
 

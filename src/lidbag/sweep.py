@@ -4,15 +4,18 @@ For each dataset the runner turns the grid into a plan: every feasible
 cell becomes one :class:`~lidbag.smoothing.PlanCell` and every infeasible
 one a skip with its reason.  :func:`~lidbag.smoothing.run_plan` executes
 the whole plan at once, so the work cells share is done once: one pass of
-distance tiles and one deep full-cloud neighbor table per dataset, one bag
-ensemble per (dataset, r) shared by all estimators, k values and variants,
-and the B axis as checkpoints of that growing ensemble.  Each result becomes a row through
+distance tiles per dataset (and round), one bag ensemble per (dataset, r)
+shared by all estimators, k values and variants, and the B axis as
+checkpoints of that growing ensemble.  The ``baseline`` and ``smoothed``
+cells (keyed r = 1, B = 1) are one more ensemble, of one bag holding the
+whole cloud, whose neighborhoods also serve every post-smoothing cell.  Each result becomes a row through
 the MSE decomposition.
 
 Rows are sorted canonically before writing, making the primary CSV
 byte-identical across thread counts.  Wall times are attributable
-kernel/smoothing/aggregation time per cell (shared distance and table
-construction is amortized and excluded); because times are inherently
+kernel/smoothing/aggregation time per cell, the unbagged cells' fold of
+their one bag included (shared distance and table construction is
+amortized and excluded); because times are inherently
 nondeterministic they go to a separate timing CSV by default so the
 primary file stays byte-stable.
 

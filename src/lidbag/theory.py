@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bagging import AnchoredMean
+
 # Trials per seeded block are _CHUNK_CELLS // n: the block boundaries are
 # part of every stream's seed, so changing this changes every result.
 _CHUNK_CELLS = 4_000_000
@@ -245,7 +247,9 @@ def run_variance(
     """Measure single-bag, pairwise, and bagged variance of the sample mean.
 
     Each trial draws a fresh n-vector of standard normals and max(B, 2)
-    bags; the covariance is pooled over all bag pairs within a trial.
+    bags; the covariance is pooled over all bag pairs within a trial.  The
+    first B bag means are aggregated by the library's own
+    :class:`~lidbag.bagging.AnchoredMean`.
     """
     if not 0.0 < r <= 1.0:
         raise TheoryError(f"need r in (0, 1], got {r}")
@@ -262,12 +266,12 @@ def run_variance(
     cov = float((cmat.sum() - np.trace(cmat)) / (n_bags * (n_bags - 1)))
     rho = cov / var_pooled
 
-    anchor = means[:, 0]
-    acc = np.zeros(trials)
-    for j in range(1, B):
-        acc += means[:, j] - anchor
-    bagged = anchor + acc / B
-    var_bagged = float(bagged.var(ddof=1))
+    # One bag at a time: a (B, trials) stack would hold several B * trials
+    # temporaries, and adding columns one by one gives the same bits.
+    acc, unflagged = AnchoredMean(trials), np.zeros(trials, dtype=bool)
+    for j in range(B):
+        acc.add(means[:, j], unflagged)
+    var_bagged = float(acc.result()[0].var(ddof=1))
     return VarianceExperiment(
         "sample_mean", n, float(r), B, trials, seed, 1.0, m,
         var_single, var_bagged, cov, rho,

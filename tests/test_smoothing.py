@@ -316,6 +316,40 @@ class TestStreamedPath:
         assert parts == [(0, 3), (3, 5)]
         assert split == whole
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("hood_bytes", [2**24, 4096, 1])
+    def test_the_whole_cloud_runs_first_and_changes_no_bit(self, hood_bytes, threads,
+                                                           monkeypatch):
+        # The unbagged cells are the whole cloud's one-bag ensemble.  Listed
+        # after the bagged cells, and as wide as the r = 1 bags (m = n), it
+        # still leads round 1 at every budget, and its cells are emitted
+        # first; its kept neighborhoods post-smooth in every round.
+        cloud = small_cloud("M7_Roll", 500, 5)
+        est = EstimatorConfig(method="mle", k=5)
+        bags = {"bagged_pre": BaggingConfig(3, 1.0, 1), "bagged_pre_post": BaggingConfig(4, 0.3, 2),
+                "bagged_post": BaggingConfig(3, 0.3, 2)}
+        cells = [PlanCell(v, est, k_s, bags.get(v))
+                 for v in ("bagged_pre", "bagged_pre_post", "smoothed", "baseline", "bagged_post")
+                 for k_s in (8, 12, 20)]
+        monkeypatch.setattr(smoothing, "_HOOD_BYTES", hood_bytes)
+        first, order, out = [], [], {}
+
+        def rounds(ensembles, n, _real=smoothing._rounds):
+            plan = _real(ensembles, n)
+            first.append(plan[0][0][0].name)
+            return plan
+
+        monkeypatch.setattr(smoothing, "_rounds", rounds)
+        run_plan(cloud, cells, lambda cell, values, flags, ms: (
+            order.append(cell), out.setdefault(cell, (values, flags))), threads=threads)
+        assert first == [None]
+        assert order[:6] == [c for c in cells if c.bags is None]
+        assert sorted(order, key=cells.index) == cells
+        for cell in cells:
+            want = variant_estimates(cloud, cell.variant, est, cell.bags, SmoothingConfig(cell.k_s))
+            assert out[cell][0].tobytes() == want[0].tobytes(), cell
+            assert out[cell][1].tobytes() == want[1].tobytes(), cell
+
     @pytest.mark.parametrize("rounds", [1, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_thread_count_identity(self, variant, rounds, monkeypatch):
@@ -420,8 +454,12 @@ class TestTileBudgets:
         bagged = variant.startswith("bagged")
         if bagged and many:
             # 50 bags of 10 points: alone, the plan ranks its tiles and the
-            # rule selects the bags' tables from the ranking.
+            # rule selects the bags' tables from the ranking.  Budgets of a
+            # few cells would rank 50 bags' tables one query at a time (up
+            # to 2 s an example); the floors still cut the cloud into ten
+            # tiles and each bag's rows of a tile into two chunks.
             n, rate, B = 100, 0.1, 50
+            block, union = max(block, 64), max(union, 1024)
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=3)
         bag_cfg = BaggingConfig(B, rate, seed) if bagged else None

@@ -1,10 +1,12 @@
 """Sweep engine determinism and accounting, reports, CSV IO, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +48,24 @@ SMALL = dict(
     b_values=(2, 3),
     n=140,
 )
+
+
+#: The grid of acceptance criterion C10.
+C10 = dict(
+    datasets=("M5b_Helix2d", "M12_Norm"), estimators=("mle",),
+    k_values=(5, 10), r_values=(0.1, 0.3, 1.0), b_values=(2, 5), n=800,
+)
+
+#: sha256 of results.csv and skips.csv for each grid, at every thread
+#: count.  Floats are printed to 17 digits, so another numpy or scipy may
+#: round a last bit differently; the values were recorded with numpy 2.4.6
+#: and scipy 1.17.1.
+PINNED = {
+    "SMALL": ("7e06f0fea980290f268a15b362787c00233be8b5b7677e7fbadb59e217b6c754",
+              "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+    "C10": ("703c2b965f2ed5ec0136d25ec540260619d64bc9326e98593adb45a8e2c8db9a",
+            "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+}
 
 
 class TestGrids:
@@ -298,6 +318,20 @@ class TestCsvIO:
         assert (tmp_path / "timing.csv").read_text().splitlines()[0].endswith("wall_time_ms")
         skips = (tmp_path / "skips.csv").read_text().splitlines()
         assert len(skips) == 1 + 4  # header + the four bagged skips
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, name, threads, tmp_path):
+        # Refactors of the engine must leave every byte of both files as
+        # it was.
+        result = run_sweep(SweepGrid(**{"SMALL": SMALL, "C10": C10}[name]), threads=threads)
+        write_sweep_csv(result, tmp_path / "results.csv")
+        write_skips_csv(result, tmp_path / "skips.csv")
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("results.csv", "skips.csv"))
+        assert got == PINNED[name], (
+            f"{name} grid at threads={threads}: sha256 {got} != pinned {PINNED[name]}"
+            f" (numpy {np.__version__}, scipy {scipy.__version__})")
 
     def test_missing_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
