@@ -84,7 +84,7 @@ def lattice_cloud(seed):
 #: as a row keeps (most rows fall short and are partitioned), twice the mean
 #: depth at which a row meets its members, or every reference point; bags
 #: thin a prefix no deeper than m and select from a deeper one, with or
-#: without a full-cloud table.
+#: without the whole cloud's one-bag ensemble.
 THIN_RULES = {
     "partition": lambda u, m, need, bags, ranked: 0,
     "shallow": lambda u, m, need, bags, ranked: need,
@@ -95,7 +95,7 @@ THIN_RULES = {
 
 def with_baseline(cloud, variant, est, bag_cfg=None, s_cfg=None, **kw):
     """``variant_estimates`` run in one plan with a ``baseline`` cell, whose
-    full-cloud table ranks every tile over the whole cloud."""
+    whole-cloud ensemble ranks every tile over the whole cloud."""
     k_s = est.k if s_cfg is None else s_cfg.k_s
     out = {}
     run_plan(cloud, [PlanCell(variant, est, k_s, bag_cfg), PlanCell("baseline", est, k_s)],
@@ -323,7 +323,7 @@ class TestStreamedPath:
         # The unbagged cells are the whole cloud's one-bag ensemble.  Listed
         # after the bagged cells, and as wide as the r = 1 bags (m = n), it
         # still leads round 1 at every budget, and its cells are emitted
-        # first; its kept neighborhoods post-smooth in every round.
+        # first; its neighborhoods, kept through every round, post-smooth.
         cloud = small_cloud("M7_Roll", 500, 5)
         est = EstimatorConfig(method="mle", k=5)
         bags = {"bagged_pre": BaggingConfig(3, 1.0, 1), "bagged_pre_post": BaggingConfig(4, 0.3, 2),
