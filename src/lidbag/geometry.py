@@ -41,7 +41,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class GeometryError(ValueError):
@@ -155,7 +154,13 @@ def dist_block(a, b) -> np.ndarray:
     (i, j) sums the same squared differences in the same order as (j, i),
     so ``dist_block(p, p)`` is exactly symmetric and its rows are its
     columns.
+
+    The entries are ``scipy.spatial.distance.cdist``'s, imported at the
+    first call: ``scipy.spatial`` costs ~37 MB, which ``import lidbag``
+    and the Monte Carlo lab, which compute no distance, need not pay.
     """
+    from scipy.spatial.distance import cdist
+
     return cdist(*_operands(a, b))
 
 

@@ -24,9 +24,13 @@ cells: a stream read in slices yields the same values, and every
 statistic is computed row by row, so the chunk size bounds memory (a few
 MiB per call) without changing a bit of any result.
 
-``scipy.stats`` is imported inside :func:`run_overlap`, its only user: it
-costs ~34 MB and ~0.6 s, which ``import lidbag`` and every sweep would
-otherwise pay.
+:func:`run_overlap` evaluates the Hypergeometric pmf and the chi-square
+tail with the two ``scipy.special`` ufuncs that ``scipy.stats`` itself
+calls, clipped and placed on the support as ``scipy.stats`` does, so its
+results equal ``hypergeom(n, m, m).pmf`` and ``chi2.sf`` bit for bit.
+``scipy.stats`` would cost ~33 MB and ~0.6 s to import; ``scipy.special``
+is imported inside :func:`run_overlap`, its only user, and the lab loads
+no other scipy module.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ def run_overlap(n: int, m: int, trials: int, seed: int = 0) -> OverlapExperiment
     chi-square test (adjacent bins merged until each expects >= 5 counts).
     """
     _validate(n, m, trials)
-    from scipy import stats
+    from scipy.special import chdtrc
+    from scipy.special._ufuncs import _hypergeom_pmf
 
     hist = np.zeros(m + 1, dtype=np.int64)
     for _, b, (rng1, rng2) in _row_chunks(n, trials, seed, [(0,), (1,)]):
@@ -139,13 +144,17 @@ def run_overlap(n: int, m: int, trials: int, seed: int = 0) -> OverlapExperiment
         hist += np.bincount(h, minlength=m + 1)
 
     support = np.arange(m + 1)
-    pmf = stats.hypergeom(n, m, m).pmf(support)
+    # hypergeom(n, m, m).pmf(support): zero below the support's low end
+    # max(0, 2m - n), the clipped ufunc value on it.
+    low = max(0, 2 * m - n)
+    pmf = np.zeros(m + 1)
+    pmf[low:] = np.clip(_hypergeom_pmf(support[low:], m, m, n), 0, 1)
     mean_overlap = float((support * hist).sum() / trials)
     p = m / n
     var_h = m * p * (1.0 - p) * ((n - m) / (n - 1)) if n > 1 else 0.0
     mean_se = float(math.sqrt(var_h / trials))
     stat, dof = _chi_square(hist, pmf * trials)
-    pvalue = float(stats.chi2.sf(stat, dof)) if dof else 1.0
+    pvalue = float(chdtrc(dof, stat)) if dof else 1.0  # chi2.sf(stat, dof)
     return OverlapExperiment(
         n, m, trials, seed, hist, pmf, mean_overlap, m * m / n, mean_se, stat, dof, pvalue
     )

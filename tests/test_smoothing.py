@@ -457,9 +457,12 @@ class TestTileBudgets:
             # rule selects the bags' tables from the ranking.  Budgets of a
             # few cells would rank 50 bags' tables one query at a time (up
             # to 2 s an example); the floors still cut the cloud into ten
-            # tiles and each bag's rows of a tile into two chunks.
+            # tiles and each bag's rows of a tile into two chunks.  TLE runs
+            # once per bag and tile on ten rows: a budget under 18 cells
+            # (one-row chunks, ~2 s an example) is still drawn for the other
+            # plans, and 45 cells still cut each call into two chunks.
             n, rate, B = 100, 0.1, 50
-            block, union = max(block, 64), max(union, 1024)
+            block, union, tle = max(block, 64), max(union, 1024), max(tle, 45)
         cloud = small_cloud(kind, n, seed)
         est = EstimatorConfig(method=method, k=3)
         bag_cfg = BaggingConfig(B, rate, seed) if bagged else None

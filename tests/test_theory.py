@@ -54,6 +54,25 @@ class TestOverlap:
         out = run_overlap(n=100, m=10, trials=20_000, seed=4)
         assert out.chi2_pvalue > 1e-4
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 1000])
+    def test_law_is_scipy_stats_bit_for_bit(self, n):
+        # run_overlap calls the scipy.special ufuncs behind scipy.stats'
+        # hypergeom.pmf and chi2.sf; a scipy release that moves or changes
+        # them fails here by name.
+        import scipy
+        from scipy import stats
+
+        for m in sorted({m for m in (1, n // 2, n - 1, n) if 1 <= m <= n}):
+            out = run_overlap(n, m, trials=200, seed=n + m)
+            where = f"n={n}, m={m} (scipy {scipy.__version__})"
+            want = stats.hypergeom(n, m, m).pmf(np.arange(m + 1))
+            assert out.pmf.tobytes() == want.tobytes(), f"pmf differs at {where}"
+            if out.chi2_dof:
+                want_p = float(stats.chi2.sf(out.chi2_stat, out.chi2_dof))
+                assert out.chi2_pvalue == want_p, f"p-value differs at {where}"
+            else:
+                assert out.chi2_pvalue == 1.0, where
+
     def test_validation(self):
         with pytest.raises(TheoryError):
             run_overlap(n=5, m=6, trials=10)
