@@ -156,8 +156,8 @@ def dist_block(a, b) -> np.ndarray:
     columns.
 
     The entries are ``scipy.spatial.distance.cdist``'s, imported at the
-    first call: ``scipy.spatial`` costs ~37 MB, which ``import lidbag``
-    and the Monte Carlo lab, which compute no distance, need not pay.
+    first call: ``scipy.spatial`` costs ~35 MB, which ``import lidbag``
+    and the Monte Carlo lab (no distances) need not pay.
     """
     from scipy.spatial.distance import cdist
 

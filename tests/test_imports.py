@@ -1,7 +1,7 @@
 """Import footprint: numpy is the floor, each computation loads its own scipy.
 
 ``import lidbag`` loads numpy alone (~30 MB).  The first distance tile
-loads ``scipy.spatial`` (~37 MB), and the overlap experiment loads
+loads ``scipy.spatial`` (~35 MB), and the overlap experiment loads
 ``scipy.special``, whose two ufuncs give ``scipy.stats``' overlap law bit
 for bit without ``scipy.stats``' ~33 MB.  Each case runs in a fresh
 interpreter and reports the ``scipy`` subpackages in ``sys.modules``.
