@@ -17,8 +17,9 @@ group.  Callers compute those tiles query range by query range
 memory, never an (n, m) block.  In each chunk it finds every row's prefix
 with one partition, decides from the next order statistic whether a tie
 straddles the prefix edge (only those rows are re-ranked over all columns),
-and ranks the prefix by one stable sort over id-ordered columns, which
-orders by (distance, id).
+and ranks the prefix over id-ordered columns by (distance, column), which
+is (distance, id): wide rows by numpy's default sort, with a stable sort
+again for just the rows that hold equal distances (:func:`_ranked`).
 
 A :class:`_RowGroups` may also carry the tile's ranked prefix
 (:class:`_RankedTile`): every query's first D rows of the tile, ranked once
@@ -274,12 +275,14 @@ def neighbor_tables(
     computed once per group and applied as each tile is copied).  Each row
     keeps its
     ``need = min(max(depth + 1, depth_incl), m)`` smallest entries, by a
-    stable sort of the whole row when need = m and otherwise via a partition
-    at ``kth = need``: position ``need`` then holds the next order
-    statistic, and when it equals the need-th distance a tie straddles the
-    prefix edge and the row is re-ranked by a stable sort over all its
-    columns.  Otherwise the kept positions are sorted ascending and ranked
-    by one stable argsort of their distances.  Both orders are
+    sort of the whole row when need = m and otherwise via a partition at
+    ``kth = need``: position ``need`` then holds the next order statistic,
+    and when it equals the need-th distance a tie straddles the prefix edge
+    and the row is re-ranked by a stable sort over all its columns.
+    Otherwise the kept positions are found in ascending order and ranked by
+    a sort of their distances.  Each sort orders by (distance, column): a
+    stable sort, or on wide enough rows numpy's default sort followed by a
+    stable sort of just the rows that hold equal distances.  Both orders are
     (distance, id), so ties go to the smaller original id, and ``incl_*``
     and ``excl_*`` are cut from the same ranked prefix: a member query's own
     entry is first in its row unless a copy of it has a smaller id, so
@@ -566,8 +569,7 @@ def _ranked_prefix(tile: np.ndarray, need: int):
     entries, ordered by (distance, column)."""
     m = tile.shape[1]
     if need == m:
-        pos = np.argsort(tile, axis=1, kind="stable")
-        return pos, _take_rows(tile, pos)
+        return _ranked(tile)
     # The partition's first ``need`` values are the row's smallest; their
     # maximum is the prefix edge, and position ``need`` holds the next order
     # statistic.  When it equals the edge a tie straddles the prefix: which
@@ -582,17 +584,49 @@ def _ranked_prefix(tile: np.ndarray, need: int):
     if tied.size:
         sub, edge = np.delete(tile, tied, 0), np.delete(edge, tied)
     at = np.flatnonzero(sub <= edge[:, None]).reshape(-1, need)
-    pd = sub.reshape(-1)[at]
-    rank = np.argsort(pd, axis=1, kind="stable")
+    rank, pd = _ranked(sub.reshape(-1)[at])
     pos = _take_rows(at, rank) - np.arange(0, sub.size, m)[:, None]
-    pd = _take_rows(pd, rank)
     if tied.size:
+        # Every such row holds equal values, so it goes straight to the
+        # stable sort that :func:`_ranked` would repeat after its own.
         t = tile[tied]
         full = np.argsort(t, axis=1, kind="stable")[:, :need]
         at = tied - np.arange(tied.size)
         pos = np.insert(pos, at, full, axis=0)
         pd = np.insert(pd, at, _take_rows(t, full), axis=0)
     return pos, pd
+
+
+#: Narrowest rows, and fewest values per call, that :func:`_ranked` sorts
+#: with numpy's default (unstable) argsort.  The default sort plus the check
+#: for equal values costs a few microseconds more per call than one stable
+#: sort, and on numpy's AVX2 sort it is no faster on narrow rows (100 rows
+#: of 11: 36 against 35 us; one row of 128: 11.2 against 11.0 us).  From 512
+#: values in rows of 16 or more it was faster on numpy's AVX-512 and AVX2
+#: sorts alike, whatever the split into rows (per-shape timings in
+#: ``CHANGES.md``).
+_UNSTABLE_WIDTH = 16
+_UNSTABLE_CELLS = 512
+
+
+def _ranked(a: np.ndarray):
+    """Each row's column order by (value, column) and its sorted values,
+    for a C-contiguous 2-D ``a``.  A row of distinct values has one order,
+    which any sort finds, so wide enough rows are sorted by numpy's default
+    sort, and only the rows whose sorted values hold adjacent equals (or
+    NaNs) are sorted again by a stable sort, which puts equal values in
+    column order."""
+    if a.shape[1] < _UNSTABLE_WIDTH or a.size < _UNSTABLE_CELLS:
+        order = np.argsort(a, axis=1, kind="stable")
+        return order, _take_rows(a, order)
+    order = np.argsort(a, axis=1)
+    values = _take_rows(a, order)
+    rising = values[:, 1:] > values[:, :-1]
+    if not rising.all():
+        tied = np.flatnonzero(~rising.all(axis=1))
+        # Equal values sort to the same places whatever their order.
+        order[tied] = np.argsort(a[tied], axis=1, kind="stable")
+    return order, values
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -80,3 +80,36 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert verdict(WALL, PARENT, wide)["within_bound"] == "unresolved"
     # Unless every run of the change beat every run of the parent.
     assert verdict(WALL, [v + 20.0 for v in wide], wide)["within_bound"] is True
+
+
+def found_in_process():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch):
+    found = found_in_process()
+    assert bench_pairs._simd_found(bench_pairs.ROOT) == found
+    if found:
+        # A target switched off for the runs is missing from the record.
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", found[-1])
+        assert bench_pairs._simd_found(bench_pairs.ROOT) == found[:-1]
+
+
+def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path):
+    # Fake runs stand in for perfbench; the parent checkout is unpacked
+    # into a temporary directory and the report is caught, not written.
+    metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")}
+    machine = {"nproc": 2, "numpy": "x.y", "simd_found": "from perfbench"}
+    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, workload, seed, seconds, trace=0: (
+        {"metrics": metrics, "correct": True, "failed": 0}, machine))
+    monkeypatch.setattr(bench_pairs, "BUILD", str(tmp_path / "build"))
+    reports = []
+    monkeypatch.setattr(bench_pairs, "_write", lambda report, path: reports.append(report))
+    bench_pairs.main(["--parent", "HEAD", "--pr", "t", "--workloads", "w", "--seeds", "1-4"])
+    found = found_in_process()
+    assert reports[-1]["machine"] == {"nproc": 2, "numpy": "x.y",
+                                      "simd_found": {"parent": found, "change": found}}

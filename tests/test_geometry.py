@@ -506,6 +506,42 @@ class TestBlockedKernel:
             got = neighbor_tables(geometry._RowGroups(block, rows, prefix=prefix), ids, None, 5)
             self.assert_tables(got, [getattr(want, f) for f in TABLE_FIELDS], f"prefix of {thin}")
 
+    def test_default_sort_repairs_tied_rows(self):
+        # Lattice queries tie everywhere.  Every interior query (coordinates
+        # 3..6 of a 10^3 lattice) has exactly 57 lattice points at squared
+        # distance <= 5 and the next at 6, so its prefix of 57 holds ties
+        # but no tie straddles the edge; most other lattice queries do
+        # straddle it, and off-lattice queries hold no equal distances.
+        # The kept rows are wide and many enough for the default sort, so
+        # the tied rows are the ones its stable re-sort must put in column
+        # order.
+        side, need = 10, 57
+        axes = np.meshgrid(*[np.arange(side)] * 3, indexing="ij")
+        grid = np.stack(axes, -1).reshape(-1, 3).astype(np.float64)
+        interior = grid[np.all((grid >= 3) & (grid <= 6), axis=1)]
+        rng = np.random.default_rng(3)
+        queries = np.vstack([interior[rng.choice(64, 24, replace=False)],
+                             grid[rng.choice(grid.shape[0], 8, replace=False)],
+                             rng.uniform(0, side - 1, size=(8, 3))])
+        tile = dist_block(queries, grid)
+        m = tile.shape[1]
+        ranked = np.sort(tile, axis=1)
+        inner = np.any(ranked[:, 1:need] == ranked[:, : need - 1], axis=1)
+        straddle = ranked[:, need - 1] == ranked[:, need]
+        assert (np.count_nonzero(inner & ~straddle), np.count_nonzero(straddle),
+                np.count_nonzero(~inner & ~straddle)) == (25, 7, 8)
+        kept = np.count_nonzero(~straddle)
+        assert need >= geometry._UNSTABLE_WIDTH and kept * need >= geometry._UNSTABLE_CELLS
+        columns = np.broadcast_to(np.arange(m), tile.shape)
+        order = np.lexsort((columns, tile), axis=1)
+        for depth in (need, m):
+            pos, dist = geometry._ranked_prefix(tile, depth)
+            assert np.array_equal(pos, order[:, :depth]), depth
+            assert dist.tobytes() == ranked[:, :depth].tobytes(), depth
+        pos, dist = geometry._RankedTile(np.ascontiguousarray(tile.T), need).ranks
+        assert np.array_equal(pos, order[:, :need])
+        assert dist.tobytes() == ranked[:, :need].tobytes()
+
     @staticmethod
     def assert_inverse(inverse, pos, thin):
         """``inverse`` ranks every tile row in every query's order: the

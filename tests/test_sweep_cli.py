@@ -57,15 +57,26 @@ C10 = dict(
 )
 
 #: sha256 of results.csv and skips.csv for each grid, at every thread
-#: count.  Floats are printed to 17 digits, so another numpy or scipy may
-#: round a last bit differently; the values were recorded with numpy 2.4.6
-#: and scipy 1.17.1.
+#: count.  Floats are printed to 17 digits, so another numpy or scipy, or
+#: numpy's code for another SIMD target, may round a last bit differently;
+#: the values were recorded with numpy 2.4.6 and scipy 1.17.1 on a CPU
+#: where numpy found X86_V3, X86_V4, AVX512_ICL and AVX512_SPR.
 PINNED = {
     "SMALL": ("7e06f0fea980290f268a15b362787c00233be8b5b7677e7fbadb59e217b6c754",
               "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
     "C10": ("703c2b965f2ed5ec0136d25ec540260619d64bc9326e98593adb45a8e2c8db9a",
             "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
 }
+
+
+def simd_found():
+    """The SIMD targets numpy dispatches to on this CPU: the ``found`` list
+    of ``np.show_runtime()``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
 
 
 class TestGrids:
@@ -331,7 +342,8 @@ class TestCsvIO:
                     for f in ("results.csv", "skips.csv"))
         assert got == PINNED[name], (
             f"{name} grid at threads={threads}: sha256 {got} != pinned {PINNED[name]}"
-            f" (numpy {np.__version__}, scipy {scipy.__version__})")
+            f" (numpy {np.__version__}, scipy {scipy.__version__},"
+            f" SIMD targets found: {' '.join(simd_found())})")
 
     def test_missing_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

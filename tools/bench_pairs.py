@@ -37,7 +37,10 @@ at the first seed, and ``traced`` keeps both result lines, whose per-layer
 metrics show where a change's time went.
 
 The file also records the machine (CPUs, CPU model, Python, numpy and scipy
-versions, as ``perfbench/run.py`` reports them) and both commits.
+versions, as ``perfbench/run.py`` reports them, and under ``simd_found`` the
+SIMD targets numpy dispatches to in each side's environment, the ``found``
+list of ``np.show_runtime()``: they decide which sort and ``np.log`` kernels
+a run timed) and both commits.
 """
 
 from __future__ import annotations
@@ -67,6 +70,22 @@ def _seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         out.extend(range(int(lo), int(hi or lo) + 1))
     return out
+
+
+#: Prints the SIMD targets numpy found, as ``np.show_runtime()`` lists them.
+_SIMD_PROBE = """
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]))
+"""
+
+
+def _simd_found(checkout: str) -> list[str]:
+    """The SIMD targets numpy finds when started like a run in ``checkout``."""
+    return subprocess.run([sys.executable, "-c", _SIMD_PROBE], cwd=checkout, check=True,
+                          capture_output=True, text=True).stdout.split()
 
 
 def _run(checkout: str, workload: str, seed: int, seconds: float,
@@ -157,7 +176,8 @@ def main(argv=None) -> int:
             "change": {"commit": _git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(_git("status", "--porcelain",
                                                         "--untracked-files=no"))},
-            "machine": {},
+            "machine": {"simd_found": {side: _simd_found(BUILD if side == "parent" else ROOT)
+                                       for side in ("parent", "change")}},
             "workloads": {},
             "traced": {},
         }
@@ -169,7 +189,7 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side], machine = _run(BUILD if side == "parent" else ROOT,
                                                workload, seed, args.seconds)
-                    report["machine"] = report["machine"] or machine
+                    report["machine"] = dict(machine, **report["machine"])
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}"
