@@ -82,16 +82,15 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert verdict(WALL, [v + 20.0 for v in wide], wide)["within_bound"] is True
 
 
-def found_in_process():
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+def found_in_process(capsys):
+    """The probe's answer in this process."""
+    capsys.readouterr()
+    exec(bench_pairs._SIMD_PROBE, {})
+    return capsys.readouterr().out.split()
 
 
-def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch):
-    found = found_in_process()
+def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch, capsys):
+    found = found_in_process(capsys)
     assert bench_pairs._simd_found(bench_pairs.ROOT) == found
     if found:
         # A target switched off for the runs is missing from the record.
@@ -99,7 +98,7 @@ def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch):
         assert bench_pairs._simd_found(bench_pairs.ROOT) == found[:-1]
 
 
-def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path):
+def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path, capsys):
     # Fake runs stand in for perfbench; the parent checkout is unpacked
     # into a temporary directory and the report is caught, not written.
     metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")}
@@ -110,6 +109,6 @@ def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path):
     reports = []
     monkeypatch.setattr(bench_pairs, "_write", lambda report, path: reports.append(report))
     bench_pairs.main(["--parent", "HEAD", "--pr", "t", "--workloads", "w", "--seeds", "1-4"])
-    found = found_in_process()
+    found = found_in_process(capsys)
     assert reports[-1]["machine"] == {"nproc": 2, "numpy": "x.y",
                                       "simd_found": {"parent": found, "change": found}}
