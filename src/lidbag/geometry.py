@@ -18,8 +18,8 @@ memory, never an (n, m) block.  In each chunk it finds every row's prefix
 with one partition, decides from the next order statistic whether a tie
 straddles the prefix edge (only those rows are re-ranked over all columns),
 and ranks the prefix over id-ordered columns by (distance, column), which
-is (distance, id): wide rows by numpy's default sort, with a stable sort
-again for just the rows that hold equal distances (:func:`_ranked`).
+is (distance, id): by numpy's default sort, with a stable sort again for
+just the rows that hold equal distances (:func:`_ranked`).
 
 A :class:`_RowGroups` may also carry the tile's ranked prefix
 (:class:`_RankedTile`): every query's first D rows of the tile, ranked once
@@ -280,14 +280,14 @@ def neighbor_tables(
     and when it equals the need-th distance a tie straddles the prefix edge
     and the row is re-ranked by a stable sort over all its columns.
     Otherwise the kept positions are found in ascending order and ranked by
-    a sort of their distances.  Each sort orders by (distance, column): a
-    stable sort, or on wide enough rows numpy's default sort followed by a
-    stable sort of just the rows that hold equal distances.  Both orders are
-    (distance, id), so ties go to the smaller original id, and ``incl_*``
-    and ``excl_*`` are cut from the same ranked prefix: a member query's own
-    entry is first in its row unless a copy of it has a smaller id, so
-    ``excl_*`` is the prefix shifted by one on rows that start with the
-    query, and only rows that start with a copy search for the query.
+    a sort of their distances: numpy's default sort, followed by a stable
+    sort of just the rows that hold equal distances, so each sort orders by
+    (distance, column).  That order is (distance, id), so ties go to the
+    smaller original id, and ``incl_*`` and ``excl_*`` are cut from the same
+    ranked prefix: a member query's own entry is first in its row unless a
+    copy of it has a smaller id, so ``excl_*`` is the prefix shifted by one
+    on rows that start with the query, and only rows that start with a copy
+    search for the query.
     A :class:`_RowGroups` that carries its tile's ranked prefix gives the
     same tables from it, by thinning or by selection (see the module
     docstring), for groups whose rows ascend with their ids and that give
@@ -597,28 +597,13 @@ def _ranked_prefix(tile: np.ndarray, need: int):
     return pos, pd
 
 
-#: Narrowest rows, and fewest values per call, that :func:`_ranked` sorts
-#: with numpy's default (unstable) argsort.  The default sort plus the check
-#: for equal values costs a few microseconds more per call than one stable
-#: sort, and on numpy's AVX2 sort it is no faster on narrow rows (100 rows
-#: of 11: 36 against 35 us; one row of 128: 11.2 against 11.0 us).  From 512
-#: values in rows of 16 or more it was faster on numpy's AVX-512 and AVX2
-#: sorts alike, whatever the split into rows (per-shape timings in
-#: ``CHANGES.md``).
-_UNSTABLE_WIDTH = 16
-_UNSTABLE_CELLS = 512
-
-
 def _ranked(a: np.ndarray):
     """Each row's column order by (value, column) and its sorted values,
     for a C-contiguous 2-D ``a``.  A row of distinct values has one order,
-    which any sort finds, so wide enough rows are sorted by numpy's default
-    sort, and only the rows whose sorted values hold adjacent equals (or
-    NaNs) are sorted again by a stable sort, which puts equal values in
-    column order."""
-    if a.shape[1] < _UNSTABLE_WIDTH or a.size < _UNSTABLE_CELLS:
-        order = np.argsort(a, axis=1, kind="stable")
-        return order, _take_rows(a, order)
+    which any sort finds, so rows are sorted by numpy's default sort, and
+    only the rows whose sorted values hold adjacent equals (or NaNs) are
+    sorted again by a stable sort, which puts equal values in column
+    order."""
     order = np.argsort(a, axis=1)
     values = _take_rows(a, order)
     rising = values[:, 1:] > values[:, :-1]

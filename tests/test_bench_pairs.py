@@ -91,14 +91,14 @@ def found_in_process(capsys):
 
 def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch, capsys):
     found = found_in_process(capsys)
-    assert bench_pairs._simd_found(bench_pairs.ROOT) == found
+    assert bench_pairs._simd_found() == found
     if found:
         # A target switched off for the runs is missing from the record.
         monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", found[-1])
-        assert bench_pairs._simd_found(bench_pairs.ROOT) == found[:-1]
+        assert bench_pairs._simd_found() == found[:-1]
 
 
-def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path, capsys):
+def test_machine_record_names_the_runs_simd_targets(monkeypatch, tmp_path, capsys):
     # Fake runs stand in for perfbench; the parent checkout is unpacked
     # into a temporary directory and the report is caught, not written.
     metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")}
@@ -110,5 +110,4 @@ def test_machine_record_names_each_sides_simd_targets(monkeypatch, tmp_path, cap
     monkeypatch.setattr(bench_pairs, "_write", lambda report, path: reports.append(report))
     bench_pairs.main(["--parent", "HEAD", "--pr", "t", "--workloads", "w", "--seeds", "1-4"])
     found = found_in_process(capsys)
-    assert reports[-1]["machine"] == {"nproc": 2, "numpy": "x.y",
-                                      "simd_found": {"parent": found, "change": found}}
+    assert reports[-1]["machine"] == {"nproc": 2, "numpy": "x.y", "simd_found": found}

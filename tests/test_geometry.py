@@ -512,9 +512,8 @@ class TestBlockedKernel:
         # distance <= 5 and the next at 6, so its prefix of 57 holds ties
         # but no tie straddles the edge; most other lattice queries do
         # straddle it, and off-lattice queries hold no equal distances.
-        # The kept rows are wide and many enough for the default sort, so
-        # the tied rows are the ones its stable re-sort must put in column
-        # order.
+        # The tied rows are the ones the default sort's stable re-sort must
+        # put in column order.
         side, need = 10, 57
         axes = np.meshgrid(*[np.arange(side)] * 3, indexing="ij")
         grid = np.stack(axes, -1).reshape(-1, 3).astype(np.float64)
@@ -530,8 +529,6 @@ class TestBlockedKernel:
         straddle = ranked[:, need - 1] == ranked[:, need]
         assert (np.count_nonzero(inner & ~straddle), np.count_nonzero(straddle),
                 np.count_nonzero(~inner & ~straddle)) == (25, 7, 8)
-        kept = np.count_nonzero(~straddle)
-        assert need >= geometry._UNSTABLE_WIDTH and kept * need >= geometry._UNSTABLE_CELLS
         columns = np.broadcast_to(np.arange(m), tile.shape)
         order = np.lexsort((columns, tile), axis=1)
         for depth in (need, m):

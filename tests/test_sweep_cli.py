@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -70,13 +72,15 @@ PINNED = {
 
 
 def simd_found():
-    """The SIMD targets numpy dispatches to on this CPU: the ``found`` list
-    of ``np.show_runtime()``."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    """The SIMD targets numpy dispatches to on this CPU, the ``found`` list
+    of ``np.show_runtime()``, by the probe that ``tools/bench_pairs.py``
+    records with each benchmark."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs._simd_found()
 
 
 class TestGrids:

@@ -38,9 +38,10 @@ metrics show where a change's time went.
 
 The file also records the machine (CPUs, CPU model, Python, numpy and scipy
 versions, as ``perfbench/run.py`` reports them, and under ``simd_found`` the
-SIMD targets numpy dispatches to in each side's environment, the ``found``
-list of ``np.show_runtime()``: they decide which sort and ``np.log`` kernels
-a run timed) and both commits.
+SIMD targets numpy dispatches to in the runs' environment, the ``found`` list
+of ``np.show_runtime()``: they decide which sort and ``np.log`` kernels a run
+timed) and both commits.  Both sides run the same interpreter in the same
+environment, so one probe serves both.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ print(" ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]))
 """
 
 
-def _simd_found(checkout: str) -> list[str]:
-    """The SIMD targets numpy finds when started like a run in ``checkout``."""
-    return subprocess.run([sys.executable, "-c", _SIMD_PROBE], cwd=checkout, check=True,
+def _simd_found() -> list[str]:
+    """The SIMD targets numpy finds in a process started like a run."""
+    return subprocess.run([sys.executable, "-c", _SIMD_PROBE], check=True,
                           capture_output=True, text=True).stdout.split()
 
 
@@ -176,8 +177,7 @@ def main(argv=None) -> int:
             "change": {"commit": _git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(_git("status", "--porcelain",
                                                         "--untracked-files=no"))},
-            "machine": {"simd_found": {side: _simd_found(BUILD if side == "parent" else ROOT)
-                                       for side in ("parent", "change")}},
+            "machine": {"simd_found": _simd_found()},
             "workloads": {},
             "traced": {},
         }
