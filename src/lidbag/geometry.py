@@ -39,6 +39,11 @@ feed the same cut into inclusive and self-excluded tables.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +161,44 @@ def dist_block(a, b) -> np.ndarray:
     so ``dist_block(p, p)`` is exactly symmetric and its rows are its
     columns.
 
-    The entries are ``scipy.spatial.distance.cdist``'s, imported at the
-    first call: ``scipy.spatial`` costs ~35 MB, which ``import lidbag``
-    and the Monte Carlo lab (no distances) need not pay.
+    The entries are ``scipy.spatial.distance.cdist``'s: its default metric
+    calls the compiled ``cdist_euclidean`` that this function calls, on the
+    same float64 arrays.  The extension is loaded from its own file at the
+    first call (~1 MB), without the ``scipy.spatial`` package (~35 MB,
+    which pulls in ``scipy.sparse`` and ``scipy.linalg``).
     """
-    from scipy.spatial.distance import cdist
+    return _euclidean_kernel()(*_operands(a, b))
 
-    return cdist(*_operands(a, b))
+
+_KERNEL = "scipy.spatial._distance_pybind"
+_KERNEL_LOCK = threading.Lock()
+
+
+def _euclidean_kernel():
+    """scipy's ``cdist_euclidean``, from the module registered as ``_KERNEL``.
+
+    The first call loads the extension file and registers it, so a later
+    ``import scipy.spatial`` reuses it; a module already registered, e.g. by
+    that import, is used as it is.  The lock keeps the first tiles, which
+    may start on several threads, to one load.
+    """
+    with _KERNEL_LOCK:
+        module = sys.modules.get(_KERNEL)
+        if module is None:
+            import scipy
+
+            folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
+            paths = [os.path.join(folder, "_distance_pybind" + suffix)
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next(filter(os.path.isfile, paths), None)
+            if path is None:
+                raise ImportError(f"no _distance_pybind extension in {folder} "
+                                  f"(scipy {scipy.__version__})", name=_KERNEL)
+            spec = importlib.util.spec_from_file_location(_KERNEL, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_KERNEL] = module
+    return module.cdist_euclidean
 
 
 def _operands(a, b):

@@ -285,7 +285,9 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
     if not ensembles:
         return
     union = np.unique(np.concatenate([e.bags.ravel() for e in ensembles]))
-    refs, u = points[union], union.shape[0]
+    u = union.shape[0]
+    # A sorted union of all n ids is arange(n): read the cloud, not a copy.
+    refs = points if u == n else points[union]
     # A tile is ranked once per round, as deep as the round's ensembles
     # that read their tables from the ranking need: the whole cloud's
     # always, the others' when the cost rule says so; the rest partition.

@@ -1,10 +1,13 @@
 """Import footprint: numpy is the floor, each computation loads its own scipy.
 
 ``import lidbag`` loads numpy alone (~30 MB).  The first distance tile
-loads ``scipy.spatial`` (~35 MB), and the overlap experiment loads
+loads scipy's compiled Euclidean kernel, ``scipy.spatial._distance_pybind``
+(~1 MB), from its own file, without the ``scipy.spatial`` package (~35 MB,
+with ``scipy.sparse`` and ``scipy.linalg``).  The overlap experiment loads
 ``scipy.special``, whose two ufuncs give ``scipy.stats``' overlap law bit
 for bit without ``scipy.stats``' ~33 MB.  Each case runs in a fresh
-interpreter and reports the ``scipy`` subpackages in ``sys.modules``.
+interpreter and reports the full names of the ``scipy`` modules in
+``sys.modules``.
 """
 
 import os
@@ -80,19 +83,77 @@ assert out[0] == out[1], "threads=4 and threads=1 wrote different bytes"
 """
 
 
-def _scipy_loaded(code: str, cwd=None) -> set:
-    """The ``scipy`` subpackages a fresh interpreter running ``code`` loads."""
+KERNEL = "scipy.spatial._distance_pybind"
+
+# Packages no distance path may load: the kernel's own package and what it
+# imports, and the statistics package.
+HEAVY = {"scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.stats"}
+
+# The kernel first, then scipy's own cdist: both read the registered module
+# and give the same bytes.
+KERNEL_THEN_CDIST = """
+import numpy as np
+from lidbag.geometry import dist_block
+rng = np.random.default_rng(0)
+a, b = rng.normal(size=(40, 7)), rng.normal(size=(25, 7))
+block = dist_block(a, b)
+assert "scipy.spatial" not in sys.modules
+import scipy.spatial.distance
+from scipy.spatial.distance import cdist
+assert scipy.spatial.distance._distance_pybind is sys.modules["scipy.spatial._distance_pybind"]
+assert cdist(a, b).tobytes() == block.tobytes()
+"""
+
+# ``scipy.spatial`` first: ``dist_block`` uses the module it registered and
+# loads no extension file of its own.
+SPATIAL_FIRST = """
+import importlib.util
+import scipy.spatial
+kernel = sys.modules["scipy.spatial._distance_pybind"]
+def refuse(*args, **kwargs):
+    raise AssertionError("loaded a second copy of the kernel")
+importlib.util.spec_from_file_location = refuse
+from lidbag.geometry import _euclidean_kernel, dist_block
+assert dist_block([[0.0, 0.0]], [[3.0, 4.0]]).tolist() == [[5.0]]
+assert _euclidean_kernel() is kernel.cdist_euclidean
+assert sys.modules["scipy.spatial._distance_pybind"] is kernel
+"""
+
+MISSING_KERNEL = """
+from lidbag.geometry import dist_block
+try:
+    dist_block([[0.0, 0.0]], [[3.0, 4.0]])
+except ImportError as exc:
+    print(exc)
+else:
+    raise AssertionError("dist_block ran without its kernel")
+"""
+
+
+def _run(code: str, cwd=None, path=()) -> str:
+    """The output of a fresh interpreter running ``code``, with lidbag and
+    the folders ``path`` first on its import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    script = (f"import sys\n{code}\n"
-              "assert 'lidbag' in sys.modules\n"
-              "print(' '.join(sorted({name.split('.')[1] for name in sys.modules\n"
-              "                       if name.startswith('scipy.')\n"
-              "                       and not name.split('.')[1].startswith('_')})))")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+        filter(None, [*map(str, path), SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout
+
+
+def _scipy_loaded(code: str, cwd=None) -> set:
+    """The full names of the ``scipy`` modules a fresh interpreter running
+    ``code`` loads."""
+    out = _run(f"{code}\n"
+               "assert 'lidbag' in sys.modules\n"
+               "print(' '.join(sorted(name for name in sys.modules\n"
+               "                      if name.startswith('scipy.'))))", cwd=cwd)
+    return set(out.splitlines()[-1].split())
+
+
+def _within(loaded: set, package: str) -> set:
+    """The names in ``loaded`` that are ``package`` or one of its modules."""
+    return {name for name in loaded if name == package or name.startswith(package + ".")}
 
 
 @pytest.mark.parametrize("code", ["import lidbag", GENERATE, RUN_VARIANCE, RUN_CONDITIONAL],
@@ -109,24 +170,42 @@ def test_theory_variance_verb_loads_no_scipy_subpackage(tmp_path):
 
 def test_overlap_experiment_loads_scipy_special_only():
     loaded = _scipy_loaded(RUN_OVERLAP)
-    assert "special" in loaded
-    assert not loaded & {"stats", "spatial"}, loaded
+    assert "scipy.special" in loaded
+    assert not _within(loaded, "scipy.stats") | _within(loaded, "scipy.spatial"), loaded
+
+
+def _assert_kernel_alone(loaded: set):
+    assert _within(loaded, "scipy.spatial") == {KERNEL}, loaded
+    assert not loaded & HEAVY, loaded
 
 
 @pytest.mark.parametrize("code", [TINY_SWEEP, VARIANT_ESTIMATES],
                          ids=["run_sweep", "variant_estimates"])
-def test_distance_paths_load_scipy_spatial_not_stats(code):
-    loaded = _scipy_loaded(code)
-    assert "spatial" in loaded
-    assert "stats" not in loaded, loaded
+def test_distance_paths_load_the_kernel_alone(code):
+    _assert_kernel_alone(_scipy_loaded(code))
 
 
-def test_sweep_verb_loads_scipy_spatial_not_stats(tmp_path):
-    loaded = _scipy_loaded(VERB.format(argv=SWEEP_ARGV), cwd=tmp_path)
-    assert "spatial" in loaded
-    assert "stats" not in loaded, loaded
+def test_sweep_verb_loads_the_kernel_alone(tmp_path):
+    _assert_kernel_alone(_scipy_loaded(VERB.format(argv=SWEEP_ARGV), cwd=tmp_path))
     assert (tmp_path / "out" / "results.csv").exists()
 
 
 def test_first_distance_import_on_pool_threads(tmp_path):
-    assert "spatial" in _scipy_loaded(FIRST_TILES_ON_THREADS, cwd=tmp_path)
+    _assert_kernel_alone(_scipy_loaded(FIRST_TILES_ON_THREADS, cwd=tmp_path))
+
+
+def test_kernel_then_scipy_cdist_share_one_module():
+    assert "scipy.spatial" in _scipy_loaded(KERNEL_THEN_CDIST)
+
+
+def test_dist_block_reuses_a_loaded_scipy_spatial():
+    assert "scipy.spatial" in _scipy_loaded(SPATIAL_FIRST)
+
+
+def test_missing_kernel_file_names_its_folder(tmp_path):
+    # A scipy whose spatial folder holds no extension file.
+    spatial = tmp_path / "scipy" / "spatial"
+    spatial.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0.missing"\n')
+    out = _run(MISSING_KERNEL, path=[tmp_path])
+    assert str(spatial) in out and "scipy 0.0.missing" in out, out
