@@ -173,7 +173,9 @@ def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, point
     d, idx = tables.excl_dist[ok, :k], tables.excl_idx[ok, :k]
     if config.method == "tle":
         queries = points[ok] if query_ids is None else points[np.asarray(query_ids)[ok]]
-        raw = batch_values("tle", d, neighbor_points=points[idx], query_points=queries)
+        # The kernel gathers each chunk's neighbor coordinates by id.
+        raw = batch_values("tle", d, neighbor_points=points, neighbor_ids=idx,
+                           query_points=queries)
     elif config.method == "mle":
         raw = batch_values("mle", d, normalization=config.mle_normalization,
                            logs=tables.excl_logs[ok, :k])

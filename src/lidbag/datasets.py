@@ -280,11 +280,14 @@ def dataset_ordinal(name: str) -> int:
 def generate(spec: GeneratorSpec) -> PointCloud:
     """Sample a benchmark cloud: bit-reproducible from (name, n, seed)."""
     info = dataset_info(spec.name)
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
+    root = np.random.SeedSequence(spec.seed)
     points = np.empty((spec.n, info.dim))
     labels = np.ones(spec.n, dtype=np.int64)
-    for j, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
+    for j in range(spec.n):
+        # Point j's stream is the root's j-th spawned child, built when it
+        # is drawn rather than held with all n others.
+        rng = np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=(j,), pool_size=root.pool_size))
         if info.labeled:
             points[j], labels[j] = info.sampler(rng, info.d_param, info.dim)
         else:

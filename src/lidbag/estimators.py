@@ -27,10 +27,11 @@ MLE_NORMALIZATIONS = ("k_minus_1", "k")
 CLAMP_DIM_FACTOR = 10.0
 
 #: (query, neighbor, neighbor) cells per chunk in :func:`tle_values`.  The
-#: chunk's dozen-odd (c, k, k) float temporaries stay cache-sized (256 KiB
-#: each) instead of tens of MB; rows are independent, so chunking does not
-#: change any value.
-_TLE_CELLS = 2**15
+#: chunk's dozen-odd (c, k, k) float temporaries stay cache-sized (128 KiB
+#: each) instead of tens of MB, and so do its (c, k, dim) neighbor
+#: coordinates, which the tables' path gathers chunk by chunk; rows are
+#: independent, so chunking does not change any value.
+_TLE_CELLS = 2**14
 
 
 class EstimatorError(ValueError):
@@ -193,7 +194,7 @@ def _tle_chunk(Y: np.ndarray):
 
     total = np.zeros(c)
     count = np.zeros(c, dtype=np.int64)
-    for pair2 in (v2, z2):
+    for pair2, pair_ok in ((v2, valid_base), (z2, valid_base & (z2 > 0.0))):
         a = ui2 + pair2 - uj2
         root = np.sqrt(a * a + 4.0 * pair2 * den)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -202,10 +203,11 @@ def _tle_chunk(Y: np.ndarray):
                 2.0 * r * pair2 / (root + a),
                 r * (root - a) / (2.0 * den),
             )
-        valid = valid_base & (pair2 > 0.0) & np.isfinite(meas) & (meas > 0.0)
-        logs = np.where(valid, np.log(np.where(valid, meas, 1.0)), 0.0)
-        total += logs.sum(axis=(1, 2)) - log_r * valid.sum(axis=(1, 2))
-        count += valid.sum(axis=(1, 2))
+        valid = pair_ok & np.isfinite(meas) & (meas > 0.0)
+        valid_count = valid.sum(axis=(1, 2))
+        # An invalid cell reads log(1.0), which is exactly 0.0.
+        total += np.log(np.where(valid, meas, 1.0)).sum(axis=(1, 2)) - log_r * valid_count
+        count += valid_count
     return total, count
 
 
@@ -231,11 +233,32 @@ def tle_values(dists: np.ndarray, neighbor_points: np.ndarray, query_points: np.
         P = P[None, :, :]
     if Q.ndim == 1:
         Q = Q[None, :]
+    if P.shape[:2] != d.shape or Q.shape[0] != d.shape[0]:
+        raise EstimatorError("neighbor_points/query_points shapes do not match dists")
+    return _tle_rows(d, lambda lo, hi: P[lo:hi], Q)
+
+
+def _tle_gathered(dists: np.ndarray, points: np.ndarray, idx: np.ndarray,
+                  query_points: np.ndarray):
+    """:func:`tle_values` with ``neighbor_points = points[idx]``, whose
+    coordinates are gathered chunk by chunk: the (n, k, dim) array is never
+    built.  ``dists`` and ``idx`` are (n, k), ``points`` (N, dim) and
+    ``query_points`` (n, dim)."""
+    d = np.asarray(dists, dtype=np.float64)
+    idx = np.asarray(idx)
+    Q = np.asarray(query_points, dtype=np.float64)
+    if idx.shape != d.shape or Q.shape[0] != d.shape[0]:
+        raise EstimatorError("neighbor ids/query_points shapes do not match dists")
+    return _tle_rows(d, lambda lo, hi: points[idx[lo:hi]], Q)
+
+
+def _tle_rows(d: np.ndarray, neighbors, Q: np.ndarray):
+    """TLE of the (n, k) rows ``d`` in chunks of ``_TLE_CELLS // k**2``
+    rows; ``neighbors(lo, hi)`` gives rows lo..hi's (hi - lo, k, dim)
+    neighbor coordinates and ``Q`` holds the (n, dim) queries."""
     n, k = d.shape
     if k < 2:
         raise EstimatorError(f"TLE needs k >= 2, got {k}")
-    if P.shape[:2] != (n, k) or Q.shape[0] != n:
-        raise EstimatorError("neighbor_points/query_points shapes do not match dists")
     _check_distances(d)
 
     chunk = max(1, _TLE_CELLS // (k * k))
@@ -243,7 +266,7 @@ def tle_values(dists: np.ndarray, neighbor_points: np.ndarray, query_points: np.
     divergent = np.empty(n, dtype=bool)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        Y = P[lo:hi] - Q[lo:hi, None, :]
+        Y = neighbors(lo, hi) - Q[lo:hi, None, :]
         total, count = _tle_chunk(Y)
         with np.errstate(divide="ignore", invalid="ignore"):
             mean_log = total / count
@@ -263,9 +286,14 @@ def batch_values(
     neighbor_points: np.ndarray | None = None,
     query_points: np.ndarray | None = None,
     logs: np.ndarray | None = None,
+    neighbor_ids: np.ndarray | None = None,
 ):
     """Dispatch a vectorized estimator kernel by method name (unclamped);
-    ``logs`` goes to :func:`mle_values`."""
+    ``logs`` goes to :func:`mle_values`.  With ``neighbor_ids``, TLE's
+    ``neighbor_points`` is the (N, dim) cloud and ``neighbor_ids`` the
+    (n, k) rows of it that each query's neighbors are: the estimates equal
+    :func:`tle_values` of ``neighbor_points[neighbor_ids]``, gathered a
+    chunk of rows at a time."""
     if method == "mle":
         return mle_values(dists, normalization, logs)
     if method == "mada":
@@ -273,5 +301,7 @@ def batch_values(
     if method == "tle":
         if neighbor_points is None or query_points is None:
             raise EstimatorError("TLE needs neighbor and query coordinates")
+        if neighbor_ids is not None:
+            return _tle_gathered(dists, neighbor_points, neighbor_ids, query_points)
         return tle_values(dists, neighbor_points, query_points)
     raise EstimatorError(f"unknown method {method!r}; pick from {METHODS}")

@@ -38,6 +38,7 @@ from .geometry import (
     PointCloud,
     _query_tiles,
     _RowGroups,
+    _TileBuffers,
     dist_block,
     neighbor_tables,
 )
@@ -139,8 +140,10 @@ def smooth(estimates, reference, queries, cfg: SmoothingConfig, *, flags=None):
         raise SmoothingCapacityError(cfg.k_s, m)
     ids = np.arange(m, dtype=np.int64)
     hood = np.empty((queries.shape[0], cfg.k_s), dtype=np.int64)
-    for lo, hi in _query_tiles(queries.shape[0], m):
-        block = dist_block(ref_points, queries[lo:hi])
+    tiles = _query_tiles(queries.shape[0], m)
+    buffers = _TileBuffers(tiles, m)
+    for lo, hi in tiles:
+        block = dist_block(ref_points, queries[lo:hi], out=buffers.out(lo, hi))
         hood[lo:hi] = neighbor_tables(_RowGroups(block, ids), ids, None, cfg.k_s).incl_idx
     out, out_flags = gather_mean(estimates, hood, flags)
     return out if flags is None else (out, out_flags)
@@ -202,9 +205,10 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
       ensembles' bags (every point when the whole cloud is one of them),
       and ranks every table's rows of the tile from it.  Distance work is
       n * |U| per round, at most n^2 and at most the sum of the bags'
-      n * m, and memory is one tile plus O(n) per result, the B * m ids of
-      each ensemble's bags and one round's kept neighborhoods: no n x n or
-      n x m block is ever built.
+      n * m, and memory is one tile per worker (one buffer, reused for
+      every tile of the map and freed when it ends) plus O(n) per result,
+      the B * m ids of each ensemble's bags and one round's kept
+      neighborhoods: no n x n or n x m block is ever built.
     * Each tile is ranked at most once a round: every query of the tile
       over all of U by (distance, id) (:class:`~lidbag.geometry._RankedTile`),
       to a depth D that serves the whole cloud's tables (their prefix) and
@@ -303,14 +307,18 @@ def run_plan(cloud: PointCloud, cells, emit, *, policy: str = "clamp", threads: 
         for e, b0, b1 in parts:
             e.hold(b1 - b0, n)
 
+        buffers = _TileBuffers(tiles, u)
+
         def one_tile(span):
             lo, hi = span
-            block = dist_block(refs, points[lo:hi])
+            block = dist_block(refs, points[lo:hi], out=buffers.out(lo, hi))
             prefix = geometry._RankedTile(block, depth) if depth else None
             for e, b0, b1 in parts:
                 e.tile(block, prefix if e.thin else None, lo, hi, b0, b1, points, policy)
 
         _ordered_map(one_tile, tiles, threads)
+        # The tiles are not read again: pre-smoothing gathers kept values.
+        del buffers
         pre = [part for part in parts if part[0].pre_keys]
         if pre:
             _ordered_map(lambda span: [e.pre_tile(*span, b0, b1, policy) for e, b0, b1 in pre],

@@ -74,6 +74,24 @@ class TestGeneration:
         big = generate(GeneratorSpec("M9_Affine", n=80, seed=4))
         assert big.points[:50].tobytes() == small.points.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1800])
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_point_streams_are_the_spawned_children(self, name, seed):
+        # Point j draws from the seed's j-th spawned child, which
+        # ``generate`` builds as it draws point j; the reference holds all
+        # n children from ``spawn(n)``.
+        n, info = 200, dataset_info(name)
+        points, labels = np.empty((n, info.dim)), np.ones(n, dtype=np.int64)
+        for j, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            drawn = info.sampler(np.random.default_rng(stream), info.d_param, info.dim)
+            if info.labeled:
+                points[j], labels[j] = drawn
+            else:
+                points[j] = drawn
+        cloud = generate(GeneratorSpec(name, n=n, seed=seed))
+        assert cloud.points.tobytes() == points.tobytes()
+        assert cloud.manifold_label.tolist() == labels.tolist()
+
     def test_every_dataset_generates_clean(self):
         for name in DATASET_NAMES:
             spec = GeneratorSpec(name, n=300, seed=1)

@@ -212,6 +212,26 @@ class TestTleValues:
     def test_shape_validation(self):
         with pytest.raises(EstimatorError):
             tle_values(np.ones((2, 3)), np.zeros((2, 4, 2)), np.zeros((2, 2)))
+        with pytest.raises(EstimatorError):
+            batch_values("tle", np.ones((2, 3)), neighbor_points=np.zeros((5, 2)),
+                         neighbor_ids=np.zeros((2, 4), dtype=np.int64),
+                         query_points=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("cells", [2**12, 2**13, 2**14, 2**15])
+    def test_gathered_neighbors_match_the_built_array(self, cells, monkeypatch):
+        # The tables' path gathers each chunk's neighbor coordinates from
+        # the cloud by id instead of building points[idx]; the bits must
+        # not move at any chunk size, with rows repeated as a query's rows
+        # repeat in several bags' stacked tables.
+        monkeypatch.setattr(estimators, "_TLE_CELLS", cells)
+        pts = ball_cloud(400, 3, 13, embed=2)
+        rows = np.concatenate([np.arange(300), np.arange(50, 150), [3, 3, 7]])
+        idx, d = neighborhoods(pts, 12, rows)
+        want = tle_values(d, pts[idx], pts[rows])
+        got = batch_values("tle", d, neighbor_points=pts, neighbor_ids=idx,
+                           query_points=pts[rows])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(2, 72), dim=st.integers(1, 5), lattice=st.booleans(),

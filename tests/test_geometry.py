@@ -1,7 +1,12 @@
 """Neighborhood machinery: exhaustive oracle, tie policy, batched tables."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +124,44 @@ class TestDistances:
             diff = a[:, None, j] - b[None, :, j]
             total += diff * diff
         assert dist_block(a, b).tobytes() == np.sqrt(total).tobytes()
+
+    def test_out_receives_the_fresh_block(self, rng):
+        # A reused buffer holds the bytes of a fresh call, whatever it held
+        # before, and is returned; a smaller tile is written into the head
+        # of the same buffer.
+        a, b = rng.normal(size=(30, 5)), rng.normal(size=(17, 5))
+        buf = np.full(30 * 17, np.nan)
+        for q in (17, 9):
+            out = buf[: 30 * q].reshape(30, q)
+            got = dist_block(a, b[:q], out=out)
+            assert got is out
+            assert got.tobytes() == dist_block(a, b[:q]).tobytes()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((17, 30)),  # transposed shape
+        np.empty((30, 16)),
+        np.empty((30, 17), dtype=np.float32),
+        np.empty((30, 34))[:, ::2],  # strided
+        np.empty((17, 30)).T,  # Fortran order
+    ])
+    def test_out_must_fit_the_block(self, rng, out):
+        with pytest.raises(GeometryError, match="out must be a C-contiguous float64 array"):
+            dist_block(rng.normal(size=(30, 5)), rng.normal(size=(17, 5)), out=out)
+
+    def test_tile_buffers_serve_each_thread_one_buffer(self):
+        # One buffer per thread, as large as the widest tile; every tile of
+        # a thread is a view of it, the last and narrower one too.
+        buffers = geometry._TileBuffers([(0, 7), (7, 14), (14, 17)], 30)
+        first = buffers.out(0, 7)
+        assert first.shape == (30, 7) and first.flags.c_contiguous
+        last = buffers.out(14, 17)
+        assert last.shape == (30, 3) and np.shares_memory(first, last)
+        box = []
+        worker = threading.Thread(target=lambda: box.append(buffers.out(7, 14)))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert not np.shares_memory(first, box[0])
 
 
 class TestPointCloud:
@@ -459,7 +502,8 @@ class TestBlockedKernel:
                                                  (65000, 536, np.uint16),
                                                  (65000, 537, np.uint32)])
     def test_inverse_ranks_take_the_narrowest_type(self, u, thin, dtype):
-        # Ranks reach thin + u - 1: 255 and 65535 fit one and two bytes.
+        # Ranks reach thin + u - 1: 255 and 65535 fit one and two bytes
+        # (four where numpy sorts 16-bit integers without SIMD).
         # Tile rows lie on a line, four queries near its start and one at
         # its end.  Every group has m = 40 < thin members, so the groups
         # select.  The first two are the 20 rows nearest the start and 20
@@ -479,7 +523,8 @@ class TestBlockedKernel:
                                       np.arange(u - 14, u)]))
         groups = np.sort(groups, axis=1)
         prefix = geometry._RankedTile(block, thin)
-        assert prefix.inverse.dtype == dtype
+        assert np.min_scalar_type(thin + u - 1) == dtype
+        assert prefix.inverse.dtype == rank_dtype(thin + u - 1)
         assert prefix.inverse[0, 4] == thin
         self.assert_inverse(prefix.inverse, prefix.ranks[0], thin)
         for need in (15, 30):
@@ -544,7 +589,7 @@ class TestBlockedKernel:
         """``inverse`` ranks every tile row in every query's order: the
         prefix's rows by their place in it, every other row past it."""
         u, q = inverse.shape
-        assert inverse.dtype == np.min_scalar_type(thin + u - 1)
+        assert inverse.dtype == rank_dtype(thin + u - 1)
         assert np.array_equal(np.argsort(inverse, axis=0)[:thin].T, pos)
         assert np.array_equal(np.sort(inverse, axis=0)[:thin], np.tile(np.arange(thin)[:, None], q))
         past = inverse >= thin
@@ -559,3 +604,71 @@ class TestBlockedKernel:
 
 
 TABLE_FIELDS = ("incl_idx", "incl_dist", "excl_idx", "excl_dist")
+
+
+def rank_dtype(top):
+    """Type of inverse ranks up to ``top``: the narrowest unsigned one, with
+    16 bits widened to 32 where numpy has no SIMD 16-bit sort."""
+    dtype = np.min_scalar_type(top)
+    return geometry._RANK_DTYPE_16 if dtype == np.uint16 else dtype
+
+
+#: numpy's AVX2 code paths on an AVX-512 CPU, for one process.
+AVX2_PATHS = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+#: Twenty bags of 125 select their tables from a u = 2500 tile ranked to
+#: D = 700, whose ranks fit 16 bits; prints whether numpy found AVX512_ICL,
+#: the ranks' type, and the sha256 of the selected and of the partitioned
+#: tables.
+SELECTED_TABLES = """
+import hashlib
+import numpy as np
+from lidbag import geometry
+from lidbag.geometry import dist_block, neighbor_tables
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+rng = np.random.default_rng(7)
+pts = rng.normal(size=(2500, 6))
+block = dist_block(pts, pts[:40])
+groups = np.sort(np.stack([rng.choice(2500, 125, replace=False) for _ in range(20)]), axis=1)
+qids = np.tile(np.arange(40), 20)
+prefix = geometry._RankedTile(block, 700)
+digests = []
+for source in (geometry._RowGroups(block, groups, prefix=prefix), geometry._RowGroups(block, groups)):
+    tables = neighbor_tables(source, groups, qids, 10)
+    digests.append(hashlib.sha256(b"".join(getattr(tables, f).tobytes() for f in
+                                           ("incl_idx", "incl_dist", "excl_idx", "excl_dist"))).hexdigest())
+print(bool(__cpu_features__.get("AVX512_ICL")), prefix.inverse.dtype, *digests)
+"""
+
+
+class TestRankType:
+    def test_16_bit_ranks_where_numpy_sorts_them_with_simd(self):
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__
+        simd = bool(__cpu_features__.get("AVX512_ICL"))
+        assert geometry._RANK_DTYPE_16 == (np.uint16 if simd else np.uint32)
+
+    def test_avx2_paths_rank_in_32_bits_and_give_the_same_tables(self):
+        # Each case runs in a fresh interpreter, since numpy reads the
+        # switch at import.  A 16-bit row sort without SIMD took ~20 times
+        # as long as a 32-bit one; the ranks of a row are distinct, so
+        # either sort gives the same tables.
+        src = str(Path(geometry.__file__).resolve().parents[1])
+
+        def run(extra):
+            env = dict(os.environ, PYTHONPATH=src, **extra)
+            proc = subprocess.run([sys.executable, "-c", SELECTED_TABLES], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.split()
+
+        simd, dtype, selected, partitioned = run({})
+        assert dtype == ("uint16" if simd == "True" else "uint32")
+        assert selected == partitioned
+        avx2 = run(AVX2_PATHS)
+        assert avx2 == ["False", "uint32", selected, partitioned]

@@ -156,8 +156,8 @@ class TestStreamedPath:
     def spy(self, monkeypatch):
         shapes = []
 
-        def recording(a, b, _real=geometry.dist_block):
-            out = _real(a, b)
+        def recording(a, b, out=None, _real=geometry.dist_block):
+            out = _real(a, b, out=out)
             shapes.append(out.shape)
             return out
 
