@@ -245,6 +245,7 @@ def _tle_gathered(dists: np.ndarray, points: np.ndarray, idx: np.ndarray,
     built.  ``dists`` and ``idx`` are (n, k), ``points`` (N, dim) and
     ``query_points`` (n, dim)."""
     d = np.asarray(dists, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     idx = np.asarray(idx)
     Q = np.asarray(query_points, dtype=np.float64)
     if idx.shape != d.shape or Q.shape[0] != d.shape[0]:
