@@ -174,7 +174,7 @@ def estimates_from_tables(config: EstimatorConfig, tables: NeighborTables, point
     if config.method == "tle":
         queries = points[ok] if query_ids is None else points[np.asarray(query_ids)[ok]]
         # The kernel gathers each chunk's neighbor coordinates by id.
-        raw = batch_values("tle", d, neighbor_points=points, neighbor_ids=idx,
+        raw = batch_values("tle", d, points=points, neighbor_ids=idx,
                            query_points=queries)
     elif config.method == "mle":
         raw = batch_values("mle", d, normalization=config.mle_normalization,

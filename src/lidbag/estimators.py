@@ -284,25 +284,23 @@ def batch_values(
     dists: np.ndarray,
     *,
     normalization: str = "k_minus_1",
-    neighbor_points: np.ndarray | None = None,
+    points: np.ndarray | None = None,
+    neighbor_ids: np.ndarray | None = None,
     query_points: np.ndarray | None = None,
     logs: np.ndarray | None = None,
-    neighbor_ids: np.ndarray | None = None,
 ):
     """Dispatch a vectorized estimator kernel by method name (unclamped);
-    ``logs`` goes to :func:`mle_values`.  With ``neighbor_ids``, TLE's
-    ``neighbor_points`` is the (N, dim) cloud and ``neighbor_ids`` the
-    (n, k) rows of it that each query's neighbors are: the estimates equal
-    :func:`tle_values` of ``neighbor_points[neighbor_ids]``, gathered a
-    chunk of rows at a time."""
+    ``logs`` goes to :func:`mle_values`.  TLE takes the (N, dim) cloud
+    ``points``, the (n, k) ``neighbor_ids`` of each query's neighbors in it
+    and the (n, dim) ``query_points``: the estimates equal
+    :func:`tle_values` of ``points[neighbor_ids]``, gathered a chunk of
+    rows at a time."""
     if method == "mle":
         return mle_values(dists, normalization, logs)
     if method == "mada":
         return mada_values(dists)
     if method == "tle":
-        if neighbor_points is None or query_points is None:
-            raise EstimatorError("TLE needs neighbor and query coordinates")
-        if neighbor_ids is not None:
-            return _tle_gathered(dists, neighbor_points, neighbor_ids, query_points)
-        return tle_values(dists, neighbor_points, query_points)
+        if points is None or neighbor_ids is None or query_points is None:
+            raise EstimatorError("TLE needs the cloud, neighbor ids and query coordinates")
+        return _tle_gathered(dists, points, neighbor_ids, query_points)
     raise EstimatorError(f"unknown method {method!r}; pick from {METHODS}")

@@ -18,7 +18,7 @@ from lidbag.bagging import (
     estimates_from_tables,
 )
 from lidbag.datasets import GeneratorSpec, generate
-from lidbag.estimators import EstimatorConfig, batch_values, clamp_values
+from lidbag.estimators import EstimatorConfig, batch_values, clamp_values, tle_values
 from lidbag.geometry import PointCloud, dist_block, neighbor_tables
 from lidbag.smoothing import variant_estimates
 
@@ -281,8 +281,7 @@ class TestDuplicatePoints:
         rest = np.setdiff1d(ids, self.copies)
         d = tabs.excl_dist[rest]
         if method == "tle":
-            raw = batch_values("tle", d, neighbor_points=pts[tabs.excl_idx[rest]],
-                               query_points=pts[rest])
+            raw = tle_values(d, pts[tabs.excl_idx[rest]], pts[rest])
         else:
             raw = batch_values(method, d)
         want, want_flags = clamp_values(*raw, self.cap)

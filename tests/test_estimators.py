@@ -213,7 +213,7 @@ class TestTleValues:
         with pytest.raises(EstimatorError):
             tle_values(np.ones((2, 3)), np.zeros((2, 4, 2)), np.zeros((2, 2)))
         with pytest.raises(EstimatorError):
-            batch_values("tle", np.ones((2, 3)), neighbor_points=np.zeros((5, 2)),
+            batch_values("tle", np.ones((2, 3)), points=np.zeros((5, 2)),
                          neighbor_ids=np.zeros((2, 4), dtype=np.int64),
                          query_points=np.zeros((2, 2)))
 
@@ -228,7 +228,7 @@ class TestTleValues:
         rows = np.concatenate([np.arange(300), np.arange(50, 150), [3, 3, 7]])
         idx, d = neighborhoods(pts, 12, rows)
         want = tle_values(d, pts[idx], pts[rows])
-        got = batch_values("tle", d, neighbor_points=pts, neighbor_ids=idx,
+        got = batch_values("tle", d, points=pts, neighbor_ids=idx,
                            query_points=pts[rows])
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
