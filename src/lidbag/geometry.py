@@ -507,19 +507,25 @@ def _selected(source: _RowGroups, rows: np.ndarray, ids: np.ndarray, need: int,
     ``need``-th rank lies beyond the prefix is partitioned over its group's
     columns instead.
 
-    A chunk holds ``4 * _BLOCK_CELLS`` ranks (as many as ``_BLOCK_CELLS``
-    distances take bytes at 16 bits a rank, whatever the rank type, so that
-    32-bit ranks do not double the chunks of a map),
-    and rows of at most ``_BLOCK_CELLS`` prefix cells in all, as their ids
-    and distances are gathered: whole groups of q rows when one fits, so
-    that the rows of many narrow groups are sorted and gathered together,
-    else a range of one group's queries."""
+    The gathered ranks are sorted as 32-bit integers, whatever the
+    inverse's type: numpy 2.4 sorts 16-bit integers fast only with its
+    AVX-512 code, and 8-bit ones slowly on every path.  A row sort of 2000
+    rows of 125 distinct ranks took, on its AVX-512 and AVX2 paths, 0.34
+    and 0.42 ms as uint32, 0.25 and 8.35 ms as uint16, and 9.5 ms as uint8
+    on both.  The ranks of a row are distinct, so every type sorts them
+    alike.
+
+    A chunk holds as many ranks as ``_BLOCK_CELLS`` distances take bytes
+    in the inverse's type, and rows of at most ``_BLOCK_CELLS`` prefix
+    cells in all, as their ids and distances are gathered: whole groups of
+    q rows when one fits, so that the rows of many narrow groups are
+    sorted and gathered together, else a range of one group's queries."""
     prefix = source.prefix
     inverse, depth = prefix.inverse, prefix.depth
     q, (groups, m) = inverse.shape[1], rows.shape
-    span = max(1, min(_BLOCK_CELLS * 4 // m, _BLOCK_CELLS // need))
+    span = max(1, min(_BLOCK_CELLS * 8 // (inverse.itemsize * m), _BLOCK_CELLS // need))
     per, step = (span // q, q) if span >= q else (1, span)
-    rank = np.empty((per * min(step, q), m), dtype=inverse.dtype)
+    rank = np.empty((per * min(step, q), m), dtype=np.promote_types(inverse.dtype, np.uint32))
     for g0 in range(0, groups, per):
         g1 = min(groups, g0 + per)
         for a in range(0, q, step):
@@ -587,14 +593,11 @@ class _RankedTile:
     def inverse(self):
         """(u, q) rank of every tile row in every query's order: its place
         in the prefix, or ``depth`` + row beyond it (distinct ranks, all
-        past the prefix), in the narrowest unsigned type that holds them
-        and that :func:`_selected` sorts fast (``_RANK_DTYPE_16``)."""
+        past the prefix), in the narrowest unsigned type that holds them."""
         if self._inverse is None:
             pos = self.ranks[0]
             u, q = self.block.shape
             dtype = np.min_scalar_type(self.depth + u - 1)
-            if dtype == np.uint16:
-                dtype = _RANK_DTYPE_16
             inverse = np.empty((u, q), dtype=dtype)
             inverse[:] = np.arange(self.depth, self.depth + u, dtype=dtype)[:, None]
             # Scattered a chunk of queries at a time, so that the flat
@@ -606,25 +609,6 @@ class _RankedTile:
                 flat[pos[a:b] * q + np.arange(a, b)[:, None]] = ranks
             self._inverse = inverse
         return self._inverse
-
-
-def _has_simd_sort_16() -> bool:
-    """Whether numpy sorts 16-bit integers with SIMD code: its AVX-512 ICL
-    target, found on this CPU and not switched off by
-    ``NPY_DISABLE_CPU_FEATURES``."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return bool(__cpu_features__.get("AVX512_ICL"))
-
-
-#: Rank type of a tile whose ranks fit 16 bits.  Where numpy has no SIMD
-#: 16-bit sort (e.g. its AVX2 code paths) a row sort of uint16 took 7.3 ms
-#: against 0.38 ms for uint32 (2000 rows of 125 ranks); with it, 0.20 ms
-#: against 0.37 ms.  The ranks of a row are distinct, so the sorted values
-#: are the same in either type.
-_RANK_DTYPE_16 = np.dtype(np.uint16 if _has_simd_sort_16() else np.uint32)
 
 
 def _chunks(source: _RowGroups, rows: np.ndarray, ids: np.ndarray):

@@ -502,8 +502,7 @@ class TestBlockedKernel:
                                                  (65000, 536, np.uint16),
                                                  (65000, 537, np.uint32)])
     def test_inverse_ranks_take_the_narrowest_type(self, u, thin, dtype):
-        # Ranks reach thin + u - 1: 255 and 65535 fit one and two bytes
-        # (four where numpy sorts 16-bit integers without SIMD).
+        # Ranks reach thin + u - 1: 255 and 65535 fit one and two bytes.
         # Tile rows lie on a line, four queries near its start and one at
         # its end.  Every group has m = 40 < thin members, so the groups
         # select.  The first two are the 20 rows nearest the start and 20
@@ -523,8 +522,7 @@ class TestBlockedKernel:
                                       np.arange(u - 14, u)]))
         groups = np.sort(groups, axis=1)
         prefix = geometry._RankedTile(block, thin)
-        assert np.min_scalar_type(thin + u - 1) == dtype
-        assert prefix.inverse.dtype == rank_dtype(thin + u - 1)
+        assert prefix.inverse.dtype == dtype
         assert prefix.inverse[0, 4] == thin
         self.assert_inverse(prefix.inverse, prefix.ranks[0], thin)
         for need in (15, 30):
@@ -589,7 +587,7 @@ class TestBlockedKernel:
         """``inverse`` ranks every tile row in every query's order: the
         prefix's rows by their place in it, every other row past it."""
         u, q = inverse.shape
-        assert inverse.dtype == rank_dtype(thin + u - 1)
+        assert inverse.dtype == np.min_scalar_type(thin + u - 1)
         assert np.array_equal(np.argsort(inverse, axis=0)[:thin].T, pos)
         assert np.array_equal(np.sort(inverse, axis=0)[:thin], np.tile(np.arange(thin)[:, None], q))
         past = inverse >= thin
@@ -606,29 +604,17 @@ class TestBlockedKernel:
 TABLE_FIELDS = ("incl_idx", "incl_dist", "excl_idx", "excl_dist")
 
 
-def rank_dtype(top):
-    """Type of inverse ranks up to ``top``: the narrowest unsigned one, with
-    16 bits widened to 32 where numpy has no SIMD 16-bit sort."""
-    dtype = np.min_scalar_type(top)
-    return geometry._RANK_DTYPE_16 if dtype == np.uint16 else dtype
-
-
 #: numpy's AVX2 code paths on an AVX-512 CPU, for one process.
 AVX2_PATHS = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 
 #: Twenty bags of 125 select their tables from a u = 2500 tile ranked to
-#: D = 700, whose ranks fit 16 bits; prints whether numpy found AVX512_ICL,
-#: the ranks' type, and the sha256 of the selected and of the partitioned
-#: tables.
+#: D = 700, whose ranks fit 16 bits; prints the ranks' type and the sha256
+#: of the selected and of the partitioned tables.
 SELECTED_TABLES = """
 import hashlib
 import numpy as np
 from lidbag import geometry
 from lidbag.geometry import dist_block, neighbor_tables
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
 rng = np.random.default_rng(7)
 pts = rng.normal(size=(2500, 6))
 block = dist_block(pts, pts[:40])
@@ -640,24 +626,17 @@ for source in (geometry._RowGroups(block, groups, prefix=prefix), geometry._RowG
     tables = neighbor_tables(source, groups, qids, 10)
     digests.append(hashlib.sha256(b"".join(getattr(tables, f).tobytes() for f in
                                            ("incl_idx", "incl_dist", "excl_idx", "excl_dist"))).hexdigest())
-print(bool(__cpu_features__.get("AVX512_ICL")), prefix.inverse.dtype, *digests)
+print(prefix.inverse.dtype, *digests)
 """
 
 
 class TestRankType:
-    def test_16_bit_ranks_where_numpy_sorts_them_with_simd(self):
-        try:
-            from numpy._core._multiarray_umath import __cpu_features__
-        except ImportError:  # numpy < 2
-            from numpy.core._multiarray_umath import __cpu_features__
-        simd = bool(__cpu_features__.get("AVX512_ICL"))
-        assert geometry._RANK_DTYPE_16 == (np.uint16 if simd else np.uint32)
-
-    def test_avx2_paths_rank_in_32_bits_and_give_the_same_tables(self):
+    def test_16_bit_ranks_give_the_same_tables_on_the_avx2_paths(self):
         # Each case runs in a fresh interpreter, since numpy reads the
-        # switch at import.  A 16-bit row sort without SIMD took ~20 times
-        # as long as a 32-bit one; the ranks of a row are distinct, so
-        # either sort gives the same tables.
+        # switch at import.  The ranks fit 16 bits, and `_selected` sorts
+        # them as 32-bit integers, which numpy's AVX2 paths sort ~20 times
+        # as fast as 16-bit ones; the ranks of a row are distinct, so the
+        # tables are the same on both paths and in either mode.
         src = str(Path(geometry.__file__).resolve().parents[1])
 
         def run(extra):
@@ -667,8 +646,7 @@ class TestRankType:
             assert proc.returncode == 0, proc.stderr
             return proc.stdout.split()
 
-        simd, dtype, selected, partitioned = run({})
-        assert dtype == ("uint16" if simd == "True" else "uint32")
+        dtype, selected, partitioned = run({})
+        assert dtype == "uint16"
         assert selected == partitioned
-        avx2 = run(AVX2_PATHS)
-        assert avx2 == ["False", "uint32", selected, partitioned]
+        assert run(AVX2_PATHS) == ["uint16", selected, partitioned]
