@@ -163,9 +163,9 @@ def dist_block(a, b, out: np.ndarray | None = None) -> np.ndarray:
 
     The entries are ``scipy.spatial.distance.cdist``'s: its default metric
     calls the compiled ``cdist_euclidean`` that this function calls, on the
-    same float64 arrays.  The extension is loaded from its own file at the
-    first call (~1 MB), without the ``scipy.spatial`` package (~35 MB,
-    which pulls in ``scipy.sparse`` and ``scipy.linalg``).
+    same float64 arrays.  The extension is loaded by itself at the first
+    call (~1 MB, :func:`_scipy_extension`), without the ``scipy.spatial``
+    package (~35 MB, which pulls in ``scipy.sparse`` and ``scipy.linalg``).
 
     ``out``, when given, is a C-contiguous float64 array of the block's
     shape; the block is written into it, with the bytes a fresh call
@@ -178,38 +178,51 @@ def dist_block(a, b, out: np.ndarray | None = None) -> np.ndarray:
     if out is not None and (out.shape != shape or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise GeometryError(f"out must be a C-contiguous float64 array of shape {shape}")
-    return _euclidean_kernel()(a, b, out=out)
+    return _scipy_extension("spatial", "_distance_pybind").cdist_euclidean(a, b, out=out)
 
 
-_KERNEL = "scipy.spatial._distance_pybind"
-_KERNEL_LOCK = threading.Lock()
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module ``scipy.<subpackage>.<name>``, without the package.
 
-
-def _euclidean_kernel():
-    """scipy's ``cdist_euclidean``, from the module registered as ``_KERNEL``.
-
-    The first call loads the extension file and registers it, so a later
-    ``import scipy.spatial`` reuses it; a module already registered, e.g. by
-    that import, is used as it is.  The lock keeps the first tiles, which
-    may start on several threads, to one load.
+    A registered module, or one that the registered package provides, is
+    returned as it is.  Otherwise the module is imported from scipy's
+    ``<subpackage>`` folder under a bare package object, which stands in
+    ``sys.modules`` only for the load.  The shell is published as importlib
+    publishes a package whose ``__init__`` runs: marked as initializing and
+    under the import system's lock for the package's name.  So a thread
+    that imports the real package meanwhile waits and then gets it (where
+    Python hands it the withdrawn shell, as ``from ... import`` does, the
+    shell's attributes are the real package's), and first calls on several
+    threads load the module once.  The module and the compiled modules it
+    imports stay registered, so a later import of the package reuses them.
     """
-    with _KERNEL_LOCK:
-        module = sys.modules.get(_KERNEL)
-        if module is None:
-            import scipy
+    package, full = f"scipy.{subpackage}", f"scipy.{subpackage}.{name}"
+    if full not in sys.modules:
+        import scipy
 
-            folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
-            paths = [os.path.join(folder, "_distance_pybind" + suffix)
-                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-            path = next(filter(os.path.isfile, paths), None)
-            if path is None:
-                raise ImportError(f"no _distance_pybind extension in {folder} "
-                                  f"(scipy {scipy.__version__})", name=_KERNEL)
-            spec = importlib.util.spec_from_file_location(_KERNEL, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_KERNEL] = module
-    return module.cdist_euclidean
+        with importlib._bootstrap._ModuleLockManager(package):
+            if package not in sys.modules and full not in sys.modules:
+                folder = os.path.join(os.path.dirname(scipy.__file__), subpackage)
+                spec = importlib.machinery.ModuleSpec(package, None, is_package=True)
+                spec.submodule_search_locations = [folder]
+                shell = importlib.util.module_from_spec(spec)
+                spec._initializing = True
+
+                def real(attr):  # a thread that waited for the load holds the shell
+                    if sys.modules.get(package) is shell:
+                        raise AttributeError(attr)
+                    return getattr(importlib.import_module(package), attr)
+
+                shell.__getattr__ = real
+                sys.modules[package] = shell
+                try:
+                    importlib.import_module(full)
+                except ModuleNotFoundError as exc:
+                    raise ImportError(f"cannot load {full} from {folder} "
+                                      f"(scipy {scipy.__version__}): {exc}", name=full) from exc
+                finally:
+                    del sys.modules[package]
+    return importlib.import_module(full)
 
 
 def _operands(a, b):

@@ -2,14 +2,19 @@
 
 ``import lidbag`` loads numpy alone (~30 MB).  The first distance tile
 loads scipy's compiled Euclidean kernel, ``scipy.spatial._distance_pybind``
-(~1 MB), from its own file, without the ``scipy.spatial`` package (~35 MB,
-with ``scipy.sparse`` and ``scipy.linalg``).  The overlap experiment loads
-``scipy.special``, whose two ufuncs give ``scipy.stats``' overlap law bit
-for bit without ``scipy.stats``' ~33 MB.  Each case runs in a fresh
-interpreter and reports the full names of the ``scipy`` modules in
-``sys.modules``.
+(~1 MB), without the ``scipy.spatial`` package (~35 MB, with
+``scipy.sparse`` and ``scipy.linalg``).  The overlap experiment loads the
+compiled ``scipy.special._ufuncs`` and the compiled modules it imports
+(~4 MB, ~0.01 s), whose two ufuncs give ``scipy.stats``' overlap law bit
+for bit, without the ``scipy.special`` package (~24 MB, ~0.3 s) or
+``scipy.stats`` (~33 MB).  Each case runs in a fresh interpreter and
+reports the ``scipy`` modules in ``sys.modules`` with their files.  Other
+cases load scipy's packages before or after lidbag's extensions, or while
+one is loading, and check that every module is loaded once.
 """
 
+import importlib.machinery
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +65,8 @@ SWEEP_ARGV = ["sweep", "--datasets", "M5b_Helix2d", "--estimators", "mle", "--k-
 
 THEORY_ARGV = ["theory", "--experiment", "variance", "--n", "200", "--trials", "50"]
 
+OVERLAP_ARGV = ["theory", "--experiment", "overlap", "--n", "40", "--m", "8", "--trials", "200"]
+
 # The first distance tiles of this process are computed on four pool
 # threads at once (n = 1600 gives five query tiles), so four workers reach
 # the first ``cdist`` import together; the serial rerun must give the same
@@ -104,29 +111,119 @@ assert scipy.spatial.distance._distance_pybind is sys.modules["scipy.spatial._di
 assert cdist(a, b).tobytes() == block.tobytes()
 """
 
+# From here on, loading any scipy extension file fails the script, by
+# whatever path the load comes.
+REFUSE_SCIPY_EXTENSIONS = """
+import importlib.machinery
+create_module = importlib.machinery.ExtensionFileLoader.create_module
+def refuse(self, spec):
+    if spec.name.startswith("scipy."):
+        raise AssertionError(f"loaded a second copy of {spec.name}")
+    return create_module(self, spec)
+importlib.machinery.ExtensionFileLoader.create_module = refuse
+"""
+
 # ``scipy.spatial`` first: ``dist_block`` uses the module it registered and
 # loads no extension file of its own.
 SPATIAL_FIRST = """
-import importlib.util
 import scipy.spatial
 kernel = sys.modules["scipy.spatial._distance_pybind"]
-def refuse(*args, **kwargs):
-    raise AssertionError("loaded a second copy of the kernel")
-importlib.util.spec_from_file_location = refuse
-from lidbag.geometry import _euclidean_kernel, dist_block
+""" + REFUSE_SCIPY_EXTENSIONS + """
+from lidbag.geometry import _scipy_extension, dist_block
 assert dist_block([[0.0, 0.0]], [[3.0, 4.0]]).tolist() == [[5.0]]
-assert _euclidean_kernel() is kernel.cdist_euclidean
+assert _scipy_extension("spatial", "_distance_pybind") is kernel
 assert sys.modules["scipy.spatial._distance_pybind"] is kernel
 """
 
-MISSING_KERNEL = """
-from lidbag.geometry import dist_block
+# ``scipy.special`` first: ``run_overlap`` uses its ufuncs, loads nothing
+# and leaves the package registered.
+SPECIAL_FIRST = """
+import scipy.special
+special, ufuncs = scipy.special, sys.modules["scipy.special._ufuncs"]
+""" + REFUSE_SCIPY_EXTENSIONS + """
+import lidbag
+lidbag.run_overlap(40, 8, 200)
+assert sys.modules["scipy.special"] is special
+assert sys.modules["scipy.special._ufuncs"] is ufuncs
+"""
+
+# The overlap experiment first, then ``scipy.stats``: its ``scipy.special``
+# reuses the registered ufuncs, and its law gives the same bytes.
+OVERLAP_THEN_STATS = """
+import numpy as np
+import lidbag
+out = lidbag.run_overlap(40, 8, 200)
+assert out.chi2_dof
+ufuncs = sys.modules["scipy.special._ufuncs"]
+assert "scipy.special" not in sys.modules
+from scipy import stats
+import scipy.special
+assert scipy.special._ufuncs is ufuncs and sys.modules["scipy.special._ufuncs"] is ufuncs
+assert stats.hypergeom(40, 8, 8).pmf(np.arange(9)).tobytes() == out.pmf.tobytes()
+assert float(stats.chi2.sf(out.chi2_stat, out.chi2_dof)) == out.chi2_pvalue
+"""
+
+# Threads import ``scipy.special`` while the loader's package shell stands
+# in ``sys.modules``: a finder that finds nothing stalls the loader's first
+# look for ``_ufuncs`` until both threads have started.  Each must wait for
+# the load and get the real package, not the shell: after its wait,
+# ``import scipy.special`` hands back ``scipy``, whose ``special`` attribute
+# imports the package, and ``from scipy.special import`` reads its names
+# from the module object it was handed, the withdrawn shell.
+SPECIAL_WHILE_LOADING = """
+import threading, time
+got, started = {}, threading.Barrier(3)
+
+def import_special():
+    started.wait(60)
+    import scipy.special
+    got["import"] = scipy.special
+
+def import_from_special():
+    started.wait(60)
+    from scipy.special import chdtrc
+    got["from"] = chdtrc
+
+class Stall:
+    threads = ()
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not self.threads:
+            assert sys.modules["scipy.special"].__file__ is None  # the shell
+            self.threads = [threading.Thread(target=run)
+                            for run in (import_special, import_from_special)]
+            for thread in self.threads:
+                thread.start()
+            started.wait(60)
+            time.sleep(0.5)
+        return None
+
+stall = Stall()
+sys.meta_path.insert(0, stall)
+from lidbag.geometry import _scipy_extension
+ufuncs = _scipy_extension("special", "_ufuncs")
+for thread in stall.threads:
+    thread.join(60)
+    assert not thread.is_alive(), "an importing thread did not finish"
+special = sys.modules["scipy.special"]
+assert got == {"import": special, "from": ufuncs.chdtrc}, got
+assert special._ufuncs is ufuncs and special.__file__
+"""
+
+# Calls whose scipy extension file is missing, by the package that holds it.
+MISSING = {
+    "spatial": "from lidbag.geometry import dist_block\ndist_block([[0.0, 0.0]], [[3.0, 4.0]])",
+    "special": "import lidbag\nlidbag.run_overlap(40, 8, 200)",
+}
+
+MISSING_EXTENSION = """
 try:
-    dist_block([[0.0, 0.0]], [[3.0, 4.0]])
+    exec({call!r})
 except ImportError as exc:
     print(exc)
 else:
-    raise AssertionError("dist_block ran without its kernel")
+    raise AssertionError("ran without its extension")
+assert "scipy.{subpackage}" not in sys.modules, "left the package shell behind"
 """
 
 
@@ -141,14 +238,22 @@ def _run(code: str, cwd=None, path=()) -> str:
     return proc.stdout
 
 
+def _scipy_files(code: str, cwd=None) -> dict:
+    """The ``scipy`` modules a fresh interpreter running ``code`` loads, by
+    full name, each with its file (None for a module without one)."""
+    out = _run(f"{code}\n"
+               "import json\n"
+               "assert 'lidbag' in sys.modules\n"
+               "print(json.dumps({name: getattr(module, '__file__', None)\n"
+               "                  for name, module in sys.modules.items()\n"
+               "                  if name.startswith('scipy.')}))", cwd=cwd)
+    return json.loads(out.splitlines()[-1])
+
+
 def _scipy_loaded(code: str, cwd=None) -> set:
     """The full names of the ``scipy`` modules a fresh interpreter running
     ``code`` loads."""
-    out = _run(f"{code}\n"
-               "assert 'lidbag' in sys.modules\n"
-               "print(' '.join(sorted(name for name in sys.modules\n"
-               "                      if name.startswith('scipy.'))))", cwd=cwd)
-    return set(out.splitlines()[-1].split())
+    return set(_scipy_files(code, cwd=cwd))
 
 
 def _within(loaded: set, package: str) -> set:
@@ -168,10 +273,22 @@ def test_theory_variance_verb_loads_no_scipy_subpackage(tmp_path):
     assert (tmp_path / "out" / "variance.csv").exists()
 
 
+def _assert_ufuncs_alone(files: dict):
+    special = _within(files, "scipy.special")
+    assert "scipy.special._ufuncs" in special and "scipy.special" not in special, special
+    compiled = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+    python = {name for name in special if not (files[name] or "").endswith(compiled)}
+    assert not python, f"pure-Python scipy.special modules: {python}"
+    assert not _within(files, "scipy.stats") | _within(files, "scipy.spatial"), files
+
+
 def test_overlap_experiment_loads_scipy_special_only():
-    loaded = _scipy_loaded(RUN_OVERLAP)
-    assert "scipy.special" in loaded
-    assert not _within(loaded, "scipy.stats") | _within(loaded, "scipy.spatial"), loaded
+    _assert_ufuncs_alone(_scipy_files(RUN_OVERLAP))
+
+
+def test_theory_overlap_verb_loads_the_ufuncs_alone(tmp_path):
+    _assert_ufuncs_alone(_scipy_files(VERB.format(argv=OVERLAP_ARGV), cwd=tmp_path))
+    assert (tmp_path / "out" / "overlap.csv").exists()
 
 
 def _assert_kernel_alone(loaded: set):
@@ -202,10 +319,31 @@ def test_dist_block_reuses_a_loaded_scipy_spatial():
     assert "scipy.spatial" in _scipy_loaded(SPATIAL_FIRST)
 
 
-def test_missing_kernel_file_names_its_folder(tmp_path):
-    # A scipy whose spatial folder holds no extension file.
-    spatial = tmp_path / "scipy" / "spatial"
-    spatial.mkdir(parents=True)
+def test_scipy_special_first_then_overlap_loads_nothing():
+    assert "scipy.special" in _scipy_loaded(SPECIAL_FIRST)
+
+
+def test_overlap_then_scipy_stats_share_the_ufuncs():
+    assert "scipy.stats" in _scipy_loaded(OVERLAP_THEN_STATS)
+
+
+def test_import_while_the_ufuncs_load_gets_the_package():
+    assert "scipy.special" in _scipy_loaded(SPECIAL_WHILE_LOADING)
+
+
+def _assert_missing_file_named(tmp_path, subpackage: str):
+    # A scipy whose folder for ``subpackage`` holds no extension file.
+    folder = tmp_path / "scipy" / subpackage
+    folder.mkdir(parents=True)
     (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0.missing"\n')
-    out = _run(MISSING_KERNEL, path=[tmp_path])
-    assert str(spatial) in out and "scipy 0.0.missing" in out, out
+    out = _run(MISSING_EXTENSION.format(call=MISSING[subpackage], subpackage=subpackage),
+               path=[tmp_path])
+    assert str(folder) in out and "scipy 0.0.missing" in out, out
+
+
+def test_missing_kernel_file_names_its_folder(tmp_path):
+    _assert_missing_file_named(tmp_path, "spatial")
+
+
+def test_missing_ufuncs_file_names_its_folder(tmp_path):
+    _assert_missing_file_named(tmp_path, "special")
