@@ -1,8 +1,11 @@
 """Command-line front end: generate, estimate, sweep, theory, report, bench.
 
 All verbs write CSV into --out and print a short summary to stdout.  The
-sweep verb accepts a JSON config file mirroring SweepGrid; explicit flags
-override config values.  Every result CSV goes through
+sweep verb accepts a JSON config file mirroring SweepGrid; each grid flag
+is declared with its SweepGrid field as ``dest`` and parses its own value,
+so a malformed flag is a usage error (exit 2), and the flags given override
+the file's values field by field.  SweepGrid itself checks every value's
+type and range, whichever path it came by.  Every result CSV goes through
 :func:`lidbag.sweep.write_csv`, whose floats (17 significant digits)
 round-trip exactly; ``generate`` writes datasets with their own format.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -81,16 +85,15 @@ def _resolve_datasets(arg: str) -> list[str]:
     names = _csv_list(arg)
     for name in names:
         if name not in DATASET_NAMES:
-            raise SystemExit(
+            raise argparse.ArgumentTypeError(
                 f"unknown dataset {name!r}; known: {', '.join(DATASET_NAMES)}"
             )
     return names
 
 
 def _cmd_generate(args) -> int:
-    names = _resolve_datasets(args.dataset)
     failures = 0
-    for name in names:
+    for name in args.dataset:
         spec = GeneratorSpec(name, n=args.n, seed=args.seed)
         cloud = generate(spec)
         out = _out_dir(args)
@@ -145,41 +148,21 @@ def _cmd_estimate(args) -> int:
 
 
 def _grid_from_args(args) -> SweepGrid:
+    """The config file's grid, overlaid with every grid flag given."""
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:
             try:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bad UTF-8
                 raise SystemExit(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise SystemExit(f"{args.config}: sweep config must be a JSON object")
-    if args.datasets is not None:
-        cfg["datasets"] = _resolve_datasets(args.datasets)
-    elif "datasets" not in cfg:
-        raise SystemExit("sweep needs --datasets or a config file listing them")
-    if args.estimators is not None:
-        cfg["estimators"] = _csv_list(args.estimators)
-    if args.variants is not None:
-        cfg["variants"] = _csv_list(args.variants)
-    if args.k_values is not None:
-        cfg["k_values"] = _int_list(args.k_values)
-    if args.r_values is not None:
-        cfg["r_values"] = _float_list(args.r_values)
-    if args.b_values is not None:
-        cfg["b_values"] = _int_list(args.b_values)
-    if args.b_grid_default:
-        cfg["b_values"] = list(DEFAULT_B_GRID)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.n is not None:
-        cfg["n"] = args.n
-    if args.k_s is not None:
-        cfg["k_s"] = args.k_s
-    if args.policy is not None:
-        cfg["policy"] = args.policy
-    if args.mle_normalization is not None:
-        cfg["mle_normalization"] = args.mle_normalization
+    for f in fields(SweepGrid):
+        if getattr(args, f.name) is not None:
+            cfg[f.name] = getattr(args, f.name)
+        elif f.default is MISSING and f.name not in cfg:
+            raise SystemExit(f"sweep needs --{f.name} or a config file listing them")
     return SweepGrid.from_dict(cfg)
 
 
@@ -280,15 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample benchmark datasets to files")
-    g.add_argument("--dataset", default="all",
+    g.add_argument("--dataset", type=_resolve_datasets, default="all",
                    help="dataset name, comma list, or 'all'")
     g.add_argument("--n", type=int, default=2500)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--format", choices=("csv", "binary", "both"), default="csv")
     g.add_argument("--no-validate", action="store_true",
                    help="skip the constraint suite after sampling")
-    g.add_argument("--out", required=True, help="output directory (created if missing)")
-    g.set_defaults(fn=_cmd_generate)
 
     e = sub.add_parser("estimate", help="run one estimation pipeline")
     e.add_argument("--dataset", choices=DATASET_NAMES, help="built-in dataset")
@@ -306,30 +287,29 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS,
                    default="k_minus_1")
     e.add_argument("--threads", type=_thread_count, default=1)
-    e.add_argument("--out", required=True, help="output directory (created if missing)")
-    e.set_defaults(fn=_cmd_estimate)
 
+    # Each grid flag's dest is its SweepGrid field; None means "not given".
     s = sub.add_parser("sweep", help="evaluate a (dataset, k, r, B) grid")
     s.add_argument("--config", help="JSON file mirroring SweepGrid")
-    s.add_argument("--datasets", help="comma list or 'all'")
-    s.add_argument("--estimators", help="comma list from: " + ",".join(METHODS))
-    s.add_argument("--variants", help="comma list from: " + ",".join(VARIANTS))
-    s.add_argument("--k-values", dest="k_values")
-    s.add_argument("--r-values", dest="r_values")
-    s.add_argument("--b-values", dest="b_values")
-    s.add_argument("--b-grid-default", action="store_true",
-                   help="use the geometric 3..400 B grid")
-    s.add_argument("--seed", type=int, default=None, help="master seed")
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--k-s", dest="k_s", type=int, default=None)
-    s.add_argument("--policy", choices=DIVERGENCE_POLICIES, default=None)
-    s.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS, default=None)
+    s.add_argument("--datasets", type=_resolve_datasets, help="comma list or 'all'")
+    s.add_argument("--estimators", type=_csv_list, help="comma list from: " + ",".join(METHODS))
+    s.add_argument("--variants", type=_csv_list, help="comma list from: " + ",".join(VARIANTS))
+    s.add_argument("--k-values", dest="k_values", type=_int_list)
+    s.add_argument("--r-values", dest="r_values", type=_float_list)
+    b_grid = s.add_mutually_exclusive_group()
+    b_grid.add_argument("--b-values", dest="b_values", type=_int_list)
+    b_grid.add_argument("--b-grid-default", dest="b_values", action="store_const",
+                        const=DEFAULT_B_GRID,
+                        help="use the geometric 3..400 B grid (not with --b-values)")
+    s.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
+    s.add_argument("--n", type=int)
+    s.add_argument("--k-s", dest="k_s", type=int)
+    s.add_argument("--policy", choices=DIVERGENCE_POLICIES)
+    s.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS)
     s.add_argument("--threads", type=_thread_count, default=1)
     s.add_argument("--timing-in-results", action="store_true",
                    help="append wall_time_ms to results.csv (breaks byte-stability)")
     s.add_argument("--quiet", action="store_true")
-    s.add_argument("--out", required=True, help="output directory (created if missing)")
-    s.set_defaults(fn=_cmd_sweep)
 
     t = sub.add_parser("theory", help="Monte Carlo checks of the variance theory")
     t.add_argument("--experiment", choices=("overlap", "variance", "conditional"),
@@ -342,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of B values (variance)")
     t.add_argument("--trials", type=int, default=5000)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--out", required=True, help="output directory (created if missing)")
-    t.set_defaults(fn=_cmd_theory)
 
     r = sub.add_parser("report", help="best-cell tables and heatmap CSVs")
     r.add_argument("--results", required=True, help="results.csv from 'sweep'")
@@ -352,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--y-axis", choices=("k", "B"), default="k")
     r.add_argument("--fixed-k", dest="fixed_k", type=int, default=None)
     r.add_argument("--fixed-b", dest="fixed_b", type=int, default=None)
-    r.add_argument("--out", required=True, help="output directory (created if missing)")
-    r.set_defaults(fn=_cmd_report)
 
     b = sub.add_parser("bench", help="naive-path runtime crossover check")
     b.add_argument("--n-values", dest="n_values", type=_int_list, default=[2500])
@@ -363,8 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--estimator", choices=METHODS, default="mle")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--out", required=True, help="output directory (created if missing)")
-    b.set_defaults(fn=_cmd_bench)
+
+    for verb, fn in ((g, _cmd_generate), (e, _cmd_estimate), (s, _cmd_sweep),
+                     (t, _cmd_theory), (r, _cmd_report), (b, _cmd_bench)):
+        verb.add_argument("--out", required=True, help="output directory (created if missing)")
+        verb.set_defaults(fn=fn)
     return p
 
 
@@ -380,7 +359,6 @@ _CLI_ERRORS = (
     SweepError,
     TheoryError,
     OSError,
-    json.JSONDecodeError,
 )
 
 

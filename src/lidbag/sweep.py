@@ -26,8 +26,10 @@ pipelines against each other.
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import astuple, dataclass, field, fields
+from numbers import Integral, Real
 from operator import attrgetter
 
 import numpy as np
@@ -88,6 +90,33 @@ DEFAULT_R_GRID = tuple(float(x) for x in geometric_grid(0.042, 0.6, 9))
 DEFAULT_B_GRID = integer_grid(3, 400, 20)
 
 
+def _name(field_name: str, value) -> str:
+    if not isinstance(value, str):
+        raise SweepError(f"{field_name}: {value!r} is not a name")
+    return value
+
+
+def _integer(field_name: str, value) -> int:
+    """``value`` as an int if it is a whole number (10.0 reads as 10)."""
+    if not isinstance(value, bool) and (
+            isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()):
+        return int(value)
+    raise SweepError(f"{field_name}: {value!r} is not an integer")
+
+
+def _real(field_name: str, value) -> float:
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise SweepError(f"{field_name}: {value!r} is not a number")
+
+
+def _items(field_name: str, values, item) -> tuple:
+    """``values`` as a tuple of ``item`` checks; a lone string or number is not a list."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise SweepError(f"{field_name} must be a list, got {values!r}")
+    return tuple(item(field_name, v) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Everything a sweep run depends on.
@@ -110,12 +139,15 @@ class SweepGrid:
     mle_normalization: str = "k_minus_1"
 
     def __post_init__(self):
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-        object.__setattr__(self, "b_values", tuple(int(b) for b in self.b_values))
+        # A value of the wrong type is an error naming its field, never a
+        # silent conversion: 4.7 is not truncated to k = 4.
+        for name, item in (("datasets", _name), ("estimators", _name), ("variants", _name),
+                           ("k_values", _integer), ("r_values", _real), ("b_values", _integer)):
+            object.__setattr__(self, name, _items(name, getattr(self, name), item))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        if self.k_s is not None:
+            object.__setattr__(self, "k_s", _integer("k_s", self.k_s))
         if not self.datasets:
             raise SweepError("need at least one dataset")
         for name in self.datasets:
@@ -497,14 +529,29 @@ def write_skips_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Load rows written by write_sweep_csv (timing column optional)."""
+    """Load rows written by write_sweep_csv (timing column optional).
+
+    A file that is not UTF-8, holds a row cut short or a cell of the wrong
+    type raises SweepError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SweepError(f"{path}: line {line}: not UTF-8 text") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    missing = set(SWEEP_COLUMNS) - set(header)
+    if missing:
+        raise SweepError(f"{path}: missing sweep columns {sorted(missing)}")
     result = SweepResult(None)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SWEEP_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise SweepError(f"{path}: missing sweep columns {sorted(missing)}")
-        for rec in reader:
+    try:
+        for cells in filter(None, reader):  # blank lines hold no row
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, the header has {len(header)}")
+            rec = dict(zip(header, cells))
             result.rows.append(SweepRow(
                 rec["dataset"], rec["estimator"], rec["variant"],
                 int(rec["k"]), float(rec["r"]), int(rec["B"]), int(rec["seed"]),
@@ -512,6 +559,8 @@ def read_sweep_csv(path) -> SweepResult:
                 int(rec["divergent_count"]),
                 float(rec.get("wall_time_ms", 0.0) or 0.0),
             ))
+    except (ValueError, csv.Error) as exc:
+        raise SweepError(f"{path}: line {reader.line_num}: {exc}") from exc
     return result
 
 

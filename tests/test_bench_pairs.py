@@ -94,7 +94,9 @@ def test_simd_probe_reports_the_targets_of_the_runs_environment(monkeypatch, cap
     assert bench_pairs._simd_found() == found
     if found:
         # A target switched off for the runs is missing from the record.
-        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", found[-1])
+        # It joins the targets this process was started without, if any.
+        inherited = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", f"{inherited} {found[-1]}".strip())
         assert bench_pairs._simd_found() == found[:-1]
 
 

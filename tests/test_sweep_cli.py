@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ class TestGrids:
         assert DEFAULT_R_GRID[-1] == 0.6
 
 
+#: Values of the wrong type, each rejected with an error naming its field.
+WRONG_TYPES = [
+    dict(k_values=(4.7,)),
+    dict(b_values=(10.9,)),
+    dict(k_values=5),
+    dict(k_values=("a",)),
+    dict(r_values=("0.5",)),
+    dict(n="x"),
+    dict(n=2.5),
+    dict(master_seed=1.5),
+    dict(k_s=True),
+    dict(datasets="M12_Norm"),
+    dict(datasets=(None,)),
+]
+
+
 class TestSweepGridValidation:
     def test_accepts_small_grid(self):
         grid = SweepGrid(**SMALL)
@@ -129,11 +146,25 @@ class TestSweepGridValidation:
             dict(policy="drop"),
             dict(mle_normalization="median"),
             dict(master_seed=-1),
+            *WRONG_TYPES,
         ],
     )
     def test_rejects_bad_configs(self, patch):
         with pytest.raises(SweepError):
             SweepGrid(**{**SMALL, **patch})
+
+    @pytest.mark.parametrize("patch", WRONG_TYPES)
+    def test_wrong_types_name_their_field(self, patch):
+        (name,) = patch
+        with pytest.raises(SweepError, match=f"^{name}"):
+            SweepGrid.from_dict({**SMALL, **patch})
+
+    def test_whole_numbers_of_any_type_are_integers(self):
+        grid = SweepGrid(**{**SMALL, "k_values": [4.0], "b_values": (np.float64(2), 3),
+                            "n": 140.0, "master_seed": np.int64(0), "k_s": 6.0})
+        assert grid == SweepGrid(**{**SMALL, "k_s": 6})
+        assert {type(v) for v in (*grid.k_values, *grid.b_values, grid.n,
+                                  grid.master_seed, grid.k_s)} == {int}
 
     def test_dict_round_trip(self):
         grid = SweepGrid(**SMALL)
@@ -355,6 +386,18 @@ class TestCsvIO:
         with pytest.raises(SweepError):
             read_sweep_csv(p)
 
+    @pytest.mark.parametrize("corrupt, line, message", [
+        (lambda b: b[: len(b) - 30], 19, "9 cells, the header has 11"),
+        (lambda b: b.replace(b",4,", b",four,", 1), 2, "'four'"),
+        (lambda b: b.replace(b"M5b_Helix2d", b"M5b_Helix\xe9", 3), 2, "not UTF-8"),
+    ], ids=["truncated", "non_numeric", "non_utf8"])
+    def test_corrupt_file_names_file_and_line(self, tmp_path, corrupt, line, message):
+        p = tmp_path / "results.csv"
+        write_sweep_csv(run_sweep(SweepGrid(**SMALL)), p)
+        p.write_bytes(corrupt(p.read_bytes()))
+        with pytest.raises(SweepError, match=f"^{re.escape(str(p))}: line {line}: .*{message}"):
+            read_sweep_csv(p)
+
     def test_write_csv_convention(self, tmp_path):
         # bools (numpy's too) as 0/1, numpy floats through fmt_float, numpy
         # ints as digits, LF line ends.
@@ -512,6 +555,68 @@ class TestCli:
         saved = json.loads((out / "grid.json").read_text())
         assert saved["r_values"] == [0.5]  # flag wins over the file
         assert saved["n"] == 100  # untouched keys survive
+        capsys.readouterr()
+
+    def test_sweep_config_file_gives_the_flags_bytes(self, tmp_path, capsys):
+        main(["sweep", "--datasets", "M5b_Helix2d", "--estimators", "mle",
+              "--k-values", "4", "--r-values", "0.25,1.0", "--b-values", "2,3",
+              "--n", "140", "--quiet", "--out", str(tmp_path / "flags")])
+        cfg_path = tmp_path / "grid_config.json"
+        cfg_path.write_text(json.dumps({**SMALL, "datasets": "M5b_Helix2d,M12_Norm"}))
+        main(["sweep", "--config", str(cfg_path), "--datasets", "M5b_Helix2d",
+              "--quiet", "--out", str(tmp_path / "config")])
+        for name in ("results.csv", "skips.csv", "grid.json"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes()), name
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k-values", "5,x"), ("--r-values", "0.5,abc"), ("--b-values", "2,y"),
+        ("--datasets", "M5b_Helix2d,nosuch"),
+    ])
+    def test_malformed_sweep_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--datasets", "M5b_Helix2d", flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lidbag sweep") and f"argument {flag}: " in err
+        assert not any(tmp_path.iterdir())
+
+    def test_b_values_and_b_grid_default_exclude_each_other(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--datasets", "M5b_Helix2d", "--b-values", "2,3",
+                  "--b-grid-default", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --b-grid-default: not allowed with argument --b-values" in (
+            capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"datasets": ["M5b_Helix2d"], "k_values": [4.7]}',
+         "lidbag sweep: k_values: 4.7 is not an integer"),
+        (b'{"datasets": "M12_Norm"}', "lidbag sweep: datasets must be a list, got 'M12_Norm'"),
+        (b'{"k_values": [4]}', "sweep needs --datasets or a config file listing them"),
+        (b'{"datasets": "all", "n": 10\xe9}', "invalid JSON: 'utf-8' codec can't decode"),
+    ])
+    def test_malformed_sweep_config_says_why(self, tmp_path, capsys, content, message):
+        cfg_path = tmp_path / "grid_config.json"
+        cfg_path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert message in str(exc.value.code)
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
+
+    def test_report_on_a_corrupt_results_csv_names_file_and_line(self, tmp_path, capsys):
+        main(["sweep", "--datasets", "M5b_Helix2d", "--estimators", "mle",
+              "--k-values", "4", "--r-values", "0.25,1.0", "--b-values", "2,3",
+              "--n", "140", "--quiet", "--out", str(tmp_path)])
+        path = tmp_path / "results.csv"
+        path.write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--results", str(path), "--out", str(tmp_path / "report")])
+        assert str(exc.value.code).startswith(f"lidbag report: {path}: line 19: ")
+        assert not (tmp_path / "report").exists()
         capsys.readouterr()
 
     def test_theory_verbs(self, tmp_path, capsys):
