@@ -142,7 +142,10 @@ def mada_values(dists: np.ndarray):
         raise EstimatorError(f"MADA needs k >= 2, got {k}")
     _check_distances(d)
     h = (k + 1) // 2  # ceil(k/2), 1-based
-    denom = np.log(d[:, -1]) - np.log(d[:, h - 1])
+    # The log of the ratio, not the difference of two logs: a difference of
+    # logs rounds at the magnitude of the radii, so rescaling the radii by a
+    # power of two could move a near-equal pair in or out of divergence.
+    denom = np.log(d[:, -1] / d[:, h - 1])
     divergent = denom == 0.0
     with np.errstate(divide="ignore"):
         values = math.log(2.0) / denom

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidbag import estimators
@@ -171,6 +171,9 @@ class TestMadaValues:
         st.lists(st.floats(0.05, 10.0), min_size=2, max_size=12),
         st.floats(1e-3, 1e3),
     )
+    # Adjacent floats: exact power-of-two rescalings must keep the estimate.
+    @example(raw=[10.0, 9.999999999999998], c=2.0)
+    @example(raw=[10.0, 9.999999999999998], c=0.25)
     def test_scale_invariance(self, raw, c):
         d = np.sort(np.asarray(raw))
         base, bdiv = mada_values(d)
