@@ -31,9 +31,7 @@ from .datasets import (
     ValidationReport,
     dataset_info,
     generate,
-    load_binary,
     load_csv,
-    save_binary,
     save_csv,
     validate,
 )

@@ -7,7 +7,8 @@ so a malformed flag is a usage error (exit 2), and the flags given override
 the file's values field by field.  SweepGrid itself checks every value's
 type and range, whichever path it came by.  Every result CSV goes through
 :func:`lidbag.sweep.write_csv`, whose floats (17 significant digits)
-round-trip exactly; ``generate`` writes datasets with their own format.
+round-trip exactly; ``generate`` writes each dataset as one CSV through
+:func:`lidbag.datasets.save_csv`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .datasets import (
     GeneratorSpec,
     generate,
     load_csv,
-    save_binary,
     save_csv,
     validate,
 )
@@ -53,7 +53,10 @@ from .sweep import (
 
 
 def _csv_list(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"needs at least one item, got {text!r}")
+    return items
 
 
 def _int_list(text: str) -> list[int]:
@@ -64,7 +67,7 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in _csv_list(text)]
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -96,11 +99,7 @@ def _cmd_generate(args) -> int:
     for name in args.dataset:
         spec = GeneratorSpec(name, n=args.n, seed=args.seed)
         cloud = generate(spec)
-        out = _out_dir(args)
-        if args.format in ("csv", "both"):
-            save_csv(cloud, out / f"{name}.csv")
-        if args.format in ("binary", "both"):
-            save_binary(cloud, out / f"{name}.lidc")
+        save_csv(cloud, _out_dir(args) / f"{name}.csv")
         line = f"{name}: n={cloud.n} dim={cloud.dim} gt_lid={[float(g) for g in cloud.gt_lid]}"
         if not args.no_validate:
             report = validate(cloud, spec)
@@ -171,7 +170,7 @@ def _cmd_sweep(args) -> int:
     progress = None if args.quiet else lambda msg: print(f"[sweep] {msg}", flush=True)
     result = run_sweep(grid, threads=args.threads, progress=progress)
     out = _out_dir(args)
-    write_sweep_csv(result, out / "results.csv", include_timing=args.timing_in_results)
+    write_sweep_csv(result, out / "results.csv")
     write_timing_csv(result, out / "timing.csv")
     write_skips_csv(result, out / "skips.csv")
     with open(out / "grid.json", "w") as fh:
@@ -195,8 +194,7 @@ def _cmd_theory(args) -> int:
         rows = zip(range(len(exp.pmf)), exp.histogram, exp.pmf)
         lines = exp.summary_lines()
     elif args.experiment == "variance":
-        exps = [run_variance(args.n, args.r, B, args.trials, args.seed)
-                for B in args.b_list or [args.bags]]
+        exps = [run_variance(args.n, args.r, B, args.trials, args.seed) for B in args.bags]
         cols = ("n", "r", "m", "B", "trials", "var_single", "var_bagged", "cov", "rho",
                 "closed_form", "closed_form_analytic", "sandwich_ok")
         rows = [(e.n, e.r, e.m, e.B, e.trials, e.var_single, e.var_bagged, e.cov, e.rho,
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset name, comma list, or 'all'")
     g.add_argument("--n", type=int, default=2500)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--format", choices=("csv", "binary", "both"), default="csv")
     g.add_argument("--no-validate", action="store_true",
                    help="skip the constraint suite after sampling")
 
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--policy", choices=DIVERGENCE_POLICIES, default="clamp")
     e.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS,
                    default="k_minus_1")
-    e.add_argument("--threads", type=_thread_count, default=1)
+    e.add_argument("--threads", type=_positive_int, default=1)
 
     # Each grid flag's dest is its SweepGrid field; None means "not given".
     s = sub.add_parser("sweep", help="evaluate a (dataset, k, r, B) grid")
@@ -306,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k-s", dest="k_s", type=int)
     s.add_argument("--policy", choices=DIVERGENCE_POLICIES)
     s.add_argument("--mle-normalization", choices=MLE_NORMALIZATIONS)
-    s.add_argument("--threads", type=_thread_count, default=1)
-    s.add_argument("--timing-in-results", action="store_true",
-                   help="append wall_time_ms to results.csv (breaks byte-stability)")
+    s.add_argument("--threads", type=_positive_int, default=1)
     s.add_argument("--quiet", action="store_true")
 
     t = sub.add_parser("theory", help="Monte Carlo checks of the variance theory")
@@ -317,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=1000)
     t.add_argument("--m", type=int, default=100, help="bag size (overlap)")
     t.add_argument("--r", type=float, default=0.1)
-    t.add_argument("--bags", type=int, default=10, help="B (variance)")
-    t.add_argument("--b-list", type=_int_list, default=None,
-                   help="comma list of B values (variance)")
+    t.add_argument("--bags", type=_int_list, default=[10],
+                   help="B, or a comma list of B values (variance)")
     t.add_argument("--trials", type=int, default=5000)
     t.add_argument("--seed", type=int, default=0)
 
@@ -338,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, default=10)
     b.add_argument("--estimator", choices=METHODS, default="mle")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--repeats", type=int, default=3)
+    b.add_argument("--repeats", type=_positive_int, default=3)
 
     for verb, fn in ((g, _cmd_generate), (e, _cmd_estimate), (s, _cmd_sweep),
                      (t, _cmd_theory), (r, _cmd_report), (b, _cmd_bench)):

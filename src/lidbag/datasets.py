@@ -15,7 +15,6 @@ one entry per violated constraint, with the offending point count.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -493,9 +492,6 @@ def validate(cloud: PointCloud, spec: GeneratorSpec) -> ValidationReport:
 # import/export
 # --------------------------------------------------------------------------
 
-_MAGIC = b"LIDC"
-_BIN_VERSION = 1
-
 
 def save_csv(cloud: PointCloud, path) -> None:
     """CSV with header x0..x{dim-1},label; 17 significant digits.
@@ -544,45 +540,7 @@ def load_csv(path, gt_lid=None) -> PointCloud:
     labels = data[:, -1]
     if not np.all(labels == np.rint(labels)):
         raise DatasetError(f"{path}: manifold labels must be integers")
-    return _cloud(path, data[:, :-1], labels.astype(np.int64), np.asarray(gt_lid))
-
-
-def _cloud(path, points, labels, gt_lid) -> PointCloud:
-    """The cloud a file holds; a rejected one raises DatasetError naming it."""
     try:
-        return PointCloud(points, labels, gt_lid)
-    except GeometryError as exc:
+        return PointCloud(data[:, :-1], labels.astype(np.int64), np.asarray(gt_lid))
+    except GeometryError as exc:  # labels out of range, non-finite points, n < 2
         raise DatasetError(f"{path}: {exc}") from exc
-
-
-def save_binary(cloud: PointCloud, path) -> None:
-    """Compact binary: header {n, dim, L, gt_lid list}, labels, points."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQII", _BIN_VERSION, cloud.n, cloud.dim, cloud.n_manifolds))
-        fh.write(cloud.gt_lid.astype("<f8").tobytes())
-        fh.write(cloud.manifold_label.astype("<i4").tobytes())
-        fh.write(np.ascontiguousarray(cloud.points, dtype="<f8").tobytes())
-
-
-def load_binary(path) -> PointCloud:
-    """Read a file written by :func:`save_binary`; a short or rejected file raises DatasetError."""
-
-    def read(fh, size: int, what: str) -> bytes:
-        chunk = fh.read(size)
-        if len(chunk) != size:
-            raise DatasetError(
-                f"{path}: truncated binary file ({what}: {len(chunk)} of {size} bytes)"
-            )
-        return chunk
-
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DatasetError(f"{path}: not a point-cloud binary file")
-        version, n, dim, L = struct.unpack("<IQII", read(fh, 20, "header"))
-        if version != _BIN_VERSION:
-            raise DatasetError(f"{path}: unsupported binary version {version}")
-        gt = np.frombuffer(read(fh, 8 * L, "gt_lid"), dtype="<f8")
-        labels = np.frombuffer(read(fh, 4 * n, "labels"), dtype="<i4").astype(np.int64)
-        points = np.frombuffer(read(fh, 8 * n * dim, "points"), dtype="<f8").reshape(n, dim)
-    return _cloud(path, points, labels, gt)

@@ -16,8 +16,8 @@ byte-identical across thread counts.  Wall times are attributable
 kernel/smoothing/aggregation time per cell, the unbagged cells' fold of
 their one bag included (shared distance and table construction is
 amortized and excluded); because times are inherently
-nondeterministic they go to a separate timing CSV by default so the
-primary file stays byte-stable.
+nondeterministic they go to a separate timing CSV, so the primary file
+stays byte-stable.
 
 The runtime benchmark times the library's own baseline and bagged
 pipelines against each other.
@@ -452,8 +452,10 @@ def benchmark_runtime(
     baseline's once U is most of the cloud.  Neither holds an n^2 block: distances are
     computed one query tile at a time as the neighbor tables consume them.
     Each measurement discards one warmup run and keeps the median of
-    ``repeats``.
+    ``repeats``, which must be at least 1.
     """
+    if repeats < 1:
+        raise SweepError(f"need repeats >= 1, got {repeats}")
     out = []
     for n in n_values:
         n = int(n)
@@ -476,7 +478,7 @@ def benchmark_runtime(
 def _timed(fn, repeats: int) -> float:
     fn()  # warmup, discarded
     times = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
@@ -514,10 +516,9 @@ def write_csv(path, header, rows) -> None:
         w.writerows([_cell(v) for v in row] for row in rows)
 
 
-def write_sweep_csv(result: SweepResult, path, *, include_timing: bool = False) -> None:
-    """Primary results CSV; timing column only on request (see module doc)."""
-    cols = SWEEP_COLUMNS + (("wall_time_ms",) if include_timing else ())
-    write_csv(path, cols, map(attrgetter(*cols), result.sorted_rows()))
+def write_sweep_csv(result: SweepResult, path) -> None:
+    """Primary results CSV, without wall times (see module doc)."""
+    write_csv(path, SWEEP_COLUMNS, map(attrgetter(*SWEEP_COLUMNS), result.sorted_rows()))
 
 
 def write_timing_csv(result: SweepResult, path) -> None:
@@ -529,10 +530,11 @@ def write_skips_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Load rows written by write_sweep_csv (timing column optional).
+    """Load rows written by write_sweep_csv, with ``wall_time_ms`` 0.0.
 
-    A file that is not UTF-8, holds a row cut short or a cell of the wrong
-    type raises SweepError naming the file and the line.
+    Columns beyond :data:`SWEEP_COLUMNS` are ignored.  A file that is not
+    UTF-8, holds a row cut short or a cell of the wrong type raises
+    SweepError naming the file and the line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -556,8 +558,7 @@ def read_sweep_csv(path) -> SweepResult:
                 rec["dataset"], rec["estimator"], rec["variant"],
                 int(rec["k"]), float(rec["r"]), int(rec["B"]), int(rec["seed"]),
                 float(rec["mse"]), float(rec["var"]), float(rec["bias_sq"]),
-                int(rec["divergent_count"]),
-                float(rec.get("wall_time_ms", 0.0) or 0.0),
+                int(rec["divergent_count"]), 0.0,
             ))
     except (ValueError, csv.Error) as exc:
         raise SweepError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -12,9 +12,7 @@ from lidbag.datasets import (
     dataset_info,
     dataset_ordinal,
     generate,
-    load_binary,
     load_csv,
-    save_binary,
     save_csv,
     validate,
 )
@@ -181,7 +179,7 @@ class TestValidation:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", ["M1_Sphere", "Lollipop"])
+    @pytest.mark.parametrize("name", ["M1_Sphere", "M12_Norm", "Lollipop"])
     def test_csv_round_trip_is_lossless(self, tmp_path, name):
         cloud = generate(GeneratorSpec(name, n=80, seed=5))
         p = tmp_path / "cloud.csv"
@@ -202,16 +200,6 @@ class TestRoundTrips:
         back = load_csv(p, gt_lid=[4.5])
         np.testing.assert_array_equal(back.gt_lid, [4.5])
         assert back.points.tobytes() == cloud.points.tobytes()
-
-    @pytest.mark.parametrize("name", ["M12_Norm", "Lollipop"])
-    def test_binary_round_trip_is_lossless(self, tmp_path, name):
-        cloud = generate(GeneratorSpec(name, n=64, seed=8))
-        p = tmp_path / "cloud.npz"
-        save_binary(cloud, p)
-        back = load_binary(p)
-        assert back.points.tobytes() == cloud.points.tobytes()
-        np.testing.assert_array_equal(back.manifold_label, cloud.manifold_label)
-        np.testing.assert_array_equal(back.gt_lid, cloud.gt_lid)
 
     def test_malformed_csv_raises_dataset_error_naming_the_file(self, tmp_path):
         cloud = generate(GeneratorSpec("M7_Roll", n=20, seed=0))
@@ -251,33 +239,3 @@ class TestRoundTrips:
         assert back.points.tobytes() == plain.points.tobytes()
         np.testing.assert_array_equal(back.manifold_label, plain.manifold_label)
         np.testing.assert_array_equal(back.gt_lid, plain.gt_lid)
-
-    def test_short_binary_file_raises_dataset_error(self, tmp_path):
-        cloud = generate(GeneratorSpec("M12_Norm", n=64, seed=8))
-        p = tmp_path / "cloud.lidc"
-        save_binary(cloud, p)
-        blob = p.read_bytes()
-        for cut in (10, 30, len(blob) - 8):
-            p.write_bytes(blob[:cut])
-            with pytest.raises(DatasetError, match="truncated"):
-                load_binary(p)
-
-    def test_rejected_binary_cloud_raises_dataset_error_naming_the_file(self, tmp_path):
-        cloud = generate(GeneratorSpec("M12_Norm", n=64, seed=8))
-        p = tmp_path / "cloud.lidc"
-        save_binary(cloud, p)
-        blob = p.read_bytes()
-        labels = 24 + 8 * cloud.n_manifolds  # magic, header, gt_lid
-        points = labels + 4 * cloud.n
-        for at, value, reason in ((labels, np.int32(0).tobytes(), "labels must lie in 1..1"),
-                                  (points, np.float64(np.inf).tobytes(), "must be finite")):
-            p.write_bytes(blob[:at] + value + blob[at + len(value):])
-            with pytest.raises(DatasetError, match=f"cloud.lidc: .*{reason}"):
-                load_binary(p)
-
-    def test_csv_and_binary_agree(self, tmp_path):
-        cloud = generate(GeneratorSpec("M6_Nonlinear", n=32, seed=2))
-        pc, pb = tmp_path / "a.csv", tmp_path / "a.npz"
-        save_csv(cloud, pc)
-        save_binary(cloud, pb)
-        assert load_csv(pc).points.tobytes() == load_binary(pb).points.tobytes()

@@ -1,11 +1,13 @@
 """Sweep engine determinism and accounting, reports, CSV IO, and the CLI."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -60,18 +62,30 @@ C10 = dict(
 )
 
 #: sha256 of results.csv and skips.csv for each grid, at every thread
-#: count.  Floats are printed to 17 digits, so another numpy or scipy, or
-#: numpy's code for another SIMD target, may round a last bit differently;
-#: the values were recorded with numpy 2.4.6 and scipy 1.17.1 on a CPU
-#: where numpy found X86_V3, X86_V4, AVX512_ICL and AVX512_SPR.
+#: count, under the widest of the SIMD targets X86_V4 and X86_V3 that numpy
+#: found.  Floats are printed to 17 digits, so numpy's code for another
+#: SIMD target, or another numpy or scipy, may round a last bit
+#: differently: under X86_V3 the C10 grid's results.csv is one byte
+#: shorter.  The values were recorded with numpy 2.4.6 and scipy 1.17.1 on
+#: a CPU where numpy found X86_V3, X86_V4, AVX512_ICL and AVX512_SPR, the
+#: X86_V3 pair with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4".
 PINNED = {
-    "SMALL": ("7e06f0fea980290f268a15b362787c00233be8b5b7677e7fbadb59e217b6c754",
-              "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
-    "C10": ("703c2b965f2ed5ec0136d25ec540260619d64bc9326e98593adb45a8e2c8db9a",
-            "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+    "X86_V4": {
+        "SMALL": ("7e06f0fea980290f268a15b362787c00233be8b5b7677e7fbadb59e217b6c754",
+                  "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+        "C10": ("703c2b965f2ed5ec0136d25ec540260619d64bc9326e98593adb45a8e2c8db9a",
+                "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+    },
+    "X86_V3": {
+        "SMALL": ("7e06f0fea980290f268a15b362787c00233be8b5b7677e7fbadb59e217b6c754",
+                  "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+        "C10": ("c92d7eb4f08208e740415e99780f0154b33d2dbdb0419cae99a4c261f7436252",
+                "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
+    },
 }
 
 
+@functools.cache
 def simd_found():
     """The SIMD targets numpy dispatches to on this CPU, the ``found`` list
     of ``np.show_runtime()``, by the probe that ``tools/bench_pairs.py``
@@ -82,6 +96,17 @@ def simd_found():
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
     return bench_pairs._simd_found()
+
+
+def pin_target():
+    """The first target of PINNED, which lists them widest first, that numpy
+    found; the test fails when numpy found none of them."""
+    found = simd_found()
+    for target in PINNED:
+        if target in found:
+            return target
+    pytest.fail(f"no pinned bytes for this CPU: numpy found SIMD targets"
+                f" {' '.join(found) or '(none)'}, pins exist for {', '.join(PINNED)}")
 
 
 class TestGrids:
@@ -348,10 +373,13 @@ class TestCsvIO:
         result = run_sweep(SweepGrid(**SMALL))
         p = tmp_path / "results.csv"
         write_sweep_csv(result, p)
-        header = p.read_text().splitlines()[0]
-        assert header == ",".join(SWEEP_COLUMNS)
-        write_sweep_csv(result, p, include_timing=True)
-        assert p.read_text().splitlines()[0].endswith(",wall_time_ms")
+        lines = p.read_text().splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        # An older file's wall_time_ms column is ignored, as any extra column is.
+        p.write_text("".join(f"{line},{cell}\n" for line, cell
+                             in zip(lines, ["wall_time_ms"] + ["12.5"] * (len(lines) - 1))))
+        original = [dataclasses.replace(r, wall_time_ms=0.0) for r in result.sorted_rows()]
+        assert read_sweep_csv(p).rows == original
 
     def test_sidecar_files(self, tmp_path):
         result = run_sweep(SweepGrid(
@@ -366,19 +394,30 @@ class TestCsvIO:
         assert len(skips) == 1 + 4  # header + the four bagged skips
 
     @pytest.mark.parametrize("threads", [1, 4])
-    @pytest.mark.parametrize("name", sorted(PINNED))
+    @pytest.mark.parametrize("name", ["C10", "SMALL"])
     def test_output_bytes_are_pinned(self, name, threads, tmp_path):
         # Refactors of the engine must leave every byte of both files as
         # it was.
+        target = pin_target()
         result = run_sweep(SweepGrid(**{"SMALL": SMALL, "C10": C10}[name]), threads=threads)
         write_sweep_csv(result, tmp_path / "results.csv")
         write_skips_csv(result, tmp_path / "skips.csv")
         got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("results.csv", "skips.csv"))
-        assert got == PINNED[name], (
-            f"{name} grid at threads={threads}: sha256 {got} != pinned {PINNED[name]}"
-            f" (numpy {np.__version__}, scipy {scipy.__version__},"
-            f" SIMD targets found: {' '.join(simd_found())})")
+        assert got == PINNED[target][name], (
+            f"{name} grid at threads={threads} under {target}: sha256 {got}"
+            f" != pinned {PINNED[target][name]} (numpy {np.__version__},"
+            f" scipy {scipy.__version__}, SIMD targets found: {' '.join(simd_found())})")
+
+    def test_pin_target_is_the_widest_found_or_a_failure_naming_the_targets(
+            self, monkeypatch):
+        for found, target in ((["X86_V3", "X86_V4", "AVX512_ICL"], "X86_V4"),
+                              (["X86_V3"], "X86_V3")):
+            monkeypatch.setitem(globals(), "simd_found", lambda: found)
+            assert pin_target() == target
+        monkeypatch.setitem(globals(), "simd_found", lambda: ["SSE42", "AVX2"])
+        with pytest.raises(pytest.fail.Exception, match="numpy found SIMD targets SSE42 AVX2"):
+            pin_target()
 
     def test_missing_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -436,20 +475,23 @@ class TestBenchmark:
         with pytest.raises(SweepError):
             benchmark_runtime([100], B=2, r=0.02, k=5, repeats=1)
 
+    def test_repeats_below_one_rejected(self):
+        with pytest.raises(SweepError, match="need repeats >= 1, got 0"):
+            benchmark_runtime([260], B=2, r=0.2, k=5, repeats=0)
+
 
 class TestCli:
-    def test_generate_writes_both_formats_and_validates(self, tmp_path, capsys):
+    def test_generate_writes_csv_and_validates(self, tmp_path, capsys):
         rc = main(["generate", "--dataset", "M5b_Helix2d", "--n", "60",
-                   "--seed", "1", "--format", "both", "--out", str(tmp_path)])
+                   "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / "M5b_Helix2d.csv").exists()
-        assert (tmp_path / "M5b_Helix2d.lidc").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["M5b_Helix2d.csv"]
         out = capsys.readouterr().out
         assert "validation=OK" in out
 
     def test_estimate_from_generated_csv(self, tmp_path, capsys):
         main(["generate", "--dataset", "M13a_Scurve", "--n", "120",
-              "--format", "csv", "--out", str(tmp_path)])
+              "--out", str(tmp_path)])
         rc = main(["estimate", "--data", str(tmp_path / "M13a_Scurve.csv"),
                    "--variant", "bagged", "--k", "4", "--r", "0.3",
                    "--bags", "3", "--out", str(tmp_path / "est")])
@@ -462,7 +504,7 @@ class TestCli:
 
     def test_estimate_truncated_csv_names_the_file(self, tmp_path, capsys):
         main(["generate", "--dataset", "M13a_Scurve", "--n", "60",
-              "--format", "csv", "--out", str(tmp_path)])
+              "--out", str(tmp_path)])
         path = tmp_path / "M13a_Scurve.csv"
         text = path.read_text()
         path.write_text(text[: len(text) - 30])  # cut mid-row
@@ -473,9 +515,26 @@ class TestCli:
         assert not (tmp_path / "est").exists()
         capsys.readouterr()
 
+    def test_estimate_on_lidc_bytes_is_malformed_csv(self, tmp_path, capsys):
+        # The layout of a binary point-cloud format that lidbag once wrote:
+        # magic, header {version, n, dim, L}, gt_lid, labels, points.
+        cloud = generate(GeneratorSpec("M7_Roll", n=60, seed=0))
+        path = tmp_path / "M7_Roll.lidc"
+        path.write_bytes(b"LIDC" + struct.pack("<IQII", 1, cloud.n, cloud.dim, cloud.n_manifolds)
+                         + cloud.gt_lid.astype("<f8").tobytes()
+                         + cloud.manifold_label.astype("<i4").tobytes()
+                         + cloud.points.astype("<f8").tobytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", str(path), "--variant", "baseline",
+                  "--k", "4", "--out", str(tmp_path / "est")])
+        # A string code is printed to stderr and makes the process exit 1.
+        assert str(exc.value.code).startswith(f"lidbag estimate: {path}: malformed CSV")
+        assert not (tmp_path / "est").exists()
+        capsys.readouterr()
+
     def test_estimate_header_only_csv_says_so_and_nothing_else(self, tmp_path, capsys, recwarn):
         main(["generate", "--dataset", "M13a_Scurve", "--n", "60",
-              "--format", "csv", "--out", str(tmp_path)])
+              "--out", str(tmp_path)])
         path = tmp_path / "M13a_Scurve.csv"
         path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
         capsys.readouterr()
@@ -513,6 +572,31 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--experiment", "variance", "--bags=,"],
+        ["bench", "--n-values="],
+        ["generate", "--dataset="],
+        *(["sweep", f"{flag}=,"] for flag in ("--datasets", "--estimators", "--variants",
+                                              "--k-values", "--r-values", "--b-values")),
+    ], ids=lambda argv: argv[0] + argv[-1].split("=")[0])
+    def test_empty_comma_list_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        flag = argv[-1].split("=")[0]
+        assert f"argument {flag}: needs at least one item" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_bench_repeats_below_one_rejected(self, tmp_path, capsys, repeats):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--repeats", repeats, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --repeats: must be >= 1, got {repeats}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_report_round_trip(self, tmp_path, capsys):
         sweep_out = tmp_path / "sweep"
@@ -627,7 +711,7 @@ class TestCli:
         assert "m^2/n" in (tmp_path / "o" / "summary.txt").read_text()
 
         rc = main(["theory", "--experiment", "variance", "--n", "100",
-                   "--r", "0.2", "--b-list", "1,3", "--trials", "400",
+                   "--r", "0.2", "--bags", "1,3", "--trials", "400",
                    "--out", str(tmp_path / "v")])
         assert rc == 0
         lines = (tmp_path / "v" / "variance.csv").read_text().splitlines()
