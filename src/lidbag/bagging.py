@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -55,6 +56,10 @@ class BaggingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("bags", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise BaggingError(f"{name} must be an integer, got {value!r}")
         if self.bags < 1:
             raise BaggingError(f"need B >= 1 bags, got {self.bags}")
         if not 0.0 < self.rate <= 1.0:

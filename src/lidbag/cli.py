@@ -114,7 +114,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.data:
+    if args.data is not None:
         cloud = load_csv(args.data)
         label = Path(args.data).stem
     else:
@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the constraint suite after sampling")
 
     e = sub.add_parser("estimate", help="run one estimation pipeline")
-    e.add_argument("--dataset", choices=DATASET_NAMES, help="built-in dataset")
-    e.add_argument("--data", help="CSV written by 'generate' (overrides --dataset)")
+    source = e.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dataset", choices=DATASET_NAMES, help="built-in dataset")
+    source.add_argument("--data", help="CSV written by 'generate' (not with --dataset)")
     e.add_argument("--n", type=int, default=2500)
     e.add_argument("--estimator", choices=METHODS, default="mle")
     e.add_argument("--variant", choices=VARIANTS, default="bagged")
@@ -358,8 +359,6 @@ _CLI_ERRORS = (
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "estimate" and not (args.dataset or args.data):
-        raise SystemExit("estimate needs --dataset or --data")
     try:
         return args.fn(args)
     except _CLI_ERRORS as exc:

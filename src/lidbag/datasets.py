@@ -6,17 +6,19 @@ sampling-function parameters in documented argument order.  That layout
 makes clouds bit-reproducible across platforms and independent of any
 batching strategy.
 
-Each generator has a companion validator that re-checks the closed-form
-constraints its sampling function imposes on the output coordinates
-(unit norms, exact coordinate ranges, exact zero paddings, Kronecker
-block repetitions, surface relations).  Validation failures are reported
-one entry per violated constraint, with the offending point count.
+Each sampler returns exactly its dataset's ``dim`` coordinates.  A
+companion validator re-checks the closed-form constraints the sampling
+function imposes on them (unit norms, exact coordinate ranges, Kronecker
+block repetitions, surface relations); M12_Norm's Gaussian coordinates
+have none.  Validation failures are reported one entry per violated
+constraint, with the offending point count.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -41,12 +43,15 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in _REGISTRY:
-            raise DatasetError(
-                f"unknown dataset {self.name!r}; known: {', '.join(DATASET_NAMES)}"
-            )
+        dataset_info(self.name)  # an unknown name raises DatasetError
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise DatasetError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise DatasetError("need n >= 2 to build a point cloud")
+        if self.seed < 0:
+            raise DatasetError("seed must be a nonnegative integer")
 
 
 @dataclass
@@ -81,15 +86,9 @@ _M2_A = np.array(
 _M2_B = np.array([3.0, -1.0, 0.0, 0.0, 8.0])
 
 
-def _pad(coords: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[: coords.shape[0]] = coords
-    return out
-
-
 def _m1_sphere(rng, d, dim):
     x = rng.standard_normal(d + 1)
-    return _pad(x / np.sqrt(np.sum(x * x)), dim)
+    return x / np.sqrt(np.sum(x * x))
 
 
 def _m2_affine(rng, d, dim):
@@ -126,17 +125,17 @@ def _trig_chain(rng, d, dim):
 def _m5b_helix(rng, d, dim):
     r = rng.uniform(0.0, 10.0 * np.pi)
     p = rng.uniform(0.0, 10.0 * np.pi)
-    return _pad(np.array([r * np.cos(p), r * np.sin(p), 0.5 * p]), dim)
+    return np.array([r * np.cos(p), r * np.sin(p), 0.5 * p])
 
 
 def _m7_roll(rng, d, dim):
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi)
     p = rng.uniform(0.0, 21.0)
-    return _pad(np.array([t * np.cos(t), p, t * np.sin(t)]), dim)
+    return np.array([t * np.cos(t), p, t * np.sin(t)])
 
 
 def _m9_affine(rng, d, dim):
-    return _pad(rng.uniform(-2.5, 2.5, d), dim)
+    return rng.uniform(-2.5, 2.5, d)
 
 
 def _m10_cubic(rng, d, dim):
@@ -145,7 +144,7 @@ def _m10_cubic(rng, d, dim):
     i = int(rng.integers(0, d + 1))
     s = float(rng.integers(0, 2))
     u = rng.uniform(0.0, 1.0, d)
-    return _pad(np.concatenate([u[:i], [s], u[i:]]), dim)
+    return np.concatenate([u[:i], [s], u[i:]])
 
 
 def _m11_moebius(rng, d, dim):
@@ -156,13 +155,13 @@ def _m11_moebius(rng, d, dim):
 
 
 def _m12_norm(rng, d, dim):
-    return _pad(rng.standard_normal(d), dim)
+    return rng.standard_normal(d)
 
 
 def _m13a_scurve(rng, d, dim):
     t = rng.uniform(-1.5 * np.pi, 1.5 * np.pi)
     p = rng.uniform(0.0, 2.0)
-    return _pad(np.array([np.sin(t), p, np.sign(t) * (np.cos(t) - 1.0)]), dim)
+    return np.array([np.sin(t), p, np.sign(t) * (np.cos(t) - 1.0)])
 
 
 def _mn_nonlinear(rng, d, dim):
@@ -214,48 +213,40 @@ class DatasetInfo:
     labeled: bool = False  # True when the sampler returns (coords, label)
     note: str = ""
 
-
-def _info(name, table_d, dim, gt, sampler, d_param, labeled=False, note=""):
-    return DatasetInfo(
-        name=name,
-        table_d=tuple(np.atleast_1d(table_d)),
-        dim=dim,
-        gt_lid=tuple(np.atleast_1d(gt)),
-        sampler=sampler,
-        d_param=d_param,
-        labeled=labeled,
-        note=note,
-    )
+    def __post_init__(self):
+        # A single-manifold dataset may give its LIDs as plain numbers.
+        object.__setattr__(self, "table_d", tuple(np.atleast_1d(self.table_d)))
+        object.__setattr__(self, "gt_lid", tuple(np.atleast_1d(self.gt_lid)))
 
 
 _REGISTRY = {
     info.name: info
     for info in (
-        _info("M1_Sphere", 10, 11, 10, _m1_sphere, 10),
-        _info("M2_Affine_3to5", 3, 5, 3, _m2_affine, 3),
-        _info("M3_Nonlinear_4to6", 4, 6, 4, _m3_nonlinear, 4),
-        _info("M4_Nonlinear", 4, 8, 4, _trig_chain, 4),
-        _info("M5b_Helix2d", 2, 3, 2, _m5b_helix, 2),
-        _info("M6_Nonlinear", 6, 36, 6, _trig_chain, 6),
-        _info("M7_Roll", 2, 3, 2, _m7_roll, 2),
-        _info("M8_Nonlinear", 12, 72, 12, _trig_chain, 12),
-        _info("M9_Affine", 20, 20, 20, _m9_affine, 20),
-        _info(
+        DatasetInfo("M1_Sphere", 10, 11, 10, _m1_sphere, 10),
+        DatasetInfo("M2_Affine_3to5", 3, 5, 3, _m2_affine, 3),
+        DatasetInfo("M3_Nonlinear_4to6", 4, 6, 4, _m3_nonlinear, 4),
+        DatasetInfo("M4_Nonlinear", 4, 8, 4, _trig_chain, 4),
+        DatasetInfo("M5b_Helix2d", 2, 3, 2, _m5b_helix, 2),
+        DatasetInfo("M6_Nonlinear", 6, 36, 6, _trig_chain, 6),
+        DatasetInfo("M7_Roll", 2, 3, 2, _m7_roll, 2),
+        DatasetInfo("M8_Nonlinear", 12, 72, 12, _trig_chain, 12),
+        DatasetInfo("M9_Affine", 20, 20, 20, _m9_affine, 20),
+        DatasetInfo(
             "M10a_Cubic", 20, 11, 10, _m10_cubic, 10,
             note=(
                 "table lists d=20 at dim=11, inconsistent with the facet "
                 "construction (needs dim >= d+1); generated with d = dim-1 = 10"
             ),
         ),
-        _info("M10b_Cubic", 17, 18, 17, _m10_cubic, 17),
-        _info("M10c_Cubic", 24, 25, 24, _m10_cubic, 24),
-        _info("M11_Moebius", 2, 3, 2, _m11_moebius, 2),
-        _info("M12_Norm", 20, 20, 20, _m12_norm, 20),
-        _info("M13a_Scurve", 2, 3, 2, _m13a_scurve, 2),
-        _info("Mn1_Nonlinear", 18, 72, 18, _mn_nonlinear, 18),
-        _info("Mn2_Nonlinear", 24, 96, 24, _mn_nonlinear, 24),
-        _info("Lollipop", (1, 2), 2, (1, 2), _lollipop, 2, labeled=True),
-        _info("Uniform", 30, 100, 30, _uniform_tail, 30),
+        DatasetInfo("M10b_Cubic", 17, 18, 17, _m10_cubic, 17),
+        DatasetInfo("M10c_Cubic", 24, 25, 24, _m10_cubic, 24),
+        DatasetInfo("M11_Moebius", 2, 3, 2, _m11_moebius, 2),
+        DatasetInfo("M12_Norm", 20, 20, 20, _m12_norm, 20),
+        DatasetInfo("M13a_Scurve", 2, 3, 2, _m13a_scurve, 2),
+        DatasetInfo("Mn1_Nonlinear", 18, 72, 18, _mn_nonlinear, 18),
+        DatasetInfo("Mn2_Nonlinear", 24, 96, 24, _mn_nonlinear, 24),
+        DatasetInfo("Lollipop", (1, 2), 2, (1, 2), _lollipop, 2, labeled=True),
+        DatasetInfo("Uniform", 30, 100, 30, _uniform_tail, 30),
     )
 }
 
@@ -326,12 +317,6 @@ def _check_close(rep, err, constraint, tol=VTOL):
     _report_mask(rep, err > tol, constraint, err=np.max(err, initial=0.0))
 
 
-def _check_padding(rep, X, width_used):
-    if X.shape[1] > width_used:
-        tail = X[:, width_used:]
-        _report_mask(rep, np.any(tail != 0.0, axis=1), "zero padding exact")
-
-
 def _angles(y, x):
     a = np.arctan2(y, x)
     return np.where(a < 0.0, a + TWO_PI, a)
@@ -350,9 +335,8 @@ def validate(cloud: PointCloud, spec: GeneratorSpec) -> ValidationReport:
     d = info.d_param
 
     if info.name == "M1_Sphere":
-        norms = np.sqrt(np.sum(X[:, : d + 1] ** 2, axis=1))
+        norms = np.sqrt(np.sum(X ** 2, axis=1))
         _check_close(rep, norms - 1.0, "unit sphere norm")
-        _check_padding(rep, X, d + 1)
     elif info.name == "M2_Affine_3to5":
         # left null space of the affine map: w^T (x - b) = 0 for all points
         u, s, _ = np.linalg.svd(_M2_A, full_matrices=True)
@@ -393,27 +377,22 @@ def validate(cloud: PointCloud, spec: GeneratorSpec) -> ValidationReport:
             axis=1,
         )
         _check_close(rep, err, "helix surface relation (p = 2 x3)", tol=1e-7)
-        _check_padding(rep, X, 3)
     elif info.name == "M7_Roll":
         t = np.hypot(X[:, 0], X[:, 2])
         _check_range(rep, t, 1.5 * np.pi - VTOL, 4.5 * np.pi + VTOL, "t in [1.5pi,4.5pi]")
         _check_range(rep, X[:, 1], 0.0, 21.0, "p in [0,21]")
         err = np.stack([X[:, 0] - t * np.cos(t), X[:, 2] - t * np.sin(t)], axis=1)
         _check_close(rep, err, "roll surface relation", tol=1e-7)
-        _check_padding(rep, X, 3)
     elif info.name == "M9_Affine":
-        _check_range(rep, X[:, :d], -2.5, 2.5, "coordinates in [-2.5,2.5]")
-        _check_padding(rep, X, d)
+        _check_range(rep, X, -2.5, 2.5, "coordinates in [-2.5,2.5]")
     elif info.name in ("M10a_Cubic", "M10b_Cubic", "M10c_Cubic"):
-        body = X[:, : d + 1]
-        on_facet = (body == 0.0) | (body == 1.0)
+        on_facet = (X == 0.0) | (X == 1.0)
         _report_mask(
             rep,
             np.count_nonzero(on_facet, axis=1) != 1,
             "exactly one facet coordinate in {0,1}",
         )
-        _check_range(rep, body, 0.0, 1.0, "coordinates in [0,1]")
-        _check_padding(rep, X, d + 1)
+        _check_range(rep, X, 0.0, 1.0, "coordinates in [0,1]")
     elif info.name == "M11_Moebius":
         rho = np.hypot(X[:, 0], X[:, 1])
         phi = _angles(X[:, 1], X[:, 0])
@@ -425,17 +404,12 @@ def validate(cloud: PointCloud, spec: GeneratorSpec) -> ValidationReport:
         )
         err = w * np.sin(5.0 * phi) - X[:, 2] * np.cos(5.0 * phi)
         _check_close(rep, err, "twist relation", tol=1e-7)
-    elif info.name == "M12_Norm":
-        _check_padding(rep, X, d)
-        if not np.all(np.isfinite(X)):
-            rep.violations.append("non-finite coordinates")
     elif info.name == "M13a_Scurve":
         _check_range(rep, X[:, 0], -1.0, 1.0, "sin t in [-1,1]")
         _check_range(rep, X[:, 1], 0.0, 2.0, "p in [0,2]")
         _check_range(rep, np.abs(X[:, 2]), 0.0, 2.0, "|x3| in [0,2]")
         err = X[:, 0] ** 2 + (1.0 - np.abs(X[:, 2])) ** 2 - 1.0
         _check_close(rep, err, "s-curve circle relation", tol=1e-7)
-        _check_padding(rep, X, 3)
     elif info.name in ("Mn1_Nonlinear", "Mn2_Nonlinear"):
         b1 = X[:, 0:d]
         b2 = X[:, d : 2 * d]
@@ -492,6 +466,10 @@ def validate(cloud: PointCloud, spec: GeneratorSpec) -> ValidationReport:
 # import/export
 # --------------------------------------------------------------------------
 
+def fmt_float(x: float) -> str:
+    """``x`` to 17 significant digits, which parse back to the same double."""
+    return format(float(x), ".17g")
+
 
 def save_csv(cloud: PointCloud, path) -> None:
     """CSV with header x0..x{dim-1},label; 17 significant digits.
@@ -500,15 +478,11 @@ def save_csv(cloud: PointCloud, path) -> None:
     round-trips without a side channel.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        gts = ",".join(_fmt(v) for v in cloud.gt_lid)
+        gts = ",".join(map(fmt_float, cloud.gt_lid))
         fh.write(f"# gt_lid: {gts}\n")
         fh.write(",".join(f"x{i}" for i in range(cloud.dim)) + ",label\n")
         for row, lab in zip(cloud.points, cloud.manifold_label):
-            fh.write(",".join(_fmt(v) for v in row) + f",{int(lab)}\n")
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
+            fh.write(",".join(map(fmt_float, row)) + f",{int(lab)}\n")
 
 
 def load_csv(path, gt_lid=None) -> PointCloud:

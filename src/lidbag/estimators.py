@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class EstimatorConfig:
         object.__setattr__(self, "method", str(self.method).lower())
         if self.method not in METHODS:
             raise EstimatorError(f"unknown method {self.method!r}; pick from {METHODS}")
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise EstimatorError(f"k must be an integer, got {self.k!r}")
         if self.k < 2:
             raise EstimatorError(f"k must be >= 2 for {self.method}, got {self.k}")
         if self.clamp_max is not None and not self.clamp_max > 0:

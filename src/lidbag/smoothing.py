@@ -29,6 +29,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class SmoothingConfig:
     k_s: int
 
     def __post_init__(self):
+        if isinstance(self.k_s, bool) or not isinstance(self.k_s, Integral):
+            raise SmoothingError(f"k_s must be an integer, got {self.k_s!r}")
         if self.k_s < 1:
             raise SmoothingError(f"need k_s >= 1, got {self.k_s}")
 

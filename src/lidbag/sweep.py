@@ -34,7 +34,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .datasets import DATASET_NAMES, GeneratorSpec, dataset_ordinal, generate
+from .datasets import DATASET_NAMES, GeneratorSpec, dataset_ordinal, fmt_float, generate
 from .estimators import METHODS, MLE_NORMALIZATIONS, EstimatorConfig
 # bag_tables stays bound here: perfbench/selfcheck.py checks that tracing
 # restores lidbag.sweep.bag_tables.
@@ -487,10 +487,6 @@ def _timed(fn, repeats: int) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV emission (17 significant digits, canonical ordering)
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _cell(v) -> str:

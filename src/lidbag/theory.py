@@ -65,6 +65,16 @@ def _validate(n: int, m: int, trials: int, min_trials: int = 1):
         raise TheoryError(f"need trials >= {min_trials}, got {trials}")
 
 
+def _bag_size(n: int, r: float, trials: int) -> int:
+    """m = min(n, ceil(n r)) for a rate r in (0, 1], after checking the
+    experiment's arguments; a covariance needs at least two trials."""
+    if not 0.0 < r <= 1.0:
+        raise TheoryError(f"need r in (0, 1], got {r}")
+    m = min(n, math.ceil(n * r))
+    _validate(n, m, trials, min_trials=2)
+    return m
+
+
 def _row_chunks(n: int, trials: int, seed: int, keys):
     """Walk the trials' seeded blocks in row chunks.
 
@@ -261,10 +271,7 @@ def run_variance(
     first B bag means are aggregated by the library's own
     :class:`~lidbag.bagging.AnchoredMean`.
     """
-    if not 0.0 < r <= 1.0:
-        raise TheoryError(f"need r in (0, 1], got {r}")
-    m = min(n, math.ceil(n * r))
-    _validate(n, m, trials, min_trials=2)
+    m = _bag_size(n, r, trials)
     if B < 1:
         raise TheoryError(f"need B >= 1, got {B}")
     n_bags = max(B, 2)
@@ -316,10 +323,6 @@ class ConditionalCovariance:
     phi_at_mean: float  # phi(E[H]/m) = sigma^2 / n for the sample mean
     monotonicity_violations: int
 
-    @property
-    def var_single_analytic(self) -> float:
-        return self.sigma_sq / self.m
-
     def summary_lines(self):
         lines = [
             f"conditional covariance, n={self.n}, r={self.r}, m={self.m},"
@@ -347,10 +350,7 @@ def run_conditional_covariance(
     of available bins whose estimates decrease by more than three combined
     standard errors.
     """
-    if not 0.0 < r <= 1.0:
-        raise TheoryError(f"need r in (0, 1], got {r}")
-    m = min(n, math.ceil(n * r))
-    _validate(n, m, trials, min_trials=2)
+    m = _bag_size(n, r, trials)
     t1 = np.empty(trials)
     t2 = np.empty(trials)
     hs = np.empty(trials, dtype=np.int64)

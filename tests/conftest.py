@@ -1,4 +1,9 @@
-"""Shared fixtures and the acceptance-criteria terminal summary."""
+"""Shared fixtures, the acceptance-criteria terminal summary, and the choice
+of pinned bytes by SIMD target."""
+
+import functools
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -32,3 +37,27 @@ def record_criterion():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@functools.cache
+def simd_found():
+    """The SIMD targets numpy dispatches to on this CPU, the ``found`` list
+    of ``np.show_runtime()``, by the probe that ``tools/bench_pairs.py``
+    records with each benchmark."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs._simd_found()
+
+
+def pin_target(pinned):
+    """The first target of ``pinned``, which lists them widest first, that
+    numpy found; the test fails when numpy found none of them."""
+    found = simd_found()
+    for target in pinned:
+        if target in found:
+            return target
+    pytest.fail(f"no pinned bytes for this CPU: numpy found SIMD targets"
+                f" {' '.join(found) or '(none)'}, pins exist for {', '.join(pinned)}")

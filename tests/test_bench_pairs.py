@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -113,3 +114,36 @@ def test_machine_record_names_the_runs_simd_targets(monkeypatch, tmp_path, capsy
     bench_pairs.main(["--parent", "HEAD", "--pr", "t", "--workloads", "w", "--seeds", "1-4"])
     found = found_in_process(capsys)
     assert reports[-1]["machine"] == {"nproc": 2, "numpy": "x.y", "simd_found": found}
+
+
+def test_both_sides_run_from_copies_at_paths_of_equal_length(tmp_path):
+    # A throwaway repository: one commit, then an edit to its tracked file
+    # and a new untracked file, neither committed.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "code.py").write_text("VALUE = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "parent")
+    (repo / "code.py").write_text("VALUE = 2\n")
+    (repo / "scratch.txt").write_text("not measured\n")
+    build = repo / ".bench_build"
+    paths = bench_pairs._checkouts("HEAD", str(repo), str(build))
+    assert paths == {"parent": str(build / "parent"), "change": str(build / "change")}
+    assert len(paths["parent"]) == len(paths["change"])
+    assert (build / "parent" / "code.py").read_text() == "VALUE = 1\n"
+    assert (build / "change" / "code.py").read_text() == "VALUE = 2\n"
+    assert not (build / "change" / "scratch.txt").exists()
+    # The working tree and the stash list are as they were.
+    assert (repo / "code.py").read_text() == "VALUE = 2\n"
+    assert subprocess.run(["git", "stash", "list"], cwd=repo, capture_output=True,
+                          text=True).stdout == ""
+    # A clean tree gives HEAD's files on both sides.
+    git("checkout", "code.py")
+    bench_pairs._checkouts("HEAD", str(repo), str(build))
+    assert (build / "change" / "code.py").read_text() == "VALUE = 1\n"

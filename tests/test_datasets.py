@@ -1,7 +1,10 @@
 """Benchmark generators: registry facts, determinism, validation, round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import pin_target
 
 from lidbag.datasets import (
     DATASET_NAMES,
@@ -17,6 +20,39 @@ from lidbag.datasets import (
     validate,
 )
 from lidbag.geometry import PointCloud
+
+#: sha256 of the points and then the labels of each dataset's
+#: ``generate(GeneratorSpec(name, n=64, seed=1))``, under the widest of the
+#: SIMD targets X86_V4 and X86_V3 that numpy found, as for the sweep pins of
+#: ``tests/test_sweep_cli.py`` (numpy 2.4.6; the X86_V3 set with
+#: NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").  Only the two
+#: Mn datasets, whose samplers call ``np.tan`` and ``np.arctan``, differ.
+GENERATE_PINNED = {"X86_V4": {
+    "M1_Sphere": "85bcdcc19a31a94ccd33f3c739a874838d5105abb6c031108964919da18dce44",
+    "M2_Affine_3to5": "14064eed8684ded95bed00ae109e31010abc89b8079cd93988e3f18118d77727",
+    "M3_Nonlinear_4to6": "e8305d41fc5b1afee09dd4407820be5ae57a0d5121023eb50f612958db6748b8",
+    "M4_Nonlinear": "3621a771643b5b9214b492f2d76f53bae1c92dcef7c768c505a1dc2947f95da1",
+    "M5b_Helix2d": "8472d1416455bb24b5021af66128386305d1738972ef01d7cf7078cd8f576dfb",
+    "M6_Nonlinear": "832235c945e08831ae213ae52eda4318c29a2619ae366711b8236beaabcae726",
+    "M7_Roll": "558d2f49e02c6ce9ec9e1c828f19fd0a9a83f046c55337e7ae7d41599bd11e22",
+    "M8_Nonlinear": "018df6ef7fe3a00e59ea069c3bd044959490b914f821ca072a2f3c79e73ec439",
+    "M9_Affine": "9028c1a8b538941aba96aed35016d26f9530cfe65f8aea8bc34210b43c1e9a6b",
+    "M10a_Cubic": "a0d193747ab7cd8266c5fe5b2ba87ebc9cea5eb7094688bd632189d57ba888e0",
+    "M10b_Cubic": "bc448bfb7bf3a451c26a291c3522748dd04765aa8a3aae6ffa675c3fadcec660",
+    "M10c_Cubic": "b545f9819186845c010dc23b6a703579a9b353311410ec6bdcbbf0e3a774de6a",
+    "M11_Moebius": "18b851f3bdc46b2010c2f2af623e0550d94222bad5500192e569ce45eed84c21",
+    "M12_Norm": "c52f7bc0f37e3868df9cf64ccd69f2fb19401caa4ef6c003e1320cc20b745d9e",
+    "M13a_Scurve": "e00b198b88cfa04a33aad4fccbd1bc18565ff1562651e9b6c47320e94041ed38",
+    "Mn1_Nonlinear": "082dfe7d409a3c29d4c7e4172d407850121bd8e79b909c83a64a8ea84d6c80fe",
+    "Mn2_Nonlinear": "e464af67d9922fad1323db6e19f26874ba8d209489c002de6f8774851ad0778c",
+    "Lollipop": "4c22363e40d16658fdfb1a9c15a865b0d9360ff3cf30b7ffce67dab087a48863",
+    "Uniform": "847226d8a70104cbe965c42102df5488889522d7a3d2120d2e196795c8c77e05",
+}}
+GENERATE_PINNED["X86_V3"] = {
+    **GENERATE_PINNED["X86_V4"],
+    "Mn1_Nonlinear": "96a557ece5d56e4e00d0e994da9c943cfb70177491e6e1227e156669025164b7",
+    "Mn2_Nonlinear": "1740e6db70bc9e96e63b4260b435423906fdf8a73a374ee11d3f09e447824923",
+}
 
 
 class TestRegistry:
@@ -50,8 +86,8 @@ class TestRegistry:
     def test_spec_validation(self):
         with pytest.raises(DatasetError):
             GeneratorSpec(name="M1_Sphere", n=1)
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec(name="M1_Sphere", n=4, seed=-3))
+        with pytest.raises(DatasetError, match="seed must be a nonnegative integer"):
+            GeneratorSpec(name="M1_Sphere", n=4, seed=-3)
 
 
 class TestGeneration:
@@ -89,6 +125,15 @@ class TestGeneration:
         cloud = generate(GeneratorSpec(name, n=n, seed=seed))
         assert cloud.points.tobytes() == points.tobytes()
         assert cloud.manifold_label.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_generated_bytes_are_pinned(self, name):
+        target = pin_target(GENERATE_PINNED)
+        cloud = generate(GeneratorSpec(name, n=64, seed=1))
+        got = hashlib.sha256(cloud.points.tobytes() + cloud.manifold_label.tobytes()).hexdigest()
+        assert got == GENERATE_PINNED[target][name], (
+            f"{name} under {target}: sha256 {got} != pinned {GENERATE_PINNED[target][name]}"
+            f" (numpy {np.__version__})")
 
     def test_every_dataset_generates_clean(self):
         for name in DATASET_NAMES:

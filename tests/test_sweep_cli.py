@@ -1,26 +1,25 @@
 """Sweep engine determinism and accounting, reports, CSV IO, and the CLI."""
 
 import dataclasses
-import functools
 import hashlib
-import importlib.util
 import json
-import os
 import re
 import struct
 
+import conftest
 import numpy as np
 import pytest
 import scipy
+from conftest import pin_target, simd_found
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidbag.bagging import BaggingConfig
+from lidbag.bagging import BaggingConfig, BaggingError
 from lidbag.cli import main
-from lidbag.datasets import DATASET_NAMES, GeneratorSpec, generate, load_csv
-from lidbag.estimators import EstimatorConfig
+from lidbag.datasets import DATASET_NAMES, DatasetError, GeneratorSpec, generate, load_csv
+from lidbag.estimators import EstimatorConfig, EstimatorError
 from lidbag.evaluation import decompose
-from lidbag.smoothing import VARIANTS, variant_estimates
+from lidbag.smoothing import VARIANTS, SmoothingConfig, SmoothingError, variant_estimates
 from lidbag.sweep import (
     DEFAULT_B_GRID,
     DEFAULT_K_GRID,
@@ -83,30 +82,6 @@ PINNED = {
                 "1fab845f3ab695dfcc0e33e0588bd6437afbb8331e9942c6054f3721bb216754"),
     },
 }
-
-
-@functools.cache
-def simd_found():
-    """The SIMD targets numpy dispatches to on this CPU, the ``found`` list
-    of ``np.show_runtime()``, by the probe that ``tools/bench_pairs.py``
-    records with each benchmark."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "tools", "bench_pairs.py")
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    return bench_pairs._simd_found()
-
-
-def pin_target():
-    """The first target of PINNED, which lists them widest first, that numpy
-    found; the test fails when numpy found none of them."""
-    found = simd_found()
-    for target in PINNED:
-        if target in found:
-            return target
-    pytest.fail(f"no pinned bytes for this CPU: numpy found SIMD targets"
-                f" {' '.join(found) or '(none)'}, pins exist for {', '.join(PINNED)}")
 
 
 class TestGrids:
@@ -190,6 +165,29 @@ class TestSweepGridValidation:
         assert grid == SweepGrid(**{**SMALL, "k_s": 6})
         assert {type(v) for v in (*grid.k_values, *grid.b_values, grid.n,
                                   grid.master_seed, grid.k_s)} == {int}
+
+    @pytest.mark.parametrize("build, error, field", [
+        (lambda: EstimatorConfig("mle", 5.5), EstimatorError, "k"),
+        (lambda: EstimatorConfig("mle", "5"), EstimatorError, "k"),
+        (lambda: BaggingConfig(2.0, 0.5), BaggingError, "bags"),
+        (lambda: BaggingConfig(True, 0.5), BaggingError, "bags"),
+        (lambda: BaggingConfig(2, 0.5, 1.0), BaggingError, "seed"),
+        (lambda: SmoothingConfig(4.5), SmoothingError, "k_s"),
+        (lambda: SmoothingConfig(np.True_), SmoothingError, "k_s"),
+        (lambda: GeneratorSpec("M12_Norm", n=100.0), DatasetError, "n"),
+        (lambda: GeneratorSpec("M12_Norm", seed="1"), DatasetError, "seed"),
+    ])
+    def test_configs_reject_non_integer_counts_and_seeds(self, build, error, field):
+        # The configs the grid builds take no whole-number floats: the grid
+        # converts those to int first.
+        with pytest.raises(error, match=f"^{field} must be an integer, got "):
+            build()
+
+    def test_configs_take_numpy_integers(self):
+        assert EstimatorConfig("mle", np.int64(5)).k == 5
+        assert BaggingConfig(np.int32(2), 0.5, np.uint64(3)).seed == 3
+        assert SmoothingConfig(np.int16(4)).k_s == 4
+        assert GeneratorSpec("M12_Norm", n=np.int64(100), seed=np.int8(1)).n == 100
 
     def test_dict_round_trip(self):
         grid = SweepGrid(**SMALL)
@@ -398,7 +396,7 @@ class TestCsvIO:
     def test_output_bytes_are_pinned(self, name, threads, tmp_path):
         # Refactors of the engine must leave every byte of both files as
         # it was.
-        target = pin_target()
+        target = pin_target(PINNED)
         result = run_sweep(SweepGrid(**{"SMALL": SMALL, "C10": C10}[name]), threads=threads)
         write_sweep_csv(result, tmp_path / "results.csv")
         write_skips_csv(result, tmp_path / "skips.csv")
@@ -413,11 +411,11 @@ class TestCsvIO:
             self, monkeypatch):
         for found, target in ((["X86_V3", "X86_V4", "AVX512_ICL"], "X86_V4"),
                               (["X86_V3"], "X86_V3")):
-            monkeypatch.setitem(globals(), "simd_found", lambda: found)
-            assert pin_target() == target
-        monkeypatch.setitem(globals(), "simd_found", lambda: ["SSE42", "AVX2"])
+            monkeypatch.setattr(conftest, "simd_found", lambda: found)
+            assert pin_target(PINNED) == target
+        monkeypatch.setattr(conftest, "simd_found", lambda: ["SSE42", "AVX2"])
         with pytest.raises(pytest.fail.Exception, match="numpy found SIMD targets SSE42 AVX2"):
-            pin_target()
+            pin_target(PINNED)
 
     def test_missing_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -560,9 +558,18 @@ class TestCli:
         assert [c[2] for c in cells] == ["1" if f else "0" for f in flags]
         capsys.readouterr()
 
-    def test_estimate_needs_a_data_source(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["estimate", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("source, message", [
+        ([], "one of the arguments --dataset --data is required"),
+        (["--dataset", "M7_Roll", "--data", "M7_Roll.csv"],
+         "argument --data: not allowed with argument --dataset"),
+    ], ids=["neither", "both"])
+    def test_estimate_takes_exactly_one_data_source(self, tmp_path, capsys, source, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", *source, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", [["estimate", "--dataset", "M7_Roll"], ["sweep"]])
     @pytest.mark.parametrize("threads", ["0", "-5"])

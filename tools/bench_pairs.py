@@ -3,17 +3,22 @@
     python3 tools/bench_pairs.py --parent HEAD --pr 6 --workloads sweep_kr,sweep_bags \
         --seeds 600-609
 
-Run from the root of the repository.  The parent ref's committed files are
-unpacked into ``.bench_build/`` (``git archive``, removed again on exit).
-Unlike a ``git worktree``, the copy registers nothing in the repository's
-``.git``, so a build directory deleted by hand or left by a killed run
-cannot block the next run.  For every workload and seed the script runs
+Run from the root of the repository.  Both sides run from copies built the
+same way (``git archive``, removed again on exit), in sibling directories
+whose paths have equal length, so where a side runs from cannot tell the
+two apart: ``.bench_build/parent`` holds the parent ref's committed files,
+and ``.bench_build/change`` the working tree's tracked files, uncommitted
+edits included (``git stash create``, which leaves the tree and the stash
+list alone).  Untracked files are not part of the measured code.  Unlike a
+``git worktree``, a copy registers nothing in the repository's ``.git``, so
+a build directory deleted by hand or left by a killed run cannot block the
+next run.  For every workload and seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
-once in the parent checkout and once in the working tree, as one pair, and
-alternates which side of a pair runs first.  It writes ``BENCH_<pr>.json``
-at the repository root, with one entry per workload:
+once in each checkout, as one pair, and alternates which side of a pair
+runs first.  It writes ``BENCH_<pr>.json`` at the repository root, with one
+entry per workload:
 
 - ``metrics``: for each end-to-end metric of ``BENCHMARK.json``, the median
   and quartiles of both sides, the number of pairs the change won and tied
@@ -60,9 +65,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(*args: str, root: str = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _checkouts(parent: str, root: str, build: str) -> dict[str, str]:
+    """Unpack the parent commit and the working tree's tracked files into
+    ``build/parent`` and ``build/change``; returns the side -> path map."""
+    # ``git stash create`` prints nothing when no tracked file differs from HEAD.
+    change = _git("stash", "create", root=root) or _git("rev-parse", "HEAD", root=root)
+    commits = {"parent": _git("rev-parse", parent, root=root), "change": change}
+    shutil.rmtree(build, ignore_errors=True)
+    paths = {}
+    for side, commit in commits.items():
+        paths[side] = os.path.join(build, side)
+        archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
+                                 check=True, capture_output=True).stdout
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(paths[side], filter="data")
+    return paths
 
 
 def _seeds(text: str) -> list[int]:
@@ -162,18 +183,12 @@ def main(argv=None) -> int:
     workloads, seeds = args.workloads.split(","), _seeds(args.seeds)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
 
-    parent_commit = _git("rev-parse", args.parent)
-    shutil.rmtree(BUILD, ignore_errors=True)
-    os.makedirs(BUILD)
-    archive = subprocess.run(["git", "archive", "--format=tar", parent_commit], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    tarfile.open(fileobj=io.BytesIO(archive)).extractall(BUILD, filter="data")
     try:
+        checkouts = _checkouts(args.parent, ROOT, BUILD)
         report = {
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
-            "parent": {"ref": args.parent, "commit": parent_commit},
-            # Untracked files are not part of the measured code.
+            "parent": {"ref": args.parent, "commit": _git("rev-parse", args.parent)},
             "change": {"commit": _git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(_git("status", "--porcelain",
                                                         "--untracked-files=no"))},
@@ -187,8 +202,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], machine = _run(BUILD if side == "parent" else ROOT,
-                                               workload, seed, args.seconds)
+                    pair[side], machine = _run(checkouts[side], workload, seed, args.seconds)
                     report["machine"] = dict(machine, **report["machine"])
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
@@ -210,7 +224,7 @@ def main(argv=None) -> int:
                 "--trace 0", "--trace 1")}
             for side in ("parent", "change"):
                 report["traced"][workload][side], _ = _run(
-                    BUILD if side == "parent" else ROOT, workload, seeds[0], args.seconds, 1)
+                    checkouts[side], workload, seeds[0], args.seconds, 1)
             _write(report, path)
     finally:
         shutil.rmtree(BUILD, ignore_errors=True)
